@@ -124,8 +124,12 @@ def merge_config(args: argparse.Namespace) -> dict:
             cfg[key] = val
     if cfg.get("budget_nodes") is None:
         env_val = os.environ.get(_BUDGET_ENV)
-        cfg["budget_nodes"] = int(env_val) if env_val \
-            else sim.DEFAULT_NODE_BUDGET
+        try:
+            cfg["budget_nodes"] = int(env_val) if env_val \
+                else sim.DEFAULT_NODE_BUDGET
+        except ValueError:
+            raise ConfigError(f"{_BUDGET_ENV} must be an integer, "
+                              f"got {env_val!r}") from None
     cfg.setdefault("model", "gaussian")
     cfg.setdefault("b", 2)
     cfg.setdefault("seed", 1)

@@ -19,11 +19,27 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 
 import numpy as np
 
 from .errors import CoupledLaw, DomainError, NonIntegrable
 from .rng import normal_pair, to_uniform
+
+
+def _real(name: str, value) -> float:
+    """A law parameter as a finite float; anything else is a DomainError.
+
+    Plain floats skip the abstract-class check, which costs more than the
+    rest of a law's construction (the diagram builds one law per cell).
+    """
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    x = float(value)
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return x
 
 
 class EnvironmentSpec:
@@ -47,13 +63,17 @@ class EnvironmentSpec:
 
     def radius_weight_from_raw(self, raw: np.ndarray) \
             -> tuple[np.ndarray, np.ndarray]:
-        """(|xi|, xi) pairs; by default xi is rebuilt from the polar sample.
+        """(|xi|, xi) pairs; by default xi is rebuilt from the polar sample
+        as r * (cos phi + i sin phi), the bits of r * exp(i*phi).
 
         Laws whose complex value is known exactly override this to avoid
-        the roundoff of the r*exp(i*phi) reconstruction.
+        the roundoff of the polar reconstruction.
         """
         r, phi = self.polar_from_raw(raw)
-        return r, r * np.exp(1j * phi)
+        unit = np.empty(phi.shape, dtype=np.complex128)
+        unit.real = np.cos(phi)
+        unit.imag = np.sin(phi)
+        return r, r * unit
 
     def sample(self, stream, count: int | None = None):
         """i.i.d. draws of xi from the stream's sequential region."""
@@ -114,10 +134,11 @@ class GaussianIndep(EnvironmentSpec):
     model = "gaussian"
 
     def __init__(self, beta: float, gamma: float):
+        beta, gamma = _real("beta", beta), _real("gamma", gamma)
         if beta < 0 or gamma < 0:
             raise DomainError("beta and gamma must be >= 0")
-        self.beta = float(beta)
-        self.gamma = float(gamma)
+        self.beta = beta
+        self.gamma = gamma
         self.beta_scale = self.beta
         self.gamma_scale = self.gamma
 
@@ -165,12 +186,13 @@ class LogNormalUniformPhase(EnvironmentSpec):
     model = "uniform"
 
     def __init__(self, beta: float, gamma: float):
+        beta, gamma = _real("beta", beta), _real("gamma", gamma)
         if beta < 0:
             raise DomainError("beta must be >= 0")
         if not 0.0 <= gamma <= 1.0:
             raise DomainError("gamma must be in [0, 1]")
-        self.beta = float(beta)
-        self.gamma = float(gamma)
+        self.beta = beta
+        self.gamma = gamma
         self.beta_scale = self.beta
         self.gamma_scale = self.gamma
 
@@ -227,12 +249,13 @@ class RademacherPhase(EnvironmentSpec):
     model = "rademacher"
 
     def __init__(self, t: float, beta: float = 0.0):
+        t, beta = _real("t", t), _real("beta", beta)
         if not 0.0 <= t <= 1.0:
             raise DomainError("t must be in [0, 1]")
         if beta < 0:
             raise DomainError("beta must be >= 0")
-        self.t = float(t)
-        self.beta = float(beta)
+        self.t = t
+        self.beta = beta
         self.beta_scale = self.beta
         self.gamma_scale = 1.0
         self._theta = math.acos(self.t)
@@ -279,7 +302,11 @@ class DeterministicConstant(EnvironmentSpec):
     model = "constant"
 
     def __init__(self, c: complex):
+        if isinstance(c, bool) or not isinstance(c, numbers.Complex):
+            raise DomainError(f"c must be a complex number, got {c!r}")
         c = complex(c)
+        if not cmath.isfinite(c):
+            raise DomainError(f"c must be finite, got {c!r}")
         if c == 0:
             raise DomainError("c must be nonzero")
         self.c = c
@@ -408,34 +435,11 @@ def spec_from_config(record: dict) -> EnvironmentSpec:
         if model == "constant":
             c = rec.pop("c")
             if isinstance(c, (list, tuple)):
-                c = complex(c[0], c[1])
+                if len(c) != 2:
+                    raise DomainError(f"c must be [re, im], got {c!r}")
+                c = complex(_real("c", c[0]), _real("c", c[1]))
             return DeterministicConstant(c)
     except KeyError as exc:
         raise DomainError(f"model {model!r} is missing field {exc}") from exc
     raise DomainError(f"unknown model {model!r}")
 
-
-# Thin functional aliases matching the operation names used elsewhere.
-
-def sample(spec: EnvironmentSpec, stream, count: int | None = None):
-    return spec.sample(stream, count)
-
-
-def lambda_r(spec: EnvironmentSpec, x: float) -> float:
-    return spec.lambda_r(x)
-
-
-def lambda_c(spec: EnvironmentSpec, g: float) -> float:
-    return spec.lambda_c(g)
-
-
-def moment_abs(spec: EnvironmentSpec, a: float) -> float:
-    return spec.moment_abs(a)
-
-
-def mean_xi(spec: EnvironmentSpec) -> complex:
-    return spec.mean_xi()
-
-
-def second_abs(spec: EnvironmentSpec) -> float:
-    return spec.second_abs()

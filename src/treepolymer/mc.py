@@ -18,12 +18,18 @@ import numpy as np
 
 from .env import EnvironmentSpec
 from .errors import BudgetExceeded, CoupledLaw, DomainError
-from .rng import BatchStream, TreeStream
+from .rng import BatchStream, TreeStream, node_offset
 from .sim import (DEFAULT_NODE_BUDGET, closed_form_second_moment,
                   dfs_evaluate)
 
 # Phase-resample streams live in a replica range far above any omega index.
 _PHASE_REPLICA_BASE = 1 << 32
+
+# Memory bounds of the small-tree batches: complex values per (trees x leaves)
+# pass, and node draws per call of a law's transform (never less than one
+# phase resample's tree, or one node across the pass).
+_PASS_VALUES = 1 << 19
+_SLAB_DRAWS = 1 << 16
 
 
 @dataclass
@@ -150,16 +156,20 @@ def batch_z_values(spec: EnvironmentSpec, b: int, n: int, seed: int,
         raise BudgetExceeded("batch evaluation limited to b^n <= 2^18")
     bs = BatchStream(seed)
     out = np.empty(replicas, dtype=np.complex128)
-    chunk = max(1, (1 << 22) // max(b**n, 1))
+    chunk = max(1, _PASS_VALUES // b**n)
     for r0 in range(0, replicas, chunk):
         cnt = min(chunk, replicas - r0)
+        per = max(1, _SLAB_DRAWS // cnt)       # nodes per transform call
         v = np.ones((cnt, b**n), dtype=np.complex128)
         for g in range(n, 0, -1):
             width = b**g
             xi = np.empty((cnt, width), dtype=np.complex128)
-            for i in range(width):
-                raw = bs.node_block(b, g, i, r0, cnt)
-                xi[:, i] = spec.radius_weight_from_raw(raw)[1]
+            for i0 in range(0, width, per):
+                k = min(per, width - i0)
+                raw = np.concatenate([bs.node_block(b, g, i, r0, cnt)
+                                      for i in range(i0, i0 + k)])
+                xi[:, i0:i0 + k] = \
+                    spec.radius_weight_from_raw(raw)[1].reshape(k, cnt).T
             v = (xi * v).reshape(cnt, width // b, b).sum(axis=2)
         out[r0:r0 + cnt] = v[:, 0]
     return out
@@ -245,27 +255,32 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
         raise BudgetExceeded("tree too large for phase resampling")
 
     leaves = b**n
+    nodes = node_offset(b, n + 1) - 1       # generations 1..n, one range
     m = phase_resamples
+    chunk = max(1, _PASS_VALUES // leaves)  # resamples per recursion pass
+    per = max(1, _SLAB_DRAWS // nodes)      # resamples per transform call
     ratios: list[float] = []
     ses: list[float] = []
     for o in range(omega_replicas):
-        base = TreeStream(seed, o)
-        radii = [spec.radius_from_raw(base.node_block(b, g, 0, b**g))
-                 for g in range(1, n + 1)]
+        radii = spec.radius_from_raw(
+            TreeStream(seed, o).node_block(b, 1, 0, nodes))
         z2 = np.empty(m)
         z4 = np.empty(m)
-        chunk = max(1, (1 << 20) // max(leaves, 1))
         for j0 in range(0, m, chunk):
             cnt = min(chunk, m - j0)
+            phi = np.empty((cnt, nodes))
+            for s0 in range(0, cnt, per):
+                k = min(per, cnt - s0)
+                first = _PHASE_REPLICA_BASE + o * m + j0 + s0
+                raw = np.concatenate(
+                    [TreeStream(seed, first + j).node_block(b, 1, 0, nodes)
+                     for j in range(k)])
+                phi[s0:s0 + k] = spec.phase_from_raw(raw).reshape(k, nodes)
             v = np.ones((cnt, leaves), dtype=np.complex128)
             for g in range(n, 0, -1):
-                width = b**g
-                phi = np.empty((cnt, width))
-                for jj in range(cnt):
-                    ps = TreeStream(seed,
-                                    _PHASE_REPLICA_BASE + o * m + j0 + jj)
-                    phi[jj] = spec.phase_from_raw(ps.node_block(b, g, 0, width))
-                xi = radii[g - 1][None, :] * np.exp(1j * phi)
+                lo, width = node_offset(b, g) - 1, b**g
+                xi = radii[None, lo:lo + width] \
+                    * np.exp(1j * phi[:, lo:lo + width])
                 v = (xi * v).reshape(cnt, width // b, b).sum(axis=2)
             zabs2 = np.abs(v[:, 0]) ** 2
             z2[j0:j0 + cnt] = zabs2

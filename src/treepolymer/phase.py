@@ -96,7 +96,7 @@ def alpha_min(spec: EnvironmentSpec, b: int, alpha_cap: float = 64.0) -> float:
     strictly decreasing at the cap (slope test)."""
     if alpha_cap < 2:
         raise DomainError("alpha_cap must be >= 2")
-    cap = min(alpha_cap, getattr(spec, "moment_alpha_max", math.inf))
+    cap = min(alpha_cap, spec.moment_alpha_max)
     h = 1e-6 * cap
     if g_of_alpha(spec, b, cap) < g_of_alpha(spec, b, cap - h):
         return math.inf
@@ -105,24 +105,15 @@ def alpha_min(spec: EnvironmentSpec, b: int, alpha_cap: float = 64.0) -> float:
 
 def l2_check(spec: EnvironmentSpec, b: int) -> bool:
     """True iff E|xi|^2 < b |E xi|^2 (the uniform-integrability condition)."""
-    return spec.log_moment_abs(2.0) < math.log(b) + 2.0 * _log_mean_abs(spec)
-
-
-def _log_mean_abs(spec: EnvironmentSpec) -> float:
-    """ln |E xi|, -inf when the mean vanishes, computed in log space."""
-    lm = getattr(spec, "log_mean_abs", None)
-    if lm is not None:
-        return lm()
-    m = abs(spec.mean_xi())
-    return -math.inf if m == 0.0 else math.log(m)
+    return spec.log_moment_abs(2.0) < math.log(b) + 2.0 * spec.log_mean_abs()
 
 
 def classify(spec: EnvironmentSpec, b: int, eps_boundary: float = 1e-9) -> PhaseReport:
     """Phase region and predicted free energy from the moment surface alone."""
     lnb = math.log(b)
-    target = lnb + _log_mean_abs(spec)   # ln(b |E xi|)
+    target = lnb + spec.log_mean_abs()   # ln(b |E xi|)
     amin = alpha_min(spec, b)
-    cap = min(64.0, getattr(spec, "moment_alpha_max", math.inf))
+    cap = min(64.0, spec.moment_alpha_max)
     a_eval = min(amin, cap)
     g_amin = g_of_alpha(spec, b, a_eval)
     clamp = min(max(amin, 1.0), 2.0)
@@ -221,7 +212,7 @@ def critical_set(spec: EnvironmentSpec, b: int,
     A parameter whose equation has no root below the cap is set to +inf.
     """
     lnb = math.log(b)
-    cap = min(beta_cap, 0.5 * getattr(spec, "moment_alpha_max", math.inf))
+    cap = min(beta_cap, 0.5 * spec.moment_alpha_max)
 
     def legendre_gap(x):
         return x * spec.lambda_r_prime(x) - spec.lambda_r(x) - lnb
@@ -349,7 +340,7 @@ def positive_weight_free_energy(spec: EnvironmentSpec, exponent: int, b: int) ->
     def gap(u):
         return u * big_l_prime(u) - big_l(u) - lnb
 
-    cap = min(64.0, getattr(spec, "moment_alpha_max", math.inf) / exponent)
+    cap = min(64.0, spec.moment_alpha_max / exponent)
     u_c = _solve_or_inf(gap, cap)
     if u_c >= 1.0:
         return lnb + big_l(1.0)

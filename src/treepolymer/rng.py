@@ -22,6 +22,8 @@ sets bit 63 of the same key word, so the families never share a key.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 from numpy.random import Philox
 
@@ -39,10 +41,27 @@ def node_offset(b: int, g: int) -> int:
     return (b**g - 1) // (b - 1)
 
 
+_local = threading.local()
+
+
 def _raw_blocks(key: int, counter: int, count: int) -> np.ndarray:
-    """count consecutive 4-word Philox blocks starting at counter."""
-    raw = Philox(key=key, counter=counter).random_raw(4 * count)
-    return raw.reshape(count, 4)
+    """count consecutive 4-word Philox blocks starting at counter.
+
+    Each thread keeps one generator and resets its key and counter here,
+    which gives the words of a fresh ``Philox(key=key, counter=counter)``
+    without building one (and reading OS entropy) per call.
+    """
+    bg = getattr(_local, "philox", None)
+    if bg is None:
+        bg = _local.philox = Philox(key=0)
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [(counter >> s) & _MASK64 for s in (0, 64, 128, 192)],
+                  "key": [key & _MASK64, key >> 64]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return bg.random_raw(4 * count).reshape(count, 4)
 
 
 class TreeStream:

@@ -176,10 +176,6 @@ def _block_depth(b: int, n: int) -> int:
     return d
 
 
-def _xi_of(spec: EnvironmentSpec, raw: np.ndarray):
-    return spec.radius_weight_from_raw(raw)
-
-
 def _eval_block(spec, b: int, g0: int, i0: int, d: int, stream: TreeStream,
                 q: float, include_w: bool, compensated: bool,
                 corrupt: bool) -> _State:
@@ -194,7 +190,7 @@ def _eval_block(spec, b: int, g0: int, i0: int, d: int, stream: TreeStream,
     for j in range(d, 0, -1):
         count = b**j
         raw = stream.node_block(b, g0 + j, i0 * count, count)
-        r, xi = _xi_of(spec, raw)
+        r, xi = spec.radius_weight_from_raw(raw)
         r2 = r * r
         z = _group_sum_c(xi * z, b, compensated)
         za = _group_sum(r * za, b, False)
@@ -279,7 +275,7 @@ def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
                                comp, _corrupt_w_pair)
         children = [eval_node(g + 1, i * b + x) for x in range(b)]
         raw = stream.node_block(b, g + 1, i * b, b)
-        r, xi = _xi_of(spec, raw)
+        r, xi = spec.radius_weight_from_raw(raw)
         return _combine_children(children, r, xi, q, include_w, comp,
                                  _corrupt_w_pair)
 
@@ -321,7 +317,7 @@ def brute_force_evaluate(spec: EnvironmentSpec, b: int, n: int,
     path_r = np.ones(leaves)
     for g in range(1, n + 1):
         raw = stream.node_block(b, g, 0, b**g)
-        r, xi = _xi_of(spec, raw)
+        r, xi = spec.radius_weight_from_raw(raw)
         rep = b ** (n - g)
         path_c = path_c * np.repeat(xi, rep)
         path_r = path_r * np.repeat(r, rep)
@@ -460,7 +456,7 @@ def one_step_identity_check(spec: EnvironmentSpec, b: int, n: int,
     path_c = np.ones(leaves, dtype=np.complex128)
     for g in range(1, n + 1):
         raw = stream.node_block(b, g, 0, b**g)
-        _, xi = _xi_of(spec, raw)
+        _, xi = spec.radius_weight_from_raw(raw)
         path_c = path_c * np.repeat(xi, b ** (n - g))
     z_n = complex(path_c.sum())
     fs = dfs_evaluate(spec, b, n, stream, node_budget=node_budget,
@@ -471,7 +467,7 @@ def one_step_identity_check(spec: EnvironmentSpec, b: int, n: int,
     for rix in range(resamples):
         sub = TreeStream(stream.seed, stream.replica + 1 + rix)
         raw = sub.node_block(b, n + 1, 0, b ** (n + 1))
-        _, xi = _xi_of(spec, raw)
+        _, xi = spec.radius_weight_from_raw(raw)
         z_next[rix] = path_c @ xi.reshape(leaves, b).sum(axis=1)
 
     m1 = spec.mean_xi()

@@ -374,3 +374,29 @@ def test_budget_environment_variable_sets_the_default(monkeypatch, capsys):
 def test_missing_law_parameters_exit_as_config_errors(capsys):
     code, _, err = run(["phase-point", "--model", "rademacher"], capsys)
     assert code == EXIT_CONFIG and "missing field" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-point", "--beta", "nan", "--gamma", "0.5"],
+    ["phase-point", "--beta", "inf", "--gamma", "0.5"],
+    ["simulate", "--beta", "nan", "--gamma", "0.5", "--n", "4",
+     "--replicas", "2"],
+])
+def test_non_finite_law_parameters_exit_as_config_errors(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_CONFIG and "beta must be finite" in err
+    assert out == ""
+
+
+def test_non_numeric_config_parameter_exits_as_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta": "abc", "gamma": 0.5}))
+    code, _, err = run(["phase-point", "--config", str(cfg)], capsys)
+    assert code == EXIT_CONFIG and "beta must be a real number" in err
+
+
+def test_non_integer_budget_variable_exits_as_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("TREEPOLYMER_BUDGET_NODES", "abc")
+    code, _, err = run(["simulate", "--beta", "0.5", "--gamma", "0.5",
+                        "--n", "4", "--replicas", "2"], capsys)
+    assert code == EXIT_CONFIG and "TREEPOLYMER_BUDGET_NODES" in err

@@ -233,6 +233,40 @@ def test_spec_from_config_tolerates_branching_key_and_rejects_unknown_model():
         spec_from_config({"model": "gaussian", "beta": 0.1})
 
 
+@pytest.mark.parametrize("record", [
+    {"model": "gaussian", "beta": math.nan, "gamma": 0.5},
+    {"model": "gaussian", "beta": 0.5, "gamma": math.inf},
+    {"model": "gaussian", "beta": "abc", "gamma": 0.5},
+    {"model": "uniform", "beta": None, "gamma": 0.5},
+    {"model": "uniform", "beta": 0.5, "gamma": math.nan},
+    {"model": "rademacher", "t": math.nan},
+    {"model": "rademacher", "t": 0.5, "beta": True},
+    {"model": "constant", "c": [math.inf, 0.0]},
+    {"model": "constant", "c": ["1", 0.0]},
+    {"model": "constant", "c": [1.0]},
+    {"model": "constant", "c": "1+1j"},
+])
+def test_laws_refuse_non_finite_or_non_numeric_parameters(record):
+    with pytest.raises(DomainError):
+        spec_from_config(record)
+
+
+@pytest.mark.parametrize("law", [
+    GaussianIndep(0.8, 0.3),
+    GaussianIndep(0.8, 0.0),     # zero phase scale: phases of -0.0
+    LogNormalUniformPhase(0.5, 0.5),
+    LogNormalUniformPhase(0.5, 0.0),
+    RademacherPhase(t=0.6, beta=0.2),
+    RademacherPhase(t=1.0, beta=0.2),
+])
+def test_weight_has_the_bits_of_the_complex_exponential(law):
+    raw = TreeStream(4, 0).seq_block(20_000)
+    r, phi = law.polar_from_raw(raw)
+    _, xi = law.radius_weight_from_raw(raw)
+    reference = r * np.exp(1j * phi)
+    assert np.array_equal(xi.view(np.uint64), reference.view(np.uint64))
+
+
 # -------------------------------------------------------------- properties
 
 

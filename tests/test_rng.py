@@ -1,14 +1,74 @@
 """Counter-based streams: node addressing, determinism, family separation."""
 
+import sys
+import threading
+
 import numpy as np
+from numpy.random import Philox
 
 from treepolymer.rng import (
     BatchStream,
     TreeStream,
+    _raw_blocks,
     node_offset,
     normal_pair,
     to_uniform,
 )
+
+
+def _fresh(key, counter, count):
+    return Philox(key=key, counter=counter).random_raw(4 * count).reshape(count, 4)
+
+
+def test_reused_generator_gives_the_words_of_a_fresh_one():
+    rs = np.random.default_rng(2024)
+    for trial in range(300):
+        key = int(rs.integers(0, 1 << 62)) << 66 | int(rs.integers(0, 1 << 62))
+        counter = int(rs.integers(0, 1 << 62)) << int(rs.integers(0, 190))
+        if trial % 3 == 0:   # the sequential region, at and above 2^64
+            counter = (1 << 64) + int(rs.integers(0, 1 << 20))
+        count = int(rs.integers(1, 40))
+        assert np.array_equal(_raw_blocks(key, counter, count),
+                              _fresh(key, counter, count))
+    assert np.array_equal(TreeStream(3, 1).seq_block(5),
+                          _fresh(3 << 64 | 1, 1 << 64, 5))
+    # BatchStream packs (node << 64) | replica into the counter
+    stream = BatchStream(9)
+    for g, i, r0 in [(1, 0, 0), (3, 5, 17), (7, 100, (1 << 64) - 3)]:
+        counter = ((node_offset(2, g) + i) << 64) | r0
+        assert np.array_equal(stream.node_block(2, g, i, r0, 6),
+                              _fresh(9 << 64 | 1 << 63, counter, 6))
+
+
+def test_threads_drawing_interleaved_blocks_get_their_own_words():
+    seeds, rounds = (1, 2, 3, 4), 300
+    barrier = threading.Barrier(len(seeds), timeout=30)
+    got = {}
+
+    def draw(seed):
+        stream = TreeStream(seed, 0)
+        out = []
+        for k in range(rounds):
+            barrier.wait()          # every thread draws its block k together
+            out.append(stream.node_block(2, 8, k, 3))
+        got[seed] = out
+
+    threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for seed in seeds:
+        assert len(got[seed]) == rounds
+        for k, block in enumerate(got[seed]):
+            assert np.array_equal(block,
+                                  _fresh(seed << 64, node_offset(2, 8) + k, 3))
 
 
 def test_node_offset_counts_nodes_above_each_generation():
