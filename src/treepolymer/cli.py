@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from . import mc, phase, sim
-from .env import EnvironmentSpec, spec_from_config
+from .env import (EnvironmentSpec, GaussianIndep, LogNormalUniformPhase,
+                  spec_from_config)
 from .errors import (BudgetExceeded, ConfigError, CoupledLaw, DomainError,
                      NonIntegrable, NoBracket, ZeroMeanEnvironment)
 
@@ -43,6 +44,8 @@ _REGION_COLORS = {
 
 def _fmt(x) -> str:
     """Stable cell formatting: shortest round-trip repr for floats."""
+    if type(x) is float:
+        return repr(x)
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -236,20 +239,31 @@ def _ppm(width: int, height: int, comments: list[str],
     return head.encode("ascii") + bytes(v for px in pixels for v in px)
 
 
+# The laws a diagram can map, by model name; each is built from (beta, gamma)
+# and puts beta on the radius alone: ln E|xi|^a = (a beta)^2 / 2.
+_SCALE_FAMILIES = {"gaussian": GaussianIndep,
+                   "uniform": LogNormalUniformPhase}
+
+
 def cmd_diagram(cfg: dict) -> int:
     b = _int(cfg, "b", lo=2)
     _require(cfg, "out")
-    if cfg["model"] not in ("gaussian", "uniform"):
+    law = _SCALE_FAMILIES.get(cfg["model"])
+    if law is None:
         raise ConfigError("diagram supports scale families only "
                           "(gaussian, uniform)")
     (blo, bhi, bsteps), (glo, ghi, gsteps) = \
         _parse_grid(cfg.get("grid") or "0:2:200")
+    budget = _int(cfg, "budget_nodes", lo=1)
+    if bsteps * gsteps > budget:
+        raise BudgetExceeded(f"grid of {bsteps}x{gsteps} = {bsteps * gsteps} "
+                             f"cells exceeds budget {budget}")
     betas = _axis(blo, bhi, bsteps)
     gammas = _axis(glo, ghi, gsteps)
     if cfg["model"] == "uniform" and ghi > 1.0:
         raise ConfigError("uniform-phase scale is limited to gamma <= 1")
 
-    crit = phase.critical_set(_law({**cfg, "beta": 1.0, "gamma": 1.0}), b)
+    crit = phase.critical_set(law(1.0, 1.0), b)
     eps = 1e-3
     replicas = cfg.get("replicas") or 0
     n = cfg.get("n")
@@ -259,13 +273,15 @@ def cmd_diagram(cfg: dict) -> int:
     header = ["beta", "gamma", "region", "f"]
     if replicas:
         header += ["mc_mean", "mc_ci_lo", "mc_ci_hi"]
+    # The radius part of classify depends on beta alone: one per column.
+    radius = [phase._radius_part(law(beta, gammas[0]), b) for beta in betas]
     rows = []
     labels = []
     counts: dict[str, int] = {}
     for gamma in gammas:
-        for beta in betas:
-            spec = _law({**cfg, "beta": beta, "gamma": gamma})
-            rep = phase.classify(spec, b, eps_boundary=eps)
+        for beta, rad in zip(betas, radius):
+            spec = law(beta, gamma)
+            rep = phase.classify(spec, b, eps_boundary=eps, _radius=rad)
             counts[rep.region] = counts.get(rep.region, 0) + 1
             labels.append(rep.region)
             row = [beta, gamma, rep.region, rep.predicted_f]
@@ -325,15 +341,6 @@ TRACE_HEADER = ["n", "ln_abs_z_over_n", "ln_z_abs_over_n",
                 "ln_z_abs2_over_n", "ln_w_cond_over_2n"]
 
 
-def predicted_w_rate(spec: EnvironmentSpec, b: int) -> float:
-    """Growth rate of (1/2n) ln W: the off-diagonal route damped by the
-    phases against half the squared-weight route."""
-    off = -spec.lambda_c(spec.gamma_scale) \
-        + phase.positive_weight_free_energy(spec, 1, b)
-    diag = 0.5 * phase.positive_weight_free_energy(spec, 2, b)
-    return max(off, diag)
-
-
 def cmd_simulate(cfg: dict) -> int:
     b = _int(cfg, "b", lo=2)
     _require(cfg, "n", "replicas")
@@ -374,7 +381,7 @@ def cmd_simulate(cfg: dict) -> int:
             predicted = rep.predicted_f
         else:
             est = mc.estimate_w_free_energy(plan)
-            predicted = predicted_w_rate(spec, b)
+            predicted = phase.predicted_w_rate(spec, b)
         rows.append(experiment_row(cfg["model"], b, spec, n, replicas, seed,
                                    functional, est, predicted, rep.region))
         results[functional] = {**est.to_dict(), "predicted": predicted,

@@ -24,7 +24,7 @@ import numbers
 import numpy as np
 
 from .errors import CoupledLaw, DomainError, NonIntegrable
-from .rng import normal_pair, to_uniform
+from .rng import _box_muller, normal_pair, to_uniform
 
 
 def _real(name: str, value) -> float:
@@ -40,6 +40,13 @@ def _real(name: str, value) -> float:
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return x
+
+
+def _lognormal_radius(beta: float, raw: np.ndarray) -> np.ndarray:
+    """e^{beta*z} for the first Box-Muller normal z of each word pair; the
+    second normal, unused, is not computed."""
+    rho, ang = _box_muller(raw[:, 0], raw[:, 1])
+    return np.exp(beta * (rho * np.cos(ang)))
 
 
 class EnvironmentSpec:
@@ -143,12 +150,11 @@ class GaussianIndep(EnvironmentSpec):
         self.gamma_scale = self.gamma
 
     def radius_from_raw(self, raw):
-        z1, _ = normal_pair(raw[:, 0], raw[:, 1])
-        return np.exp(self.beta * z1)
+        return _lognormal_radius(self.beta, raw)
 
     def phase_from_raw(self, raw):
-        _, z2 = normal_pair(raw[:, 0], raw[:, 1])
-        return self.gamma * z2
+        rho, ang = _box_muller(raw[:, 0], raw[:, 1])
+        return self.gamma * (rho * np.sin(ang))
 
     def polar_from_raw(self, raw):
         z1, z2 = normal_pair(raw[:, 0], raw[:, 1])
@@ -197,8 +203,7 @@ class LogNormalUniformPhase(EnvironmentSpec):
         self.gamma_scale = self.gamma
 
     def radius_from_raw(self, raw):
-        z1, _ = normal_pair(raw[:, 0], raw[:, 1])
-        return np.exp(self.beta * z1)
+        return _lognormal_radius(self.beta, raw)
 
     def phase_from_raw(self, raw):
         u = to_uniform(raw[:, 2])
@@ -261,8 +266,7 @@ class RademacherPhase(EnvironmentSpec):
         self._theta = math.acos(self.t)
 
     def radius_from_raw(self, raw):
-        z1, _ = normal_pair(raw[:, 0], raw[:, 1])
-        return np.exp(self.beta * z1)
+        return _lognormal_radius(self.beta, raw)
 
     def phase_from_raw(self, raw):
         u = to_uniform(raw[:, 2])

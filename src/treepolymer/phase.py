@@ -108,20 +108,26 @@ def l2_check(spec: EnvironmentSpec, b: int) -> bool:
     return spec.log_moment_abs(2.0) < math.log(b) + 2.0 * spec.log_mean_abs()
 
 
-def classify(spec: EnvironmentSpec, b: int, eps_boundary: float = 1e-9) -> PhaseReport:
-    """Phase region and predicted free energy from the moment surface alone."""
-    lnb = math.log(b)
-    target = lnb + spec.log_mean_abs()   # ln(b |E xi|)
+def _radius_part(spec: EnvironmentSpec, b: int) -> tuple[float, float, float, float]:
+    """The part of `classify` that reads only ln E|xi|^a, a moment of the
+    radius: a_min, and G at a_min (capped), at a_min clamped to [1, 2] and
+    at 2."""
     amin = alpha_min(spec, b)
     cap = min(64.0, spec.moment_alpha_max)
-    a_eval = min(amin, cap)
-    g_amin = g_of_alpha(spec, b, a_eval)
-    clamp = min(max(amin, 1.0), 2.0)
-    g_clamp = g_of_alpha(spec, b, clamp)
-    g2 = g_of_alpha(spec, b, 2.0)
-    f1 = target
-    f2v = g_amin
-    f3 = g2
+    return (amin, g_of_alpha(spec, b, min(amin, cap)),
+            g_of_alpha(spec, b, min(max(amin, 1.0), 2.0)),
+            g_of_alpha(spec, b, 2.0))
+
+
+def classify(spec: EnvironmentSpec, b: int, eps_boundary: float = 1e-9,
+             _radius: tuple | None = None) -> PhaseReport:
+    """Phase region and predicted free energy from the moment surface alone.
+
+    `_radius` is `_radius_part(spec, b)` computed beforehand, so that laws
+    sharing one radius law (a column of the diagram) share one a_min search.
+    """
+    target = math.log(b) + spec.log_mean_abs()   # ln(b |E xi|)
+    amin, g_amin, g_clamp, g2 = _radius or _radius_part(spec, b)
 
     trace = [
         {"name": "min_G_on_(1,2]_vs_ln_b_mean", "lhs": g_clamp, "rhs": target,
@@ -145,24 +151,25 @@ def classify(spec: EnvironmentSpec, b: int, eps_boundary: float = 1e-9) -> Phase
             boundary_values=boundary_values,
             boundary_width=eps_boundary if boundary_values else None)
 
+    # f = target in R1, G(a_min) in R2 and G(2) in R3
     if g_clamp < target - eps_boundary:
-        return report("R1", f1)
+        return report("R1", target)
     if amin < 1.0 - eps_boundary:
-        return report("R2a", f2v)
+        return report("R2a", g_amin)
     if amin > 2.0 + eps_boundary:
         if g2 > target + eps_boundary:
-            return report("R3", f3)
+            return report("R3", g2)
         # g2 within the band of target: R1/R3 boundary
-        return report("Boundary", 0.5 * (f1 + f3), (f1, f3))
+        return report("Boundary", 0.5 * (target + g2), (target, g2))
     if amin < 2.0 - eps_boundary:
         # 1 <= a_min < 2 region: deciding inequality G(a_min) vs target
         if g_amin > target + eps_boundary:
             if spec.independent:
-                return report("R2b", f2v)
+                return report("R2b", g_amin)
             return report("Undetermined", math.nan)
-        return report("Boundary", 0.5 * (f1 + f2v), (f1, f2v))
+        return report("Boundary", 0.5 * (target + g_amin), (target, g_amin))
     # a_min within the band of 1 or 2, or all inequalities inside the band
-    return report("Boundary", 0.5 * (f1 + f2v), (f1, f2v))
+    return report("Boundary", 0.5 * (target + g_amin), (target, g_amin))
 
 
 def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -345,3 +352,12 @@ def positive_weight_free_energy(spec: EnvironmentSpec, exponent: int, b: int) ->
     if u_c >= 1.0:
         return lnb + big_l(1.0)
     return big_l_prime(u_c)
+
+
+def predicted_w_rate(spec: EnvironmentSpec, b: int) -> float:
+    """Growth rate of (1/2n) ln W: the off-diagonal route damped by the
+    phases against half the squared-weight route."""
+    off = -spec.lambda_c(spec.gamma_scale) \
+        + positive_weight_free_energy(spec, 1, b)
+    diag = 0.5 * positive_weight_free_energy(spec, 2, b)
+    return max(off, diag)

@@ -102,10 +102,14 @@ def to_uniform(raw: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)).astype(np.float64) * _U53
 
 
+def _box_muller(raw0: np.ndarray, raw1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box-Muller radius and angle per word pair: the two standard normals
+    are rho * cos(angle) and rho * sin(angle)."""
+    rho = np.sqrt(-2.0 * np.log1p(-to_uniform(raw0)))
+    return rho, (2.0 * np.pi) * to_uniform(raw1)
+
+
 def normal_pair(raw0: np.ndarray, raw1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two standard normals per word pair via Box-Muller."""
-    u1 = to_uniform(raw0)
-    u2 = to_uniform(raw1)
-    rho = np.sqrt(-2.0 * np.log1p(-u1))
-    ang = (2.0 * np.pi) * u2
+    rho, ang = _box_muller(raw0, raw1)
     return rho * np.cos(ang), rho * np.sin(ang)

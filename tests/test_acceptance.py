@@ -36,11 +36,11 @@ from treepolymer.cli import (
     EXPERIMENT_HEADER,
     experiment_row,
     main as cli_main,
-    predicted_w_rate,
     pz_property_trials,
     rows_to_csv,
 )
 from treepolymer.mc import _estimate
+from treepolymer.phase import predicted_w_rate
 
 LN2 = math.log(2.0)
 BETA_C = math.sqrt(2.0 * LN2)

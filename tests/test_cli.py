@@ -2,11 +2,12 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from treepolymer import CustomLaw, cli
+from treepolymer import CustomLaw, cli, phase, spec_from_config
 from treepolymer.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -193,6 +194,43 @@ def test_diagram_with_cell_estimates_extends_the_header(tmp_path, capsys):
     cells = lines[2].split(",")
     assert len(cells) == 7
     assert math.isfinite(float(cells[4]))
+
+
+@pytest.mark.parametrize("model, b, grid", [
+    ("gaussian", 2, "0:2:9,0:2:7"),
+    ("uniform", 2, "0:2:9,0:1:7"),
+    ("gaussian", 3, "0:2:6,0:2:5"),
+])
+def test_diagram_rows_match_per_cell_classify(model, b, grid, tmp_path,
+                                              capsys):
+    stem = tmp_path / "cells"
+    code, _, _ = run(["diagram", "--model", model, "--b", str(b),
+                      "--grid", grid, "--out", str(stem)], capsys)
+    assert code == EXIT_OK
+    lines = stem.with_suffix(".csv").read_text().splitlines()[2:]
+    (blo, bhi, bn), (glo, ghi, gn) = _parse_grid(grid)
+    assert len(lines) == bn * gn
+    for line in lines:
+        beta, gamma, region, f = line.split(",")
+        rep = phase.classify(
+            spec_from_config({"model": model, "beta": float(beta),
+                              "gamma": float(gamma)}),
+            b, eps_boundary=1e-3)
+        assert region == rep.region
+        assert struct.pack("<d", float(f)) == \
+            struct.pack("<d", rep.predicted_f)
+
+
+def test_diagram_cell_count_is_capped_by_the_budget(tmp_path, capsys):
+    stem = tmp_path / "big"
+    code, out, err = run(["diagram", "--grid", "0:2:20", "--budget-nodes",
+                          "100", "--out", str(stem)], capsys)
+    assert code == EXIT_CONFIG
+    assert "20x20 = 400 cells exceeds budget 100" in err
+    assert out == "" and not stem.with_suffix(".csv").exists()
+    code, _, _ = run(["diagram", "--grid", "0:2:10", "--budget-nodes", "100",
+                      "--out", str(stem)], capsys)
+    assert code == EXIT_OK  # a grid of exactly the budget runs
 
 
 def test_diagram_guards(tmp_path, capsys):

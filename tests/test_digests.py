@@ -1,16 +1,23 @@
-"""Bit-identity guard: SHA-256 digests of the small-tree draw paths.
+"""Bit-identity guard: SHA-256 digests of the draw paths and the diagram.
 
 Each case hashes the exact bytes of an output of ``batch_z_values``,
 ``ratio4`` (per-tree ratios and their jackknife SEs) or ``dfs_evaluate``
-over b in {2, 3} and the four built-in laws.  The digests were recorded
-before the draw paths were rewritten to draw and transform whole counter
-ranges, so a change to these functions that moves any output by one bit
+over b in {2, 3} and the four built-in laws, of ``dfs_evaluate`` with
+compensated sums, or of the CSV, pixmap, stdout and stderr of one
+``diagram`` run.  The draw-path digests were recorded before the draw
+paths were rewritten to draw and transform whole counter ranges, the
+compensated and diagram digests before the diagram was classified by
+column, so a change to these functions that moves any output by one bit
 fails here.  To list the current digests, run
 ``PYTHONPATH=src python tests/test_digests.py``.
 """
 
+import contextlib
 import hashlib
+import io
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +29,7 @@ from treepolymer import (
     RademacherPhase,
     TreeStream,
     batch_z_values,
+    cli,
     dfs_evaluate,
     ratio4,
 )
@@ -41,6 +49,19 @@ BATCH_SIZES = {2: (10, 1100), 3: (6, 1100)}
 RATIO4_SIZES = {2: (5, 2, 1000), 3: (3, 2, 1000)}
 # n = 15 at b = 2 goes past the vectorized bottom blocks
 DFS_DEPTHS = {2: (6, 15), 3: (5,)}
+# (b, n, compensated): sums are compensated by default above n = 16.  At
+# b = 2 a compensated pair sum rounds back to the plain one, so only the
+# b = 3 case has bits that differ from the plain path.
+DFS_COMPENSATED = {"n17": (2, 17, None), "n6": (2, 6, True),
+                   "b3-n6": (3, 6, True)}
+# diagram flags per case; the default model is gaussian and b is 2
+DIAGRAMS = {
+    "gaussian": ["--grid", "0:2:100"],
+    "uniform": ["--model", "uniform", "--grid", "0:2:100,0:1:100"],
+    "b3": ["--b", "3", "--grid", "0:2:50,0:2:40"],
+    "slice": ["--grid", "0:2:40,0:0:1"],
+    "estimates": ["--grid", "0.2:1.8:4", "--replicas", "2", "--n", "8"],
+}
 
 
 def _hash(*parts) -> str:
@@ -75,6 +96,11 @@ def _ratio4_slabs():
     return _hash(*est.values, *est.value_ses)
 
 
+def _fields(fs):
+    return [fs.z, fs.z_abs, fs.z_abs2, fs.t_damped, fs.w_cond, fs.ln_abs_z,
+            fs.ln_z_abs, fs.ln_z_abs2, fs.ln_t_damped, fs.ln_w_cond, fs.arg_z]
+
+
 def _dfs(law, b):
     parts = []
     for n in DFS_DEPTHS[b]:
@@ -82,10 +108,36 @@ def _dfs(law, b):
             include_w = law != "constant" or r == 0
             fs = dfs_evaluate(LAWS[law], b, n, TreeStream(11, r),
                               include_w=include_w)
-            parts += [fs.z, fs.z_abs, fs.z_abs2, fs.t_damped, fs.w_cond,
-                      fs.ln_abs_z, fs.ln_z_abs, fs.ln_z_abs2, fs.ln_t_damped,
-                      fs.ln_w_cond, fs.arg_z]
+            parts += _fields(fs)
     return _hash(*parts)
+
+
+def _dfs_compensated(key, include_w):
+    b, n, compensated = DFS_COMPENSATED[key]
+    parts = []
+    for r in range(2):
+        fs = dfs_evaluate(LAWS["gaussian"], b, n, TreeStream(23, r),
+                          include_w=include_w, compensated=compensated)
+        parts += _fields(fs)
+    return _hash(*parts)
+
+
+def _diagram(flags):
+    """Digest of the CSV, pixmap, stdout and stderr of one diagram run; the
+    output stem in stdout is replaced, so the digest is path-free."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stem = str(Path(tmp) / "map")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["diagram", *flags, "--out", stem])
+        h = hashlib.sha256(str(code).encode())
+        for data in (Path(stem + ".csv").read_bytes(),
+                     Path(stem + ".ppm").read_bytes(),
+                     out.getvalue().replace(stem, "STEM").encode(),
+                     err.getvalue().encode()):
+            h.update(struct.pack("<q", len(data)))
+            h.update(data)
+    return h.hexdigest()[:24]
 
 
 CASES = {}
@@ -97,6 +149,13 @@ for _b in (2, 3):
     CASES[f"ratio4-exact-gaussian-b{_b}"] = \
         lambda b=_b: _ratio4("gaussian", b, exact=True)
 CASES["ratio4-slabs-gaussian-b2"] = _ratio4_slabs
+for _key in DFS_COMPENSATED:
+    CASES[f"dfs-compensated-{_key}-w"] = \
+        lambda key=_key: _dfs_compensated(key, True)
+    CASES[f"dfs-compensated-{_key}-z"] = \
+        lambda key=_key: _dfs_compensated(key, False)
+for _name, _flags in DIAGRAMS.items():
+    CASES[f"diagram-{_name}"] = lambda flags=_flags: _diagram(flags)
 
 DIGESTS = {
     "batch-constant-b2": "251fe8336a06c933666537fd",
@@ -109,6 +168,12 @@ DIGESTS = {
     "batch-rademacher-b3": "270981951793fa0df93a5377",
     "batch-uniform-b2": "ea4a3d4ce173258cf32bd643",
     "batch-uniform-b3": "bbfa7b4dbe9d1aecca5fc16a",
+    "dfs-compensated-b3-n6-w": "173feac2c025e17bce47243b",
+    "dfs-compensated-b3-n6-z": "ed8b8b56a40627afde212b9e",
+    "dfs-compensated-n17-w": "b775cedfef3dc1086de31cd1",
+    "dfs-compensated-n17-z": "3fe2fdc9c00290941776a298",
+    "dfs-compensated-n6-w": "478c8149c86f1f681d552ad2",
+    "dfs-compensated-n6-z": "9fe6c3832d8d4ff2cba2994b",
     "dfs-constant-b2": "d7bb47dcae27215ba2b5cc34",
     "dfs-constant-b3": "eee254fa9f9ba6ffb928d1ea",
     "dfs-gaussian-b2": "b291e31960dca6da79c645a9",
@@ -119,6 +184,11 @@ DIGESTS = {
     "dfs-rademacher-b3": "64234d8abeea80662cd2fd34",
     "dfs-uniform-b2": "2477949798219a9f7031c2b9",
     "dfs-uniform-b3": "3be8c6468a2d5c2c95f695f7",
+    "diagram-b3": "46f38d231bd0f5af8334c093",
+    "diagram-estimates": "5057fbde978e0ca19ad0a414",
+    "diagram-gaussian": "6dcbb41714cc5014e3ac6ab7",
+    "diagram-slice": "e23676fe1a8d52f2bdea3e95",
+    "diagram-uniform": "b32d6f96d5e9bf2fdfac0128",
     "ratio4-constant-b2": "145869cd3d319d75381d9026",
     "ratio4-constant-b3": "2f4a273cc86fc42180d576d0",
     "ratio4-exact-gaussian-b2": "49d9da541ab217546ed186c4",
