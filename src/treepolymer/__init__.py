@@ -16,8 +16,8 @@ from .errors import (BudgetExceeded, ConfigError, CoupledLaw, DomainError,
                      ZeroMeanEnvironment)
 from .mc import (ExperimentPlan, McEstimate, TauReport, VerifyReport,
                  batch_z_values, estimate_free_energy, estimate_w_free_energy,
-                 merge_estimates, paley_zygmund_bound, ratio4,
-                 tau_moment_check, verify_mean, verify_second_moment)
+                 paley_zygmund_bound, ratio4, tau_moment_check, verify_mean,
+                 verify_second_moment)
 from .phase import (CriticalSet, PhaseReport, alpha_min, classify,
                     classify_indep_closed_form, critical_set, g_of_alpha,
                     l2_check, positive_weight_free_energy)
@@ -41,7 +41,7 @@ __all__ = [
     "brute_force_evaluate", "classify", "classify_indep_closed_form",
     "closed_form_second_moment", "critical_set", "dfs_evaluate",
     "estimate_free_energy", "estimate_w_free_energy", "g_of_alpha",
-    "l2_check", "merge_estimates", "node_offset", "normalize",
+    "l2_check", "node_offset", "normalize",
     "one_step_identity_check",
     "paley_zygmund_bound", "positive_weight_free_energy", "ratio4",
     "spec_from_config", "tau_moment_check", "trace_depths", "verify_mean",

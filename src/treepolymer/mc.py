@@ -1,10 +1,10 @@
 """Replicated Monte Carlo experiments over independent environment trees.
 
 Replicas are independent tasks keyed by the counter-based stream, so the
-estimators return identical values for any scheduling or thread count, and
-estimates merge associatively.  The moment verifiers use the transposed
-stream family (replicas contiguous per node) to batch many small trees in
-a few numpy passes; the law is identical to the per-replica family.
+estimators return identical values for any scheduling or thread count.
+The moment verifiers use the transposed stream family (replicas contiguous
+per node) to batch many small trees in a few numpy passes; the law is
+identical to the per-replica family.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,13 +64,8 @@ class ExperimentPlan:
     seed: int
     functional: str = "free_energy"    # free_energy | w_free_energy
     node_budget: int = DEFAULT_NODE_BUDGET
-    budget: int | None = None          # total node-visit cap, default derived
     threads: int = 1
     keep_values: bool = True
-
-    def total_budget(self) -> int:
-        return self.budget if self.budget is not None \
-            else self.node_budget * max(self.replicas, 1)
 
     def check(self) -> None:
         if self.replicas < 1:
@@ -79,8 +74,6 @@ class ExperimentPlan:
             raise BudgetExceeded(
                 f"b^(n+1) = {self.b}^{self.n + 1} exceeds per-tree budget "
                 f"{self.node_budget}")
-        if self.b ** (self.n + 1) * self.replicas > self.total_budget():
-            raise BudgetExceeded("replicas * tree size exceeds total budget")
 
 
 def _estimate(values: list[float], excluded: int,
@@ -98,20 +91,25 @@ def _estimate(values: list[float], excluded: int,
         values=list(values) if keep_values else None)
 
 
-def merge_estimates(a: McEstimate, b: McEstimate) -> McEstimate:
-    """Combine two estimates over disjoint replica sets (needs kept values)."""
-    if a.values is None or b.values is None:
-        raise DomainError("merging needs per-replica values")
-    return _estimate(list(a.values) + list(b.values),
-                     a.excluded_count + b.excluded_count, keep_values=True)
-
-
 def _replica_map(plan: ExperimentPlan, fn) -> list:
     replicas = range(plan.replicas)
     if plan.threads <= 1:
         return [fn(r) for r in replicas]
     with ThreadPoolExecutor(max_workers=plan.threads) as pool:
         return list(pool.map(fn, replicas))
+
+
+def _replica_estimate(plan: ExperimentPlan, one, functional: str) -> McEstimate:
+    """Estimate from one value per replica.  A value of -inf (a sum that is
+    exactly 0) is excluded and counted; nan or +inf, from float64 overflow,
+    is refused."""
+    raw = _replica_map(plan, one)
+    for r, v in enumerate(raw):
+        if math.isnan(v) or v == math.inf:
+            raise DomainError(f"{functional} is {v} in replica {r}: "
+                              "float64 overflow")
+    values = [v for v in raw if v != -math.inf]
+    return _estimate(values, len(raw) - len(values), plan.keep_values)
 
 
 def estimate_free_energy(plan: ExperimentPlan) -> McEstimate:
@@ -126,9 +124,7 @@ def estimate_free_energy(plan: ExperimentPlan) -> McEstimate:
                           node_budget=plan.node_budget, include_w=False)
         return fs.ln_abs_z / plan.n
 
-    raw = _replica_map(plan, one)
-    values = [v for v in raw if v != -math.inf]
-    return _estimate(values, len(raw) - len(values), plan.keep_values)
+    return _replica_estimate(plan, one, "free_energy")
 
 
 def estimate_w_free_energy(plan: ExperimentPlan) -> McEstimate:
@@ -144,9 +140,7 @@ def estimate_w_free_energy(plan: ExperimentPlan) -> McEstimate:
                           node_budget=plan.node_budget, include_w=True)
         return fs.ln_w_cond / (2.0 * plan.n)
 
-    raw = _replica_map(plan, one)
-    values = [v for v in raw if v != -math.inf]
-    return _estimate(values, len(raw) - len(values), plan.keep_values)
+    return _replica_estimate(plan, one, "w_free_energy")
 
 
 def batch_z_values(spec: EnvironmentSpec, b: int, n: int, seed: int,

@@ -1,7 +1,6 @@
 """Exact evaluation of partition functionals on one sampled weight tree.
 
-``dfs_evaluate`` computes, in a single post-order pass that never stores the
-tree, the root values of
+``dfs_evaluate`` computes, without storing the tree, the root values of
 
 * Z_n        = sum over paths of the product of complex weights,
 * Z_n(|xi|)  = the same sum over |xi|,
@@ -17,10 +16,24 @@ dropped cross terms are exactly the x = x' diagonal, and W dominates that
 diagonal, so the subtraction loses no relative accuracy.
 
 Every quantity is carried as (mantissa, base-2 exponent) with exact
-power-of-two rescaling, so deep trees with large |ln xi| cannot overflow.
-Bottom subtrees of at most ``_BLOCK_LEAVES`` leaves are evaluated as
-vectorized level sweeps; the traversal above them is plain recursion, so
-memory stays O(n*b + block) however deep the tree is.
+power-of-two rescaling, one exponent per field and generation, so deep
+trees with large |ln xi| cannot overflow.  One level sweep, ``_sweep``,
+applies the recursions a generation at a time: first over each of the b^k
+bottom subtrees of at most ``_BLOCK_LEAVES`` leaves, in index order, then
+once over the top k generations, starting from the block roots aligned on
+each field's largest exponent.  Memory is O(b^d + b^k) for blocks of depth
+d and k = n - d, however deep the tree is.
+
+The top sweep forms xi * Z from real parts, (xr zr - xi zi, xr zi + xi zr),
+and scales Z by the larger of |Re Z| and |Im Z|; the bottom blocks use
+numpy's complex array product and scale Z by its modulus.  The digests in
+``tests/test_digests.py`` pin both choices: ln|Z_n| depends in its last
+bit on how the root value is split into mantissa and exponent, and numpy's
+complex array product uses fused multiply-adds where the CPU has them, so
+its bits differ from the plain form's.  For the same reason Z, and those
+digests, can differ in the last bits between machines whose numpy
+dispatches to different loops; the radius fields (Z(|xi|), Z(|xi|^2), T
+and W) take no complex product.
 
 ``brute_force_evaluate`` is the independent oracle: literal path
 enumeration, with W summed over ordered path pairs damped by
@@ -49,10 +62,12 @@ _LN2 = math.log(2.0)
 class FunctionalSet:
     """Root values of the path functionals on one sampled tree.
 
-    Plain fields may overflow to inf for extreme parameters; the ln_* fields
-    are always finite unless the value itself is 0 (ln = -inf) or absent
-    (None).  arg_z is the angle of Z_n, well defined even when |Z_n|
-    overflows.
+    Plain fields overflow to inf for extreme parameters.  The ln_* fields
+    are -inf where the value is 0 and None where it is absent.  ln|Z_n| and
+    ln Z_n(|xi|) are finite while every radius |xi| is, but Z_n(|xi|^2),
+    T_n and W_n are formed from |xi|^2 in plain float64, so their logs
+    become inf or nan once some ln|xi| exceeds about 354.  arg_z is the
+    angle of Z_n, well defined even when |Z_n| overflows.
     """
 
     n: int
@@ -71,54 +86,22 @@ class FunctionalSet:
     x_norm: float | None = None
 
 
-@dataclass
-class _State:
-    """Scaled per-subtree accumulators: value = mantissa * 2**exp."""
-    z: complex
-    ez: int
-    za: float
-    ea: int
-    a2: float
-    ea2: int
-    t: float
-    et: int
-    w: float
-    ew: int
+def _ldexp(x: np.ndarray, k: int) -> np.ndarray:
+    """x * 2**k exactly, part by part for complex x."""
+    if x.dtype.kind != "c":
+        return np.ldexp(x, k)
+    return np.ldexp(x.view(np.float64), k).view(x.dtype)
 
 
-def _renorm_f(m: float, e: int) -> tuple[float, int]:
-    if m == 0.0 or not math.isfinite(m):
-        return m, e
-    fr, k = math.frexp(m)
-    return fr, e + k
-
-
-def _renorm_c(m: complex, e: int) -> tuple[complex, int]:
-    a = max(abs(m.real), abs(m.imag))
-    if a == 0.0 or not math.isfinite(a):
-        return m, e
-    k = math.frexp(a)[1]
-    return complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k)), e + k
-
-
-def _renorm_farr(arr: np.ndarray, e: int) -> tuple[np.ndarray, int]:
-    mx = float(np.max(arr)) if arr.size else 0.0
+def _renorm(x: np.ndarray, e: int, size: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rescale x by the power of two that brings max(size) into [0.5, 1)."""
+    mx = float(np.max(size))
     if mx <= 0.0 or not math.isfinite(mx):
-        return arr, e
+        return x, e
     k = math.frexp(mx)[1]
     if k == 0:
-        return arr, e
-    return np.ldexp(arr, -k), e + k
-
-
-def _renorm_carr(arr: np.ndarray, e: int) -> tuple[np.ndarray, int]:
-    mx = float(np.max(np.abs(arr))) if arr.size else 0.0
-    if mx <= 0.0 or not math.isfinite(mx):
-        return arr, e
-    k = math.frexp(mx)[1]
-    if k == 0:
-        return arr, e
-    return arr * math.ldexp(1.0, -k), e + k
+        return x, e
+    return _ldexp(x, -k), e + k
 
 
 def _to_float(m: float, e: int) -> float:
@@ -128,19 +111,18 @@ def _to_float(m: float, e: int) -> float:
         return math.copysign(math.inf, m)
 
 
-def _to_complex(m: complex, e: int) -> complex:
-    return complex(_to_float(m.real, e), _to_float(m.imag, e))
-
-
 def _ln_scaled(m: float, e: int) -> float:
     return -math.inf if m == 0.0 else math.log(m) + e * _LN2
 
 
 def _group_sum(x: np.ndarray, b: int, compensated: bool) -> np.ndarray:
-    """Sum consecutive groups of b elements; optionally Neumaier-compensated."""
+    """Sum consecutive groups of b elements; optionally Neumaier-compensated,
+    part by part for complex x."""
     v = x.reshape(-1, b)
     if not compensated:
         return v.sum(axis=1)
+    if x.dtype.kind == "c":
+        return _group_sum(x.real, b, True) + 1j * _group_sum(x.imag, b, True)
     s = v[:, 0].copy()
     c = np.zeros_like(s)
     for k in range(1, b):
@@ -149,14 +131,6 @@ def _group_sum(x: np.ndarray, b: int, compensated: bool) -> np.ndarray:
         c += np.where(np.abs(s) >= np.abs(term), (s - tot) + term, (term - tot) + s)
         s = tot
     return s + c
-
-
-def _group_sum_c(x: np.ndarray, b: int, compensated: bool) -> np.ndarray:
-    if not compensated:
-        return x.reshape(-1, b).sum(axis=1)
-    re = _group_sum(np.ascontiguousarray(x.real), b, True)
-    im = _group_sum(np.ascontiguousarray(x.imag), b, True)
-    return re + 1j * im
 
 
 def _check_budget(b: int, n: int, node_budget: int) -> None:
@@ -176,23 +150,31 @@ def _block_depth(b: int, n: int) -> int:
     return d
 
 
-def _eval_block(spec, b: int, g0: int, i0: int, d: int, stream: TreeStream,
-                q: float, include_w: bool, compensated: bool,
-                corrupt: bool) -> _State:
-    """Vectorized level sweep over the depth-d subtree rooted at (g0, i0)."""
-    leaves = b**d
-    z = np.ones(leaves, dtype=np.complex128)
-    za = np.ones(leaves)
-    a2 = np.ones(leaves)
-    t = np.ones(leaves)
-    w = np.ones(leaves)
-    ez = ea = ea2 = et = ew = 0
-    for j in range(d, 0, -1):
+def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
+           m: list, e: list, q: float, include_w: bool, compensated: bool,
+           corrupt: bool, top: bool) -> tuple[list, list]:
+    """Apply the per-node recursions `levels` times, from the b**levels
+    generation-(g0 + levels) nodes under node (g0, i0) up to that node.
+
+    m holds the mantissa arrays of (Z, Z(|xi|), Z(|xi|^2), T, W) over those
+    nodes and e their exponents.  With top=True, xi * Z is formed from real
+    parts and Z is scaled by its larger part (see the module docstring).
+    m is emptied, so the widest arrays are freed after the first level."""
+    z, za, a2, t, w = m
+    m.clear()
+    ez, ea, ea2, et, ew = e
+    for j in range(levels, 0, -1):
         count = b**j
         raw = stream.node_block(b, g0 + j, i0 * count, count)
         r, xi = spec.radius_weight_from_raw(raw)
         r2 = r * r
-        z = _group_sum_c(xi * z, b, compensated)
+        if top:
+            xz = np.empty_like(z)
+            xz.real = xi.real * z.real - xi.imag * z.imag
+            xz.imag = xi.real * z.imag + xi.imag * z.real
+        else:
+            xz = xi * z
+        z = _group_sum(xz, b, compensated)
         za = _group_sum(r * za, b, False)
         a2 = _group_sum(r2 * a2, b, False)
         if include_w:
@@ -208,94 +190,61 @@ def _eval_block(spec, b: int, g0: int, i0: int, d: int, stream: TreeStream,
                 + pair * math.ldexp(1.0, 2 * et - e_new)
             ew = e_new
             t = q * s1
-            t, et = _renorm_farr(t, et)
-            w, ew = _renorm_farr(w, ew)
-        z, ez = _renorm_carr(z, ez)
-        za, ea = _renorm_farr(za, ea)
-        a2, ea2 = _renorm_farr(a2, ea2)
-    return _State(complex(z[0]), ez, float(za[0]), ea, float(a2[0]), ea2,
-                  float(t[0]), et, float(w[0]), ew)
-
-
-def _combine_children(children: list[_State], r: np.ndarray, xi: np.ndarray,
-                      q: float, include_w: bool, compensated: bool,
-                      corrupt: bool) -> _State:
-    """One scalar application of the per-node recursions."""
-    b = len(children)
-    ez = max(c.ez for c in children)
-    zt = np.array([xi[x] * c.z * math.ldexp(1.0, c.ez - ez)
-                   for x, c in enumerate(children)])
-    z = complex(_group_sum_c(zt, b, compensated)[0])
-    ea = max(c.ea for c in children)
-    za = float(sum(r[x] * c.za * math.ldexp(1.0, c.ea - ea)
-                   for x, c in enumerate(children)))
-    ea2 = max(c.ea2 for c in children)
-    a2 = float(sum(r[x] * r[x] * c.a2 * math.ldexp(1.0, c.ea2 - ea2)
-                   for x, c in enumerate(children)))
-    t = et = w = ew = 0
-    if include_w:
-        et = max(c.et for c in children)
-        rts = [r[x] * c.t * math.ldexp(1.0, c.et - et)
-               for x, c in enumerate(children)]
-        s1 = sum(rts)
-        s2 = sum(v * v for v in rts)
-        ew0 = max(c.ew for c in children)
-        diag_t = np.array([r[x] * r[x] * c.w * math.ldexp(1.0, c.ew - ew0)
-                           for x, c in enumerate(children)])
-        diag = float(_group_sum(diag_t, b, compensated)[0])
-        pair = (q * q) * max(s1 * s1 - s2, 0.0)
-        if corrupt:
-            pair = pair * 1.001
-        ew = max(ew0, 2 * et)
-        w = diag * math.ldexp(1.0, ew0 - ew) + pair * math.ldexp(1.0, 2 * et - ew)
-        t = q * s1
-        t, et = _renorm_f(t, et)
-        w, ew = _renorm_f(w, ew)
-    z, ez = _renorm_c(z, ez)
-    za, ea = _renorm_f(za, ea)
-    a2, ea2 = _renorm_f(a2, ea2)
-    return _State(z, ez, za, ea, a2, ea2, t, et, w, ew)
+            t, et = _renorm(t, et, t)
+            w, ew = _renorm(w, ew, w)
+        z, ez = _renorm(z, ez, np.abs(z.view(np.float64)) if top else np.abs(z))
+        za, ea = _renorm(za, ea, za)
+        a2, ea2 = _renorm(a2, ea2, a2)
+    return [z, za, a2, t, w], [ez, ea, ea2, et, ew]
 
 
 def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
                  node_budget: int = DEFAULT_NODE_BUDGET,
                  include_w: bool = True, compensated: bool | None = None,
                  _corrupt_w_pair: bool = False) -> FunctionalSet:
-    """All root functionals of the depth-n tree in one streaming traversal."""
+    """All root functionals of the depth-n tree: level sweeps over the
+    bottom blocks, then one over the block roots."""
     _check_budget(b, n, node_budget)
     if include_w and not spec.independent:
         raise CoupledLaw("W requires independent radius/phase")
     q = spec.phase_damping() if include_w else 0.0
     comp = (n > 16) if compensated is None else compensated
     d = _block_depth(b, n)
+    k = n - d
+    leaves = b**d
+    tw = leaves if include_w else 1   # without W, T and W stay one 1 per block
+    roots = [_sweep(spec, b, stream, k, i, d,
+                    [np.ones(leaves, dtype=np.complex128), np.ones(leaves),
+                     np.ones(leaves), np.ones(tw), np.ones(tw)], [0] * 5,
+                    q, include_w, comp, _corrupt_w_pair, top=False)
+             for i in range(b**k)]
+    m, e = roots[0]
+    if k:
+        e = np.max([root_e for _, root_e in roots], axis=0).tolist()
+        m = [np.concatenate([_ldexp(root_m[f], root_e[f] - e[f])
+                             for root_m, root_e in roots]) for f in range(5)]
+        m, e = _sweep(spec, b, stream, 0, 0, k, m, e, q, include_w, comp,
+                      _corrupt_w_pair, top=True)
+    return _finish([complex(m[0][0])] + [float(v[0]) for v in m[1:]], e, n,
+                   include_w)
 
-    def eval_node(g: int, i: int) -> _State:
-        if n - g <= d:
-            return _eval_block(spec, b, g, i, n - g, stream, q, include_w,
-                               comp, _corrupt_w_pair)
-        children = [eval_node(g + 1, i * b + x) for x in range(b)]
-        raw = stream.node_block(b, g + 1, i * b, b)
-        r, xi = spec.radius_weight_from_raw(raw)
-        return _combine_children(children, r, xi, q, include_w, comp,
-                                 _corrupt_w_pair)
 
-    return _finish(eval_node(0, 0), n, include_w)
-
-
-def _finish(st: _State, n: int, include_w: bool) -> FunctionalSet:
+def _finish(m: list, e: list, n: int, include_w: bool) -> FunctionalSet:
+    z, za, a2, t, w = m
+    ez, ea, ea2, et, ew = e
     return FunctionalSet(
         n=n,
-        z=_to_complex(st.z, st.ez),
-        z_abs=_to_float(st.za, st.ea),
-        z_abs2=_to_float(st.a2, st.ea2),
-        t_damped=_to_float(st.t, st.et) if include_w else None,
-        w_cond=_to_float(st.w, st.ew) if include_w else None,
-        ln_abs_z=_ln_scaled(abs(st.z), st.ez),
-        ln_z_abs=_ln_scaled(st.za, st.ea),
-        ln_z_abs2=_ln_scaled(st.a2, st.ea2),
-        ln_t_damped=_ln_scaled(st.t, st.et) if include_w else None,
-        ln_w_cond=_ln_scaled(st.w, st.ew) if include_w else None,
-        arg_z=cmath.phase(st.z),
+        z=complex(_to_float(z.real, ez), _to_float(z.imag, ez)),
+        z_abs=_to_float(za, ea),
+        z_abs2=_to_float(a2, ea2),
+        t_damped=_to_float(t, et) if include_w else None,
+        w_cond=_to_float(w, ew) if include_w else None,
+        ln_abs_z=_ln_scaled(abs(z), ez),
+        ln_z_abs=_ln_scaled(za, ea),
+        ln_z_abs2=_ln_scaled(a2, ea2),
+        ln_t_damped=_ln_scaled(t, et) if include_w else None,
+        ln_w_cond=_ln_scaled(w, ew) if include_w else None,
+        arg_z=cmath.phase(z),
     )
 
 

@@ -329,6 +329,23 @@ def test_simulate_guards(capsys):
     assert code == EXIT_CONFIG and "budget" in err
 
 
+def test_simulate_subnormal_constant_runs(capsys):
+    code, out, _ = run(["simulate", "--model", "constant", "--c", "1e-320",
+                        "0", "--n", "4", "--replicas", "2", "--only",
+                        "free_energy"], capsys)
+    assert code == EXIT_OK
+    mean = strict_loads(out)["results"]["free_energy"]["mean"]
+    assert mean == pytest.approx(LN2 + math.log(1e-320), rel=1e-6)
+
+
+def test_simulate_refuses_an_overflowed_functional(capsys):
+    code, out, err = run(["simulate", "--beta", "120", "--gamma", "0.5",
+                          "--n", "8", "--replicas", "4", "--only",
+                          "w_free_energy"], capsys)
+    assert code == EXIT_CONFIG and out == ""
+    assert "w_free_energy is nan" in err
+
+
 # ------------------------------------------------------------------ verify
 
 

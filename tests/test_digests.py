@@ -3,13 +3,18 @@
 Each case hashes the exact bytes of an output of ``batch_z_values``,
 ``ratio4`` (per-tree ratios and their jackknife SEs) or ``dfs_evaluate``
 over b in {2, 3} and the four built-in laws, of ``dfs_evaluate`` with
-compensated sums, or of the CSV, pixmap, stdout and stderr of one
-``diagram`` run.  The draw-path digests were recorded before the draw
-paths were rewritten to draw and transform whole counter ranges, the
-compensated and diagram digests before the diagram was classified by
-column, so a change to these functions that moves any output by one bit
-fails here.  To list the current digests, run
-``PYTHONPATH=src python tests/test_digests.py``.
+compensated sums or on trees deeper than its bottom blocks, or of the CSV,
+pixmap, stdout and stderr of one ``diagram`` run.  The draw-path digests
+were recorded before the draw paths were rewritten to draw and transform
+whole counter ranges, the compensated and diagram digests before the
+diagram was classified by column, and the ``dfs-top`` digests before the
+per-node combine above the bottom blocks became a level sweep, so a change
+to these functions that moves any output by one bit fails here.  To list
+the current digests, run ``PYTHONPATH=src python tests/test_digests.py``.
+Z from ``dfs_evaluate`` takes numpy's complex array product, which uses
+fused multiply-adds where the CPU has them (see ``treepolymer.sim``), so
+the dfs digests hold on machines whose numpy dispatches to the same loops
+as the one they were recorded on (x86-64 with AVX-512, numpy 2.4).
 """
 
 import contextlib
@@ -18,6 +23,7 @@ import io
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +39,7 @@ from treepolymer import (
     dfs_evaluate,
     ratio4,
 )
+from treepolymer import sim
 
 LAWS = {
     "gaussian": GaussianIndep(0.5, 0.7),
@@ -54,6 +61,16 @@ DFS_DEPTHS = {2: (6, 15), 3: (5,)}
 # b = 3 case has bits that differ from the plain path.
 DFS_COMPENSATED = {"n17": (2, 17, None), "n6": (2, 6, True),
                    "b3-n6": (3, 6, True)}
+# (b, n, bottom-block leaves or None for the default, compensated): trees
+# that take the combine above the bottom blocks.  About 2% of trees have an
+# ln|Z| whose last bit depends on how the root's mantissa and exponent are
+# split, so each case hashes 52 trees, with W, over the four random laws.
+DFS_TOP = {"b2-n9-block4": (2, 9, 4, None),
+           "b3-n6-block4-compensated": (3, 6, 4, True),
+           "b2-n15": (2, 15, None, None),
+           "b3-n10": (3, 10, None, None)}
+TOP_LAWS = ("gaussian", "uniform", "rademacher", "gaussian0")
+TOP_TREES = 52
 # diagram flags per case; the default model is gaussian and b is 2
 DIAGRAMS = {
     "gaussian": ["--grid", "0:2:100"],
@@ -122,6 +139,19 @@ def _dfs_compensated(key, include_w):
     return _hash(*parts)
 
 
+def _dfs_top(key):
+    b, n, leaves, compensated = DFS_TOP[key]
+    block = leaves if leaves is not None else sim._BLOCK_LEAVES
+    parts = []
+    with mock.patch.object(sim, "_BLOCK_LEAVES", block):
+        for r in range(TOP_TREES):
+            law = LAWS[TOP_LAWS[r % len(TOP_LAWS)]]
+            fs = dfs_evaluate(law, b, n, TreeStream(31, r),
+                              compensated=compensated)
+            parts += _fields(fs)
+    return _hash(*parts)
+
+
 def _diagram(flags):
     """Digest of the CSV, pixmap, stdout and stderr of one diagram run; the
     output stem in stdout is replaced, so the digest is path-free."""
@@ -154,6 +184,8 @@ for _key in DFS_COMPENSATED:
         lambda key=_key: _dfs_compensated(key, True)
     CASES[f"dfs-compensated-{_key}-z"] = \
         lambda key=_key: _dfs_compensated(key, False)
+for _key in DFS_TOP:
+    CASES[f"dfs-top-{_key}"] = lambda key=_key: _dfs_top(key)
 for _name, _flags in DIAGRAMS.items():
     CASES[f"diagram-{_name}"] = lambda flags=_flags: _diagram(flags)
 
@@ -183,6 +215,10 @@ DIGESTS = {
     "dfs-rademacher-b2": "25e47c2acef80fea7887b58f",
     "dfs-rademacher-b3": "64234d8abeea80662cd2fd34",
     "dfs-uniform-b2": "2477949798219a9f7031c2b9",
+    "dfs-top-b2-n15": "0ba65667f8816a4d816efa0f",
+    "dfs-top-b2-n9-block4": "15f500db7478ff25a0568fce",
+    "dfs-top-b3-n10": "6f627b2c3505bfe7ce9c5a60",
+    "dfs-top-b3-n6-block4-compensated": "83b12089059d5f63c87576d3",
     "dfs-uniform-b3": "3be8c6468a2d5c2c95f695f7",
     "diagram-b3": "46f38d231bd0f5af8334c093",
     "diagram-estimates": "5057fbde978e0ca19ad0a414",

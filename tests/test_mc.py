@@ -22,14 +22,13 @@ from treepolymer import (
     dfs_evaluate,
     estimate_free_energy,
     estimate_w_free_energy,
-    merge_estimates,
     paley_zygmund_bound,
     ratio4,
     tau_moment_check,
     verify_mean,
     verify_second_moment,
 )
-from treepolymer.mc import _estimate, _zscore
+from treepolymer.mc import _zscore
 from treepolymer.rng import to_uniform
 
 LN2 = math.log(2.0)
@@ -76,13 +75,21 @@ def test_estimators_validate_their_inputs():
         estimate_free_energy(_plan(law, replicas=0))
     with pytest.raises(BudgetExceeded):
         estimate_free_energy(_plan(law, n=10, node_budget=100))
-    with pytest.raises(BudgetExceeded):
-        estimate_free_energy(_plan(law, n=10, replicas=64, budget=2**12))
     coupled = CustomLaw(
         polar=lambda raw: (np.ones(raw.shape[0]), np.zeros(raw.shape[0])),
         log_moments={0.0: 0.0, 4.0: 0.0}, mean=1.0 + 0j, independent=False)
     with pytest.raises(CoupledLaw):
         estimate_w_free_energy(_plan(coupled))
+
+
+def test_overflowed_replicas_are_refused_not_averaged():
+    # at beta = 120, |xi|^2 overflows float64 while ln|Z| stays finite
+    law = GaussianIndep(120.0, 0.5)
+    with pytest.raises(DomainError, match="^w_free_energy is nan"):
+        estimate_w_free_energy(_plan(law, n=8, replicas=4))
+    assert math.isfinite(estimate_free_energy(_plan(law, n=8, replicas=4)).mean)
+    with pytest.raises(DomainError, match="^free_energy is nan"):
+        estimate_free_energy(_plan(GaussianIndep(250.0, 0.5), n=8, replicas=4))
 
 
 def test_zero_partition_replicas_are_excluded_not_averaged():
@@ -110,27 +117,6 @@ def test_thread_count_does_not_change_any_statistic():
     serial = estimate_free_energy(_plan(law, n=8, replicas=12, threads=1))
     threaded = estimate_free_energy(_plan(law, n=8, replicas=12, threads=4))
     assert serial == threaded
-
-
-def test_merge_equals_single_pass():
-    law = GaussianIndep(0.6, 0.6)
-    full = estimate_free_energy(_plan(law, n=6, replicas=12))
-    head = _estimate(list(full.values[:7]), 0, keep_values=True)
-    tail = _estimate(list(full.values[7:]), 0, keep_values=True)
-    merged = merge_estimates(head, tail)
-    assert merged.mean == pytest.approx(full.mean, rel=1e-12)
-    assert merged.std_error == pytest.approx(full.std_error, rel=1e-12)
-    assert merged.median == full.median
-    assert merged.replicas == full.replicas
-
-
-def test_merge_requires_kept_values():
-    law = GaussianIndep(0.6, 0.6)
-    a = estimate_free_energy(_plan(law, replicas=4, keep_values=False))
-    b = estimate_free_energy(_plan(law, replicas=4))
-    assert a.values is None
-    with pytest.raises(DomainError):
-        merge_estimates(a, b)
 
 
 # ------------------------------------------------------------ batch moments

@@ -115,7 +115,8 @@ def test_streaming_matches_literal_enumeration(b, seed):
 
 
 def test_scalar_combine_levels_match_enumeration(monkeypatch):
-    # shrink the vectorized blocks so the per-node combine handles most levels
+    # shrink the bottom blocks so the top sweep over the block roots, which
+    # forms xi * Z as a scalar product would, handles most levels
     import treepolymer.sim as sim_module
 
     monkeypatch.setattr(sim_module, "_BLOCK_LEAVES", 4)
@@ -137,6 +138,37 @@ def test_block_size_does_not_change_values(monkeypatch):
     tiny = dfs_evaluate(law, 2, 9, TreeStream(3, 1))
     assert rel_err(full.z, tiny.z) < 1e-12
     assert rel_err(full.w_cond, tiny.w_cond) < 1e-12
+
+
+def test_block_size_moves_no_bit_of_the_radius_fields(monkeypatch):
+    # the radius fields take no complex product and are summed in the same
+    # order in the blocks and the top sweep (numpy's, which for b >= 8 is
+    # not left to right), so only their exact exponent bookkeeping depends
+    # on the block size; Z's products differ by fused multiply-add rounding
+    import treepolymer.sim as sim_module
+
+    laws = [GaussianIndep(0.8, 0.8), GaussianIndep(1.5, 0.1),
+            LogNormalUniformPhase(0.6, 0.4), RademacherPhase(t=0.5, beta=0.3)]
+    names = ("z_abs", "z_abs2", "t_damped", "w_cond",
+             "ln_z_abs", "ln_z_abs2", "ln_t_damped", "ln_w_cond")
+    for b, n in [(2, 9), (3, 6), (2, 12), (9, 3)]:
+        for law in laws:
+            for r in range(5):
+                bits = set()
+                for leaves in (2, 4, 1 << 14):
+                    monkeypatch.setattr(sim_module, "_BLOCK_LEAVES", leaves)
+                    fs = dfs_evaluate(law, b, n, TreeStream(13, r))
+                    bits.add(np.array([getattr(fs, f) for f in names]).tobytes())
+                assert len(bits) == 1, (b, n, law, r)
+
+
+@pytest.mark.parametrize("b, n", [(2, 1), (2, 15), (3, 9)])
+def test_subnormal_weights_are_rescaled_exactly(b, n):
+    # every product stays exact at these depths, so only the logs round
+    c = 2.0 ** -1060
+    fs = dfs_evaluate(DeterministicConstant(c), b, n, TreeStream(0, 0))
+    assert rel_err(fs.ln_abs_z, n * (math.log(b) + math.log(c))) < 1e-12
+    assert rel_err(fs.ln_z_abs, n * (math.log(b) + math.log(c))) < 1e-12
 
 
 # ----------------------------------------------------------- pair damping
