@@ -23,7 +23,7 @@ from . import mc, phase, sim
 from .env import (EnvironmentSpec, GaussianIndep, LogNormalUniformPhase,
                   spec_from_config)
 from .errors import (BudgetExceeded, ConfigError, CoupledLaw, DomainError,
-                     NonIntegrable, NoBracket, ZeroMeanEnvironment)
+                     NonIntegrable, NoBracket)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -374,8 +374,7 @@ def cmd_simulate(cfg: dict) -> int:
     wanted = ["free_energy", "w_free_energy"] if what == "both" else [what]
     for functional in wanted:
         plan = mc.ExperimentPlan(spec=spec, b=b, n=n, replicas=replicas,
-                                 seed=seed, functional=functional,
-                                 node_budget=cfg["budget_nodes"])
+                                 seed=seed, node_budget=cfg["budget_nodes"])
         if functional == "free_energy":
             est = mc.estimate_free_energy(plan)
             predicted = rep.predicted_f
@@ -590,8 +589,8 @@ def main(argv=None) -> int:
         if getattr(args, "inject_defect", False):
             cfg["inject_defect"] = True
         return args.fn(cfg)
-    except (ConfigError, DomainError, CoupledLaw, ZeroMeanEnvironment,
-            NonIntegrable, NoBracket, BudgetExceeded) as exc:
+    except (ConfigError, DomainError, CoupledLaw, NonIntegrable, NoBracket,
+            BudgetExceeded) as exc:
         _say(f"error: {exc}")
         return EXIT_CONFIG
 

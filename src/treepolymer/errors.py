@@ -13,10 +13,6 @@ class CoupledLaw(TreePolymerError):
     """Operation requires independent radius/phase but the law is coupled."""
 
 
-class ZeroMeanEnvironment(TreePolymerError):
-    """Normalization by E[xi]^n requested while E[xi] = 0."""
-
-
 class NonIntegrable(TreePolymerError):
     """Requested moment is outside the law's certified range."""
 

@@ -40,7 +40,7 @@ class McEstimate:
     ci95: tuple[float, float]
     median: float
     excluded_count: int = 0
-    values: list | None = None
+    values: list | None = None         # per replica in order, -inf if excluded
     max_value: float | None = None     # filled by ratio4
     value_ses: list | None = None      # filled by ratio4
 
@@ -62,7 +62,6 @@ class ExperimentPlan:
     n: int
     replicas: int
     seed: int
-    functional: str = "free_energy"    # free_energy | w_free_energy
     node_budget: int = DEFAULT_NODE_BUDGET
     threads: int = 1
     keep_values: bool = True
@@ -76,8 +75,7 @@ class ExperimentPlan:
                 f"{self.node_budget}")
 
 
-def _estimate(values: list[float], excluded: int,
-              keep_values: bool) -> McEstimate:
+def _estimate(values: list[float], excluded: int) -> McEstimate:
     r = len(values)
     if r == 0:
         raise DomainError("all replicas were excluded")
@@ -87,8 +85,7 @@ def _estimate(values: list[float], excluded: int,
         replicas=r, mean=mean, std_error=se,
         ci95=(mean - 1.96 * se, mean + 1.96 * se),
         median=float(statistics.median(values)),
-        excluded_count=excluded,
-        values=list(values) if keep_values else None)
+        excluded_count=excluded)
 
 
 def _replica_map(plan: ExperimentPlan, fn) -> list:
@@ -102,14 +99,17 @@ def _replica_map(plan: ExperimentPlan, fn) -> list:
 def _replica_estimate(plan: ExperimentPlan, one, functional: str) -> McEstimate:
     """Estimate from one value per replica.  A value of -inf (a sum that is
     exactly 0) is excluded and counted; nan or +inf, from float64 overflow,
-    is refused."""
+    is refused.  `values`, if kept, holds every replica's value in order."""
     raw = _replica_map(plan, one)
     for r, v in enumerate(raw):
         if math.isnan(v) or v == math.inf:
             raise DomainError(f"{functional} is {v} in replica {r}: "
                               "float64 overflow")
-    values = [v for v in raw if v != -math.inf]
-    return _estimate(values, len(raw) - len(values), plan.keep_values)
+    kept = [v for v in raw if v != -math.inf]
+    est = _estimate(kept, len(raw) - len(kept))
+    if plan.keep_values:
+        est.values = raw
+    return est
 
 
 def estimate_free_energy(plan: ExperimentPlan) -> McEstimate:
@@ -231,15 +231,13 @@ def verify_second_moment(plan: ExperimentPlan) -> VerifyReport:
 
 
 def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
-           phase_resamples: int, seed: int, exact_denominator: bool = False,
+           phase_resamples: int, seed: int,
            node_budget: int = DEFAULT_NODE_BUDGET) -> McEstimate:
     """Conditional fourth-moment ratio E[|Z|^4|radii] / E[|Z|^2|radii]^2 per
     frozen radius tree, estimated from phase resamples, with jackknife SEs.
 
     The returned estimate carries per-omega ratios in `values`, their
     jackknife standard errors in `value_ses`, and the max in `max_value`.
-    With exact_denominator=True the denominator is the exact W from the
-    evaluator instead of the squared empirical second moment.
     """
     if not spec.independent:
         raise CoupledLaw("phase resampling needs independent radius/phase")
@@ -281,22 +279,16 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
             z4[j0:j0 + cnt] = zabs2 * zabs2
         s2 = float(z2.mean())
         s4 = float(z4.mean())
-        if exact_denominator:
-            w = dfs_evaluate(spec, b, n, TreeStream(seed, o),
-                             node_budget=node_budget).w_cond
-            ratio = s4 / (w * w)
-            s4_i = (m * s4 - z4) / (m - 1)
-            ratio_i = s4_i / (w * w)
-        else:
-            ratio = s4 / (s2 * s2)
-            s2_i = (m * s2 - z2) / (m - 1)
-            s4_i = (m * s4 - z4) / (m - 1)
-            ratio_i = s4_i / (s2_i * s2_i)
+        ratio = s4 / (s2 * s2)
+        s2_i = (m * s2 - z2) / (m - 1)
+        s4_i = (m * s4 - z4) / (m - 1)
+        ratio_i = s4_i / (s2_i * s2_i)
         se = float(math.sqrt((m - 1) / m * np.sum((ratio_i - ratio_i.mean()) ** 2)))
         ratios.append(ratio)
         ses.append(se)
 
-    est = _estimate(ratios, 0, keep_values=True)
+    est = _estimate(ratios, 0)
+    est.values = ratios
     est.max_value = max(ratios)
     est.value_ses = ses
     return est

@@ -16,13 +16,13 @@ dropped cross terms are exactly the x = x' diagonal, and W dominates that
 diagonal, so the subtraction loses no relative accuracy.
 
 Every quantity is carried as (mantissa, base-2 exponent) with exact
-power-of-two rescaling, one exponent per field and generation, so deep
-trees with large |ln xi| cannot overflow.  One level sweep, ``_sweep``,
-applies the recursions a generation at a time: first over each of the b^k
-bottom subtrees of at most ``_BLOCK_LEAVES`` leaves, in index order, then
-once over the top k generations, starting from the block roots aligned on
-each field's largest exponent.  Memory is O(b^d + b^k) for blocks of depth
-d and k = n - d, however deep the tree is.
+power-of-two rescaling, one exponent per field and generation, so depth
+alone cannot overflow.  One level sweep, ``_sweep``, applies the
+recursions a generation at a time, summing siblings with numpy's plain
+row sum: first over each of the b^k bottom subtrees of at most
+``_BLOCK_LEAVES`` leaves, in index order, then once over the top k
+generations, from the block roots aligned on each field's largest
+exponent.  Memory is O(b^d + b^k) for blocks of depth d and k = n - d.
 
 The top sweep forms xi * Z from real parts, (xr zr - xi zi, xr zi + xi zr),
 and scales Z by the larger of |Re Z| and |Im Z|; the bottom blocks use
@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .env import EnvironmentSpec
-from .errors import BudgetExceeded, CoupledLaw, DomainError, ZeroMeanEnvironment
+from .errors import BudgetExceeded, CoupledLaw, DomainError
 from .rng import TreeStream
 
 DEFAULT_NODE_BUDGET = 1 << 24
@@ -82,8 +82,6 @@ class FunctionalSet:
     ln_t_damped: float | None
     ln_w_cond: float | None
     arg_z: float
-    m_norm: complex | None = None
-    x_norm: float | None = None
 
 
 def _ldexp(x: np.ndarray, k: int) -> np.ndarray:
@@ -115,22 +113,9 @@ def _ln_scaled(m: float, e: int) -> float:
     return -math.inf if m == 0.0 else math.log(m) + e * _LN2
 
 
-def _group_sum(x: np.ndarray, b: int, compensated: bool) -> np.ndarray:
-    """Sum consecutive groups of b elements; optionally Neumaier-compensated,
-    part by part for complex x."""
-    v = x.reshape(-1, b)
-    if not compensated:
-        return v.sum(axis=1)
-    if x.dtype.kind == "c":
-        return _group_sum(x.real, b, True) + 1j * _group_sum(x.imag, b, True)
-    s = v[:, 0].copy()
-    c = np.zeros_like(s)
-    for k in range(1, b):
-        term = v[:, k]
-        tot = s + term
-        c += np.where(np.abs(s) >= np.abs(term), (s - tot) + term, (term - tot) + s)
-        s = tot
-    return s + c
+def _group_sum(x: np.ndarray, b: int) -> np.ndarray:
+    """Sum consecutive groups of b elements."""
+    return x.reshape(-1, b).sum(axis=1)
 
 
 def _check_budget(b: int, n: int, node_budget: int) -> None:
@@ -150,16 +135,18 @@ def _block_depth(b: int, n: int) -> int:
     return d
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
-           m: list, e: list, q: float, include_w: bool, compensated: bool,
-           corrupt: bool, top: bool) -> tuple[list, list]:
+           m: list, e: list, q: float, include_w: bool, corrupt: bool,
+           top: bool) -> tuple[list, list]:
     """Apply the per-node recursions `levels` times, from the b**levels
     generation-(g0 + levels) nodes under node (g0, i0) up to that node.
 
     m holds the mantissa arrays of (Z, Z(|xi|), Z(|xi|^2), T, W) over those
     nodes and e their exponents.  With top=True, xi * Z is formed from real
     parts and Z is scaled by its larger part (see the module docstring).
-    m is emptied, so the widest arrays are freed after the first level."""
+    m is emptied, so the widest arrays are freed after the first level.
+    Overflow stays in the values (see FunctionalSet), unwarned by numpy."""
     z, za, a2, t, w = m
     m.clear()
     ez, ea, ea2, et, ew = e
@@ -174,14 +161,14 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
             xz.imag = xi.real * z.imag + xi.imag * z.real
         else:
             xz = xi * z
-        z = _group_sum(xz, b, compensated)
-        za = _group_sum(r * za, b, False)
-        a2 = _group_sum(r2 * a2, b, False)
+        z = _group_sum(xz, b)
+        za = _group_sum(r * za, b)
+        a2 = _group_sum(r2 * a2, b)
         if include_w:
             rt = r * t
-            s1 = _group_sum(rt, b, False)
-            s2 = _group_sum(rt * rt, b, False)
-            diag = _group_sum(r2 * w, b, compensated)
+            s1 = _group_sum(rt, b)
+            s2 = _group_sum(rt * rt, b)
+            diag = _group_sum(r2 * w, b)
             pair = (q * q) * np.maximum(s1 * s1 - s2, 0.0)
             if corrupt:
                 pair = pair * 1.001
@@ -200,7 +187,7 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
 
 def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
                  node_budget: int = DEFAULT_NODE_BUDGET,
-                 include_w: bool = True, compensated: bool | None = None,
+                 include_w: bool = True,
                  _corrupt_w_pair: bool = False) -> FunctionalSet:
     """All root functionals of the depth-n tree: level sweeps over the
     bottom blocks, then one over the block roots."""
@@ -208,7 +195,6 @@ def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
     if include_w and not spec.independent:
         raise CoupledLaw("W requires independent radius/phase")
     q = spec.phase_damping() if include_w else 0.0
-    comp = (n > 16) if compensated is None else compensated
     d = _block_depth(b, n)
     k = n - d
     leaves = b**d
@@ -216,14 +202,14 @@ def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
     roots = [_sweep(spec, b, stream, k, i, d,
                     [np.ones(leaves, dtype=np.complex128), np.ones(leaves),
                      np.ones(leaves), np.ones(tw), np.ones(tw)], [0] * 5,
-                    q, include_w, comp, _corrupt_w_pair, top=False)
+                    q, include_w, _corrupt_w_pair, top=False)
              for i in range(b**k)]
     m, e = roots[0]
     if k:
         e = np.max([root_e for _, root_e in roots], axis=0).tolist()
         m = [np.concatenate([_ldexp(root_m[f], root_e[f] - e[f])
                              for root_m, root_e in roots]) for f in range(5)]
-        m, e = _sweep(spec, b, stream, 0, 0, k, m, e, q, include_w, comp,
+        m, e = _sweep(spec, b, stream, 0, 0, k, m, e, q, include_w,
                       _corrupt_w_pair, top=True)
     return _finish([complex(m[0][0])] + [float(v[0]) for v in m[1:]], e, n,
                    include_w)
@@ -360,26 +346,6 @@ def _logaddexp(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def normalize(fs: FunctionalSet, spec: EnvironmentSpec, b: int,
-              want_m: bool = True) -> FunctionalSet:
-    """Fill m_norm = Z_n/(b m1)^n and x_norm = |Z_n|^2 / E|Z_n|^2."""
-    m1 = spec.mean_xi()
-    m_norm = fs.m_norm
-    if want_m:
-        if m1 == 0:
-            raise ZeroMeanEnvironment("E[xi] = 0: martingale normalization undefined")
-        ln_mag = fs.ln_abs_z - fs.n * (math.log(b) + spec.log_mean_abs())
-        ang = fs.arg_z - fs.n * cmath.phase(m1)
-        mag = math.exp(ln_mag) if ln_mag < 709.0 else math.inf
-        m_norm = mag * complex(math.cos(ang), math.sin(ang))
-    if fs.n == 0:
-        ln_x = 2.0 * fs.ln_abs_z
-    else:
-        ln_x = 2.0 * fs.ln_abs_z - closed_form_second_moment(spec, b, fs.n).ln_value
-    x_norm = math.exp(ln_x) if ln_x < 709.0 else math.inf
-    return replace(fs, m_norm=m_norm, x_norm=x_norm)
-
-
 @dataclass
 class OneStepReport:
     resamples: int
@@ -441,17 +407,24 @@ def trace_depths(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
                  node_budget: int = DEFAULT_NODE_BUDGET,
                  include_w: bool = True) -> list[dict]:
     """Per-depth normalized logs for convergence traces: rows of
-    (n', ln|z|/n', ln z_abs/n', ln z_abs2/n', ln w/(2n'))."""
+    (n', ln|z|/n', ln z_abs/n', ln z_abs2/n', ln w/(2n')).  A value that is
+    nan or +inf, from float64 overflow, is refused; -inf (a sum that is
+    exactly 0) is kept."""
     rows = []
     for depth in range(1, n + 1):
         fs = dfs_evaluate(spec, b, depth, stream, node_budget=node_budget,
                           include_w=include_w)
-        rows.append({
+        row = {
             "n": depth,
             "ln_abs_z_over_n": fs.ln_abs_z / depth,
             "ln_z_abs_over_n": fs.ln_z_abs / depth,
             "ln_z_abs2_over_n": fs.ln_z_abs2 / depth,
             "ln_w_over_2n": (fs.ln_w_cond / (2.0 * depth))
                             if fs.ln_w_cond is not None else None,
-        })
+        }
+        for col, v in row.items():
+            if v is not None and not v < math.inf:
+                raise DomainError(f"trace {col} is {v} at depth {depth}: "
+                                  "float64 overflow")
+        rows.append(row)
     return rows

@@ -268,7 +268,7 @@ def _depth_corrected_rate(ln_z_n, ln_z_m, n: int, m: int,
     values = [(a - b + shift) / (n - m)
               for a, b in zip(ln_z_n, ln_z_m, strict=True)
               if a != -math.inf and b != -math.inf]
-    return _estimate(values, len(ln_z_n) - len(values), keep_values=False)
+    return _estimate(values, len(ln_z_n) - len(values))
 
 
 def test_depth_corrected_rate_pairs_replicas_and_counts_exclusions():
@@ -317,9 +317,7 @@ def test_criterion_05_free_energy_probes():
         law = GaussianIndep(beta, gamma)
         alpha = classify(law, 2).alpha_min
         c = 3.0 / (2.0 * alpha) if region in ("R2a", "R2b") else 0.0
-        # est.values drops excluded replicas without their indices
-        ln_z_n = ([v * n for v in est.values] if est.excluded_count == 0
-                  else _ln_abs_z_per_replica(law, n, replicas, seed))
+        ln_z_n = [v * n for v in est.values]   # replica order, -inf kept
         ln_z_m = _ln_abs_z_per_replica(law, m, replicas, seed)
         corrected = _depth_corrected_rate(ln_z_n, ln_z_m, n, m, c)
         raw_gap = abs(est.mean - predicted)
@@ -350,7 +348,7 @@ def test_criterion_05_free_energy_probes():
 def _criterion6_rows(threads: int = 1):
     law = GaussianIndep(0.8, 0.8)
     plan = ExperimentPlan(spec=law, b=2, n=20, replicas=32, seed=1,
-                          functional="w_free_energy", threads=threads)
+                          threads=threads)
     est = estimate_w_free_energy(plan)
     predicted = predicted_w_rate(law, 2)
     rows = [experiment_row("gaussian", 2, law, 20, 32, 1, "w_free_energy",

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -339,11 +340,25 @@ def test_simulate_subnormal_constant_runs(capsys):
 
 
 def test_simulate_refuses_an_overflowed_functional(capsys):
-    code, out, err = run(["simulate", "--beta", "120", "--gamma", "0.5",
-                          "--n", "8", "--replicas", "4", "--only",
-                          "w_free_energy"], capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["simulate", "--beta", "120", "--gamma", "0.5",
+                              "--n", "8", "--replicas", "4", "--only",
+                              "w_free_energy"], capsys)
     assert code == EXIT_CONFIG and out == ""
-    assert "w_free_energy is nan" in err
+    assert caught == []
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: w_free_energy is nan")
+
+
+def test_simulate_trace_refuses_an_overflowed_radius(tmp_path, capsys):
+    out_file = tmp_path / "t.csv"
+    code, out, err = run(["simulate", "--beta", "600", "--gamma", "0.5",
+                          "--n", "4", "--replicas", "1", "--only", "trace",
+                          "--out", str(out_file)], capsys)
+    assert code == EXIT_CONFIG and out == ""
+    assert not out_file.exists()
+    assert err.startswith("error: trace ") and "at depth 1" in err
 
 
 # ------------------------------------------------------------------ verify

@@ -2,15 +2,17 @@
 
 Each case hashes the exact bytes of an output of ``batch_z_values``,
 ``ratio4`` (per-tree ratios and their jackknife SEs) or ``dfs_evaluate``
-over b in {2, 3} and the four built-in laws, of ``dfs_evaluate`` with
-compensated sums or on trees deeper than its bottom blocks, or of the CSV,
-pixmap, stdout and stderr of one ``diagram`` run.  The draw-path digests
-were recorded before the draw paths were rewritten to draw and transform
-whole counter ranges, the compensated and diagram digests before the
-diagram was classified by column, and the ``dfs-top`` digests before the
-per-node combine above the bottom blocks became a level sweep, so a change
-to these functions that moves any output by one bit fails here.  To list
-the current digests, run ``PYTHONPATH=src python tests/test_digests.py``.
+over b in {2, 3} and the four built-in laws, of ``dfs_evaluate`` at b = 2
+where it used to compensate its sums or on trees deeper than its bottom
+blocks, or of the CSV, pixmap, stdout and stderr of one ``diagram``
+run.  The draw-path digests were recorded before the draw
+paths were rewritten to draw and transform whole counter ranges, the
+``dfs-compensated`` and diagram digests before the diagram was classified
+by column, the ``dfs-top`` digests before the per-node combine above the
+bottom blocks became a level sweep, and ``dfs-top-b3-n6-block4`` before
+compensated sums were removed, so a change to these functions that moves
+any output by one bit fails here.  To list the current digests, run
+``PYTHONPATH=src python tests/test_digests.py``.
 Z from ``dfs_evaluate`` takes numpy's complex array product, which uses
 fused multiply-adds where the CPU has them (see ``treepolymer.sim``), so
 the dfs digests hold on machines whose numpy dispatches to the same loops
@@ -56,19 +58,18 @@ BATCH_SIZES = {2: (10, 1100), 3: (6, 1100)}
 RATIO4_SIZES = {2: (5, 2, 1000), 3: (3, 2, 1000)}
 # n = 15 at b = 2 goes past the vectorized bottom blocks
 DFS_DEPTHS = {2: (6, 15), 3: (5,)}
-# (b, n, compensated): sums are compensated by default above n = 16.  At
-# b = 2 a compensated pair sum rounds back to the plain one, so only the
-# b = 3 case has bits that differ from the plain path.
-DFS_COMPENSATED = {"n17": (2, 17, None), "n6": (2, 6, True),
-                   "b3-n6": (3, 6, True)}
-# (b, n, bottom-block leaves or None for the default, compensated): trees
-# that take the combine above the bottom blocks.  About 2% of trees have an
-# ln|Z| whose last bit depends on how the root's mantissa and exponent are
-# split, so each case hashes 52 trees, with W, over the four random laws.
-DFS_TOP = {"b2-n9-block4": (2, 9, 4, None),
-           "b3-n6-block4-compensated": (3, 6, 4, True),
-           "b2-n15": (2, 15, None, None),
-           "b3-n10": (3, 10, None, None)}
+# (b, n): recorded when sums were Neumaier-compensated, by default above
+# n = 16 and on request at n = 6.  At b = 2 a compensated pair sum rounds
+# back to the plain one, so the plain sums keep these bits.
+DFS_COMPENSATED = {"n17": (2, 17), "n6": (2, 6)}
+# (b, n, bottom-block leaves or None for the default): trees that take the
+# combine above the bottom blocks.  About 2% of trees have an ln|Z| whose
+# last bit depends on how the root's mantissa and exponent are split, so
+# each case hashes 52 trees, with W, over the four random laws.
+DFS_TOP = {"b2-n9-block4": (2, 9, 4),
+           "b3-n6-block4": (3, 6, 4),
+           "b2-n15": (2, 15, None),
+           "b3-n10": (3, 10, None)}
 TOP_LAWS = ("gaussian", "uniform", "rademacher", "gaussian0")
 TOP_TREES = 52
 # diagram flags per case; the default model is gaussian and b is 2
@@ -101,9 +102,9 @@ def _batch(law, b):
     return _hash(batch_z_values(LAWS[law], b, n, seed=17, replicas=reps))
 
 
-def _ratio4(law, b, exact=False):
+def _ratio4(law, b):
     n, omegas, m = RATIO4_SIZES[b]
-    est = ratio4(LAWS[law], b, n, omegas, m, seed=5, exact_denominator=exact)
+    est = ratio4(LAWS[law], b, n, omegas, m, seed=5)
     return _hash(*est.values, *est.value_ses)
 
 
@@ -130,24 +131,23 @@ def _dfs(law, b):
 
 
 def _dfs_compensated(key, include_w):
-    b, n, compensated = DFS_COMPENSATED[key]
+    b, n = DFS_COMPENSATED[key]
     parts = []
     for r in range(2):
         fs = dfs_evaluate(LAWS["gaussian"], b, n, TreeStream(23, r),
-                          include_w=include_w, compensated=compensated)
+                          include_w=include_w)
         parts += _fields(fs)
     return _hash(*parts)
 
 
 def _dfs_top(key):
-    b, n, leaves, compensated = DFS_TOP[key]
+    b, n, leaves = DFS_TOP[key]
     block = leaves if leaves is not None else sim._BLOCK_LEAVES
     parts = []
     with mock.patch.object(sim, "_BLOCK_LEAVES", block):
         for r in range(TOP_TREES):
             law = LAWS[TOP_LAWS[r % len(TOP_LAWS)]]
-            fs = dfs_evaluate(law, b, n, TreeStream(31, r),
-                              compensated=compensated)
+            fs = dfs_evaluate(law, b, n, TreeStream(31, r))
             parts += _fields(fs)
     return _hash(*parts)
 
@@ -176,8 +176,6 @@ for _b in (2, 3):
         CASES[f"batch-{_law}-b{_b}"] = lambda law=_law, b=_b: _batch(law, b)
         CASES[f"ratio4-{_law}-b{_b}"] = lambda law=_law, b=_b: _ratio4(law, b)
         CASES[f"dfs-{_law}-b{_b}"] = lambda law=_law, b=_b: _dfs(law, b)
-    CASES[f"ratio4-exact-gaussian-b{_b}"] = \
-        lambda b=_b: _ratio4("gaussian", b, exact=True)
 CASES["ratio4-slabs-gaussian-b2"] = _ratio4_slabs
 for _key in DFS_COMPENSATED:
     CASES[f"dfs-compensated-{_key}-w"] = \
@@ -200,8 +198,6 @@ DIGESTS = {
     "batch-rademacher-b3": "270981951793fa0df93a5377",
     "batch-uniform-b2": "ea4a3d4ce173258cf32bd643",
     "batch-uniform-b3": "bbfa7b4dbe9d1aecca5fc16a",
-    "dfs-compensated-b3-n6-w": "173feac2c025e17bce47243b",
-    "dfs-compensated-b3-n6-z": "ed8b8b56a40627afde212b9e",
     "dfs-compensated-n17-w": "b775cedfef3dc1086de31cd1",
     "dfs-compensated-n17-z": "3fe2fdc9c00290941776a298",
     "dfs-compensated-n6-w": "478c8149c86f1f681d552ad2",
@@ -218,7 +214,7 @@ DIGESTS = {
     "dfs-top-b2-n15": "0ba65667f8816a4d816efa0f",
     "dfs-top-b2-n9-block4": "15f500db7478ff25a0568fce",
     "dfs-top-b3-n10": "6f627b2c3505bfe7ce9c5a60",
-    "dfs-top-b3-n6-block4-compensated": "83b12089059d5f63c87576d3",
+    "dfs-top-b3-n6-block4": "80c79a593bae700545f23d50",
     "dfs-uniform-b3": "3be8c6468a2d5c2c95f695f7",
     "diagram-b3": "46f38d231bd0f5af8334c093",
     "diagram-estimates": "5057fbde978e0ca19ad0a414",
@@ -227,8 +223,6 @@ DIGESTS = {
     "diagram-uniform": "b32d6f96d5e9bf2fdfac0128",
     "ratio4-constant-b2": "145869cd3d319d75381d9026",
     "ratio4-constant-b3": "2f4a273cc86fc42180d576d0",
-    "ratio4-exact-gaussian-b2": "49d9da541ab217546ed186c4",
-    "ratio4-exact-gaussian-b3": "f1afc09cdbb79ac1b3cbf886",
     "ratio4-gaussian-b2": "495cd5cd41931683e1035ec2",
     "ratio4-gaussian-b3": "37be6dcfee151948dfa49c3c",
     "ratio4-gaussian0-b2": "a48dc79296efa5b1258caf79",

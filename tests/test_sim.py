@@ -19,11 +19,9 @@ from treepolymer import (
     LogNormalUniformPhase,
     RademacherPhase,
     TreeStream,
-    ZeroMeanEnvironment,
     brute_force_evaluate,
     closed_form_second_moment,
     dfs_evaluate,
-    normalize,
     one_step_identity_check,
     trace_depths,
 )
@@ -244,14 +242,6 @@ def test_thread_pool_reruns_are_bit_identical():
     assert serial == threaded
 
 
-def test_compensated_summation_changes_nothing_material():
-    law = GaussianIndep(0.8, 0.8)
-    plain = dfs_evaluate(law, 2, 10, TreeStream(2, 0), compensated=False)
-    comp = dfs_evaluate(law, 2, 10, TreeStream(2, 0), compensated=True)
-    assert rel_err(plain.z, comp.z) < 1e-10
-    assert rel_err(plain.w_cond, comp.w_cond) < 1e-10
-
-
 # ----------------------------------------------------------- second moment
 
 
@@ -296,27 +286,6 @@ def test_second_moment_examples_and_growth_labels():
 def test_second_moment_rejects_depth_zero():
     with pytest.raises(DomainError):
         closed_form_second_moment(GaussianIndep(0.5, 0.5), 2, 0)
-
-
-# ------------------------------------------------------------ normalization
-
-
-def test_normalize_martingale_and_l2_ratios():
-    law = DeterministicConstant(2j)
-    fs = dfs_evaluate(law, 2, 2, TreeStream(0, 0), include_w=False)
-    out = normalize(fs, law, 2)
-    assert out.m_norm == pytest.approx(1.0 + 0j, rel=REL)
-    assert out.x_norm == pytest.approx(1.0, rel=1e-10)
-
-
-def test_normalize_refuses_zero_mean_martingale_but_not_l2():
-    law = LogNormalUniformPhase(0.5, 1.0)
-    fs = dfs_evaluate(law, 2, 3, TreeStream(1, 0), include_w=False)
-    with pytest.raises(ZeroMeanEnvironment):
-        normalize(fs, law, 2)
-    out = normalize(fs, law, 2, want_m=False)
-    assert out.m_norm is None
-    assert out.x_norm is not None and out.x_norm >= 0.0
 
 
 # -------------------------------------------------------- one-step identity
@@ -389,3 +358,14 @@ def test_trace_skips_pair_functional_when_disabled():
     rows = trace_depths(GaussianIndep(0.5, 0.5), 2, 3, TreeStream(1, 0),
                         include_w=False)
     assert all(row["ln_w_over_2n"] is None for row in rows)
+
+
+def test_trace_refuses_overflow_but_keeps_exact_zeros():
+    with pytest.raises(DomainError, match="at depth 3: float64 overflow"):
+        trace_depths(GaussianIndep(600.0, 0.5), 2, 4, TreeStream(0, 0))
+    zero = CustomLaw(
+        polar=lambda raw: (np.zeros(raw.shape[0]), np.zeros(raw.shape[0])),
+        log_moments={0.0: 0.0, 2.0: 0.0}, mean=0j, independent=True,
+        damping=1.0)
+    for row in trace_depths(zero, 2, 2, TreeStream(0, 0)):
+        assert [row[k] for k in row if k != "n"] == [-math.inf] * 4
