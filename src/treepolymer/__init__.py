@@ -15,8 +15,8 @@ from .errors import (BudgetExceeded, ConfigError, CoupledLaw, DomainError,
                      NoBracket, NonIntegrable, TreePolymerError)
 from .mc import (ExperimentPlan, McEstimate, TauReport, VerifyReport,
                  batch_z_values, estimate_free_energy, estimate_w_free_energy,
-                 paley_zygmund_bound, ratio4, tau_moment_check, verify_mean,
-                 verify_second_moment)
+                 paley_zygmund_bound, ratio4, tau_moment_check,
+                 verify_moments)
 from .phase import (CriticalSet, PhaseReport, alpha_min, classify,
                     classify_indep_closed_form, critical_set, g_of_alpha,
                     l2_check, positive_weight_free_energy)
@@ -42,6 +42,5 @@ __all__ = [
     "estimate_free_energy", "estimate_w_free_energy", "g_of_alpha",
     "l2_check", "node_offset", "one_step_identity_check",
     "paley_zygmund_bound", "positive_weight_free_energy", "ratio4",
-    "spec_from_config", "tau_moment_check", "trace_depths", "verify_mean",
-    "verify_second_moment",
+    "spec_from_config", "tau_moment_check", "trace_depths", "verify_moments",
 ]

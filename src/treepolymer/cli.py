@@ -357,9 +357,7 @@ def cmd_simulate(cfg: dict) -> int:
         trace = sim.trace_depths(spec, b, n, TreeStream(seed, 0),
                                  node_budget=cfg["budget_nodes"],
                                  include_w=spec.independent)
-        rows = [[row["n"], row["ln_abs_z_over_n"], row["ln_z_abs_over_n"],
-                 row["ln_z_abs2_over_n"], row["ln_w_over_2n"]]
-                for row in trace]
+        rows = [[row[c] for c in TRACE_HEADER] for row in trace]
         csv_text = rows_to_csv(TRACE_HEADER, rows)
         if cfg.get("out"):
             _write(cfg["out"], csv_text)
@@ -406,8 +404,7 @@ def check_oracle(seed: int, budget: int, corrupt: bool) -> dict:
     from .rng import TreeStream
     worst = 0.0
     worst_at = ""
-    laws = [spec_from_config({"model": "gaussian", "beta": 0.8, "gamma": 0.8}),
-            spec_from_config({"model": "uniform", "beta": 0.5, "gamma": 0.5})]
+    laws = [GaussianIndep(0.8, 0.8), LogNormalUniformPhase(0.5, 0.5)]
     for b, n_max in ((2, 5), (3, 3)):
         for n in range(1, n_max + 1):
             for k in range(3):
@@ -432,18 +429,14 @@ def check_oracle(seed: int, budget: int, corrupt: bool) -> dict:
 
 
 def check_moments(seed: int, replicas: int) -> dict:
-    cases = [("gaussian_0.5_0.5",
-              spec_from_config({"model": "gaussian", "beta": 0.5,
-                                "gamma": 0.5})),
-             ("uniform_unit_modulus",
-              spec_from_config({"model": "uniform", "beta": 0.0,
-                                "gamma": 1.0}))]
+    cases = [("gaussian_0.5_0.5", GaussianIndep(0.5, 0.5)),
+             ("uniform_unit_modulus", LogNormalUniformPhase(0.0, 1.0))]
     results = []
     ok = True
     for label, spec in cases:
         plan = mc.ExperimentPlan(spec=spec, b=2, n=6, replicas=replicas,
                                  seed=seed)
-        for rep in (mc.verify_mean(plan), mc.verify_second_moment(plan)):
+        for rep in mc.verify_moments(plan):
             results.append({"case": label, **rep.to_dict()})
             ok = ok and rep.passed
     return {"name": "moments", "passed": ok, "results": results}
@@ -475,7 +468,7 @@ def pz_property_trials(seed: int, trials: int) -> dict:
 
 
 def check_ratio4(seed: int, budget: int) -> dict:
-    spec = spec_from_config({"model": "gaussian", "beta": 0.8, "gamma": 0.8})
+    spec = GaussianIndep(0.8, 0.8)
     est = mc.ratio4(spec, b=2, n=6, omega_replicas=5, phase_resamples=1200,
                     seed=seed, node_budget=budget)
     margins = [3.0 + 3.0 * se - r
@@ -487,7 +480,7 @@ def check_ratio4(seed: int, budget: int) -> dict:
 
 def check_onestep(seed: int, budget: int) -> dict:
     from .rng import TreeStream
-    spec = spec_from_config({"model": "gaussian", "beta": 0.5, "gamma": 0.5})
+    spec = GaussianIndep(0.5, 0.5)
     rep = sim.one_step_identity_check(spec, 2, 4, TreeStream(seed, 0),
                                       resamples=4000, node_budget=budget)
     worst = max(rep.mean_residual, rep.second_residual)
@@ -497,7 +490,7 @@ def check_onestep(seed: int, budget: int) -> dict:
 
 
 def check_tau(seed: int) -> dict:
-    spec = spec_from_config({"model": "gaussian", "beta": 1.0, "gamma": 0.5})
+    spec = GaussianIndep(1.0, 0.5)
     rep = mc.tau_moment_check(spec, tau=1.0, samples=50000, seed=seed)
     exact = math.exp(0.5)
     se = rep.estimate.std_error

@@ -5,14 +5,14 @@ phase arrays) and the analytic moment surface used by the phase module:
 
 * ``log_moment_abs(a)``  -- ln E|xi|^a
 * ``mean_xi``            -- m1 = E[xi]
-* ``second_abs``         -- E|xi|^2
 * ``lambda_r(x)``        -- ln E e^{x*omega} for the standardized log-radius
 * ``lambda_c(g)``        -- -ln|E e^{i*g*theta}| for the standardized phase
 * ``phase_damping``      -- q = |E e^{i*theta_model}| at the law's own scale
 
 Radius and phase draw from disjoint parts of one node's word block, so a
 frozen-radius phase resample only has to swap the stream feeding
-``phase_from_raw``.
+``phase_from_raw``.  The built-in random laws share one log-normal radius
+(``_LogNormalRadius``) and differ only in their phase.
 """
 
 from __future__ import annotations
@@ -42,11 +42,11 @@ def _real(name: str, value) -> float:
     return x
 
 
-def _lognormal_radius(beta: float, raw: np.ndarray) -> np.ndarray:
-    """e^{beta*z} for the first Box-Muller normal z of each word pair; the
-    second normal, unused, is not computed."""
-    rho, ang = _box_muller(raw[:, 0], raw[:, 1])
-    return np.exp(beta * (rho * np.cos(ang)))
+def _nonnegative(name: str, value) -> float:
+    x = _real(name, value)
+    if x < 0:
+        raise DomainError(f"{name} must be >= 0")
+    return x
 
 
 class EnvironmentSpec:
@@ -82,12 +82,6 @@ class EnvironmentSpec:
         unit.imag = np.sin(phi)
         return r, r * unit
 
-    def sample(self, stream, count: int | None = None):
-        """i.i.d. draws of xi from the stream's sequential region."""
-        raw = stream.seq_block(1 if count is None else count)
-        vals = self.radius_weight_from_raw(raw)[1]
-        return complex(vals[0]) if count is None else vals
-
     # -- moment surface ----------------------------------------------------
     def log_moment_abs(self, a: float) -> float:
         raise NotImplementedError
@@ -112,11 +106,8 @@ class EnvironmentSpec:
         m = abs(self.mean_xi())
         return -math.inf if m == 0.0 else math.log(m)
 
-    def second_abs(self) -> float:
-        return self.moment_abs(2.0)
-
     def sigma2(self) -> float:
-        return self.second_abs() - abs(self.mean_xi()) ** 2
+        return self.moment_abs(2.0) - abs(self.mean_xi()) ** 2
 
     def lambda_r(self, x: float) -> float:
         raise NotImplementedError
@@ -131,26 +122,35 @@ class EnvironmentSpec:
         lc = self.lambda_c(self.gamma_scale)
         return 0.0 if math.isinf(lc) else math.exp(-lc)
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
+
+class _LogNormalRadius(EnvironmentSpec):
+    """Radius e^{beta*omega} with standard normal omega, the first
+    Box-Muller normal of each word pair: ln E|xi|^a = (a*beta)^2 / 2.
+    Subclasses set ``beta`` and ``beta_scale`` and define the phase."""
+
+    def radius_from_raw(self, raw):
+        # the second normal of the pair, unused here, is not computed
+        rho, ang = _box_muller(raw[:, 0], raw[:, 1])
+        return np.exp(self.beta * (rho * np.cos(ang)))
+
+    def log_moment_abs(self, a):
+        return 0.5 * (a * self.beta) ** 2
+
+    def lambda_r(self, x):
+        return 0.5 * x * x
+
+    def lambda_r_prime(self, x):
+        return float(x)
 
 
-class GaussianIndep(EnvironmentSpec):
+class GaussianIndep(_LogNormalRadius):
     """omega, theta independent standard normals scaled by beta, gamma."""
 
     model = "gaussian"
 
     def __init__(self, beta: float, gamma: float):
-        beta, gamma = _real("beta", beta), _real("gamma", gamma)
-        if beta < 0 or gamma < 0:
-            raise DomainError("beta and gamma must be >= 0")
-        self.beta = beta
-        self.gamma = gamma
-        self.beta_scale = self.beta
-        self.gamma_scale = self.gamma
-
-    def radius_from_raw(self, raw):
-        return _lognormal_radius(self.beta, raw)
+        self.beta = self.beta_scale = _nonnegative("beta", beta)
+        self.gamma = self.gamma_scale = _nonnegative("gamma", gamma)
 
     def phase_from_raw(self, raw):
         rho, ang = _box_muller(raw[:, 0], raw[:, 1])
@@ -160,57 +160,37 @@ class GaussianIndep(EnvironmentSpec):
         z1, z2 = normal_pair(raw[:, 0], raw[:, 1])
         return np.exp(self.beta * z1), self.gamma * z2
 
-    def log_moment_abs(self, a):
-        return 0.5 * (a * self.beta) ** 2
-
     def mean_xi(self):
         return complex(math.exp(0.5 * self.beta**2 - 0.5 * self.gamma**2))
 
     def log_mean_abs(self):
         return 0.5 * self.beta**2 - 0.5 * self.gamma**2
 
-    def lambda_r(self, x):
-        return 0.5 * x * x
-
-    def lambda_r_prime(self, x):
-        return float(x)
-
     def lambda_c(self, g):
         return 0.5 * g * g
 
     def phase_damping(self):
+        # not the base's exp(-lambda_c): gamma**2 goes through libm pow,
+        # which differs from gamma*gamma in the last bit for some gamma
         return math.exp(-0.5 * self.gamma**2)
 
-    def to_config(self):
-        return {"model": self.model, "beta": self.beta, "gamma": self.gamma}
 
-
-class LogNormalUniformPhase(EnvironmentSpec):
-    """Radius e^{beta*omega} with standard normal omega; phase uniform on
-    [-gamma*pi, gamma*pi], gamma in [0, 1]."""
+class LogNormalUniformPhase(_LogNormalRadius):
+    """Log-normal radius; phase uniform on [-gamma*pi, gamma*pi], gamma in
+    [0, 1]."""
 
     model = "uniform"
 
     def __init__(self, beta: float, gamma: float):
-        beta, gamma = _real("beta", beta), _real("gamma", gamma)
-        if beta < 0:
-            raise DomainError("beta must be >= 0")
+        self.beta = self.beta_scale = _nonnegative("beta", beta)
+        gamma = _real("gamma", gamma)
         if not 0.0 <= gamma <= 1.0:
             raise DomainError("gamma must be in [0, 1]")
-        self.beta = beta
-        self.gamma = gamma
-        self.beta_scale = self.beta
-        self.gamma_scale = self.gamma
-
-    def radius_from_raw(self, raw):
-        return _lognormal_radius(self.beta, raw)
+        self.gamma = self.gamma_scale = gamma
 
     def phase_from_raw(self, raw):
         u = to_uniform(raw[:, 2])
         return self.gamma * math.pi * (2.0 * u - 1.0)
-
-    def log_moment_abs(self, a):
-        return 0.5 * (a * self.beta) ** 2
 
     def mean_xi(self):
         return complex(math.exp(0.5 * self.beta**2) * _sinc(self.gamma))
@@ -219,21 +199,12 @@ class LogNormalUniformPhase(EnvironmentSpec):
         s = abs(_sinc(self.gamma))
         return -math.inf if s == 0.0 else 0.5 * self.beta**2 + math.log(s)
 
-    def lambda_r(self, x):
-        return 0.5 * x * x
-
-    def lambda_r_prime(self, x):
-        return float(x)
-
     def lambda_c(self, g):
         s = abs(_sinc(g))
         return math.inf if s == 0.0 else -math.log(s)
 
     def phase_damping(self):
         return abs(_sinc(self.gamma))
-
-    def to_config(self):
-        return {"model": self.model, "beta": self.beta, "gamma": self.gamma}
 
 
 def _sinc(g: float) -> float:
@@ -246,34 +217,24 @@ def _sinc(g: float) -> float:
     return math.sin(math.pi * g) / (math.pi * g)
 
 
-class RademacherPhase(EnvironmentSpec):
+class RademacherPhase(_LogNormalRadius):
     """Two-point phase: e^{i*theta} = t + i*sqrt(1-t^2) or its conjugate,
-    each with probability 1/2, so |E e^{i*theta}| = t exactly.  Radius is
-    e^{beta*omega} with standard normal omega."""
+    each with probability 1/2, so |E e^{i*theta}| = t exactly; log-normal
+    radius."""
 
     model = "rademacher"
 
     def __init__(self, t: float, beta: float = 0.0):
-        t, beta = _real("t", t), _real("beta", beta)
+        t = _real("t", t)
         if not 0.0 <= t <= 1.0:
             raise DomainError("t must be in [0, 1]")
-        if beta < 0:
-            raise DomainError("beta must be >= 0")
         self.t = t
-        self.beta = beta
-        self.beta_scale = self.beta
-        self.gamma_scale = 1.0
-        self._theta = math.acos(self.t)
-
-    def radius_from_raw(self, raw):
-        return _lognormal_radius(self.beta, raw)
+        self.beta = self.beta_scale = _nonnegative("beta", beta)
+        self._theta = math.acos(t)
 
     def phase_from_raw(self, raw):
         u = to_uniform(raw[:, 2])
         return np.where(u < 0.5, self._theta, -self._theta)
-
-    def log_moment_abs(self, a):
-        return 0.5 * (a * self.beta) ** 2
 
     def mean_xi(self):
         return complex(math.exp(0.5 * self.beta**2) * self.t)
@@ -283,21 +244,12 @@ class RademacherPhase(EnvironmentSpec):
             return -math.inf
         return 0.5 * self.beta**2 + math.log(self.t)
 
-    def lambda_r(self, x):
-        return 0.5 * x * x
-
-    def lambda_r_prime(self, x):
-        return float(x)
-
     def lambda_c(self, g):
         c = abs(math.cos(g * self._theta))
         return math.inf if c == 0.0 else -math.log(c)
 
     def phase_damping(self):
         return self.t
-
-    def to_config(self):
-        return {"model": self.model, "t": self.t, "beta": self.beta}
 
 
 class DeterministicConstant(EnvironmentSpec):
@@ -314,8 +266,6 @@ class DeterministicConstant(EnvironmentSpec):
         if c == 0:
             raise DomainError("c must be nonzero")
         self.c = c
-        self.beta_scale = 1.0
-        self.gamma_scale = 1.0
 
     def radius_from_raw(self, raw):
         return np.full(raw.shape[0], abs(self.c))
@@ -341,12 +291,6 @@ class DeterministicConstant(EnvironmentSpec):
 
     def lambda_c(self, g):
         return 0.0
-
-    def phase_damping(self):
-        return 1.0
-
-    def to_config(self):
-        return {"model": self.model, "c": [self.c.real, self.c.imag]}
 
 
 class CustomLaw(EnvironmentSpec):
@@ -377,8 +321,6 @@ class CustomLaw(EnvironmentSpec):
         self.independent = bool(independent)
         self._damping = damping
         self._lambda_c_fn = lambda_c_fn
-        self.beta_scale = 1.0
-        self.gamma_scale = 1.0
         self.moment_alpha_max = float(self._alphas[-1])
 
     def polar_from_raw(self, raw):
@@ -420,30 +362,33 @@ class CustomLaw(EnvironmentSpec):
             raise CoupledLaw("law does not declare independent phase damping")
         return self._damping
 
-    def to_config(self):
-        raise DomainError("custom laws are not config-serializable")
-
 
 def spec_from_config(record: dict) -> EnvironmentSpec:
-    """Build a law from a tagged config record, e.g. {"model": "gaussian", ...}."""
+    """Build a law from a tagged config record, e.g. {"model": "gaussian", ...}.
+    A field the model does not take is refused, not ignored."""
     rec = dict(record)
     model = rec.pop("model", None)
     rec.pop("b", None)  # branching factor belongs to the run, tolerated here
     try:
         if model == "gaussian":
-            return GaussianIndep(beta=rec.pop("beta"), gamma=rec.pop("gamma"))
-        if model == "uniform":
-            return LogNormalUniformPhase(beta=rec.pop("beta"), gamma=rec.pop("gamma"))
-        if model == "rademacher":
-            return RademacherPhase(t=rec.pop("t"), beta=rec.pop("beta", 0.0))
-        if model == "constant":
+            law = GaussianIndep(beta=rec.pop("beta"), gamma=rec.pop("gamma"))
+        elif model == "uniform":
+            law = LogNormalUniformPhase(beta=rec.pop("beta"), gamma=rec.pop("gamma"))
+        elif model == "rademacher":
+            law = RademacherPhase(t=rec.pop("t"), beta=rec.pop("beta", 0.0))
+        elif model == "constant":
             c = rec.pop("c")
             if isinstance(c, (list, tuple)):
                 if len(c) != 2:
                     raise DomainError(f"c must be [re, im], got {c!r}")
                 c = complex(_real("c", c[0]), _real("c", c[1]))
-            return DeterministicConstant(c)
+            law = DeterministicConstant(c)
+        else:
+            raise DomainError(f"unknown model {model!r}")
     except KeyError as exc:
         raise DomainError(f"model {model!r} is missing field {exc}") from exc
-    raise DomainError(f"unknown model {model!r}")
+    if rec:
+        raise DomainError(f"model {model!r} does not take "
+                          f"{', '.join(map(str, rec))}")
+    return law
 

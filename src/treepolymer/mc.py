@@ -199,8 +199,10 @@ def _zscore(diff: float, se: float) -> float:
     return diff / se
 
 
-def verify_mean(plan: ExperimentPlan) -> VerifyReport:
-    """Empirical complex mean of Z_n against b^n m1^n, componentwise z-scores."""
+def verify_moments(plan: ExperimentPlan) -> tuple[VerifyReport, VerifyReport]:
+    """One batch of Z_n, checked twice: the complex mean against
+    b^n m1^n (componentwise z-scores) and the mean of |Z_n|^2 against the
+    closed form; each gate is a z-score of at most 5."""
     plan.check()
     zs = batch_z_values(plan.spec, plan.b, plan.n, plan.seed, plan.replicas)
     theo = (plan.b * plan.spec.mean_xi()) ** plan.n
@@ -210,24 +212,20 @@ def verify_mean(plan: ExperimentPlan) -> VerifyReport:
     se_im = float(np.std(zs.imag, ddof=1) / math.sqrt(r))
     z_re = _zscore(abs(emp.real - theo.real), se_re)
     z_im = _zscore(abs(emp.imag - theo.imag), se_im)
-    return VerifyReport(
+    mean = VerifyReport(
         name="mean", replicas=r, empirical=emp, theoretical=theo,
         z_scores=(z_re, z_im), std_errors=(se_re, se_im),
         passed=max(z_re, z_im) <= 5.0)
 
-
-def verify_second_moment(plan: ExperimentPlan) -> VerifyReport:
-    """Empirical mean of |Z_n|^2 against the closed form, z-score gate."""
-    plan.check()
-    zs = batch_z_values(plan.spec, plan.b, plan.n, plan.seed, plan.replicas)
     v = np.abs(zs) ** 2
-    theo = closed_form_second_moment(plan.spec, plan.b, plan.n).value
-    emp = float(v.mean())
-    se = float(np.std(v, ddof=1) / math.sqrt(plan.replicas))
-    z = _zscore(abs(emp - theo), se)
-    return VerifyReport(
-        name="second_moment", replicas=plan.replicas, empirical=emp,
-        theoretical=theo, z_scores=(z,), std_errors=(se,), passed=z <= 5.0)
+    theo2 = closed_form_second_moment(plan.spec, plan.b, plan.n).value
+    emp2 = float(v.mean())
+    se = float(np.std(v, ddof=1) / math.sqrt(r))
+    z = _zscore(abs(emp2 - theo2), se)
+    second = VerifyReport(
+        name="second_moment", replicas=r, empirical=emp2,
+        theoretical=theo2, z_scores=(z,), std_errors=(se,), passed=z <= 5.0)
+    return mean, second
 
 
 def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,

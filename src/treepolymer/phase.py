@@ -23,6 +23,7 @@ from .env import EnvironmentSpec
 from .errors import DomainError, NoBracket
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
+_CAP = 64.0  # search limit for a_min and for the critical beta and gamma
 
 
 @dataclass
@@ -91,12 +92,10 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-8) -> float:
     return 0.5 * (lo + hi)
 
 
-def alpha_min(spec: EnvironmentSpec, b: int, alpha_cap: float = 64.0) -> float:
-    """Unique minimizer of G on (0, alpha_cap], or +inf if G is still
-    strictly decreasing at the cap (slope test)."""
-    if alpha_cap < 2:
-        raise DomainError("alpha_cap must be >= 2")
-    cap = min(alpha_cap, spec.moment_alpha_max)
+def alpha_min(spec: EnvironmentSpec, b: int) -> float:
+    """Unique minimizer of G on (0, _CAP], or +inf if G is still strictly
+    decreasing at the cap (slope test)."""
+    cap = min(_CAP, spec.moment_alpha_max)
     h = 1e-6 * cap
     if g_of_alpha(spec, b, cap) < g_of_alpha(spec, b, cap - h):
         return math.inf
@@ -113,7 +112,7 @@ def _radius_part(spec: EnvironmentSpec, b: int) -> tuple[float, float, float, fl
     radius: a_min, and G at a_min (capped), at a_min clamped to [1, 2] and
     at 2."""
     amin = alpha_min(spec, b)
-    cap = min(64.0, spec.moment_alpha_max)
+    cap = min(_CAP, spec.moment_alpha_max)
     return (amin, g_of_alpha(spec, b, min(amin, cap)),
             g_of_alpha(spec, b, min(max(amin, 1.0), 2.0)),
             g_of_alpha(spec, b, 2.0))
@@ -207,8 +206,7 @@ def _first_bracket(f, lo: float, hi: float, steps: int) -> tuple[float, float]:
     raise NoBracket(f"no sign change in [{lo}, {hi}]")
 
 
-def critical_set(spec: EnvironmentSpec, b: int,
-                 beta_cap: float = 64.0, gamma_cap: float = 64.0) -> CriticalSet:
+def critical_set(spec: EnvironmentSpec, b: int) -> CriticalSet:
     """Solve the four critical-parameter equations by bracketing bisection.
 
     beta_c:  x L'(x) - L(x) = ln b           with L = lambda_r
@@ -219,7 +217,7 @@ def critical_set(spec: EnvironmentSpec, b: int,
     A parameter whose equation has no root below the cap is set to +inf.
     """
     lnb = math.log(b)
-    cap = min(beta_cap, 0.5 * spec.moment_alpha_max)
+    cap = min(_CAP, 0.5 * spec.moment_alpha_max)
 
     def legendre_gap(x):
         return x * spec.lambda_r_prime(x) - spec.lambda_r(x) - lnb
@@ -233,7 +231,7 @@ def critical_set(spec: EnvironmentSpec, b: int,
     def phase_gap(g):
         return 2.0 * spec.lambda_c(g) - lnb
 
-    gamma_c = _solve_or_inf(phase_gap, gamma_cap)
+    gamma_c = _solve_or_inf(phase_gap, _CAP)
 
     gamma_0 = math.inf
     g0_bracket = None
@@ -244,7 +242,7 @@ def critical_set(spec: EnvironmentSpec, b: int,
             return spec.lambda_c(g) - rhs
 
         try:
-            g_lo, g_hi = _first_bracket(mixed_gap, 0.0, gamma_cap, steps=4096)
+            g_lo, g_hi = _first_bracket(mixed_gap, 0.0, _CAP, steps=4096)
             gamma_0 = _bisect(mixed_gap, g_lo, g_hi, tol=1e-12)
             g0_bracket = (g_lo, g_hi)
         except NoBracket:
@@ -264,17 +262,14 @@ def _solve_or_inf(f, cap: float) -> float:
 
 
 def classify_indep_closed_form(beta: float, gamma: float, crit: CriticalSet,
-                               lam_r, lam_c, b: int, lam_r_prime=None,
+                               lam_r, lam_c, b: int, lam_r_prime,
                                eps_boundary: float = 1e-9) -> PhaseReport:
     """Region by the explicit independent-case inequalities.
 
-    Independent of `classify`: uses only lambda_r/lambda_c, their critical
-    parameters, and the model's (beta, gamma) coordinates.
+    Independent of `classify`: uses only lambda_r, its derivative
+    `lam_r_prime`, lambda_c, their critical parameters, and the model's
+    (beta, gamma) coordinates.
     """
-    if lam_r_prime is None:
-        def lam_r_prime(x, _h=1e-7):
-            return (lam_r(x + _h) - lam_r(x - _h)) / (2.0 * _h)
-
     lnb = math.log(b)
     lc = lam_c(gamma)
 

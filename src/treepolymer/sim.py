@@ -419,8 +419,8 @@ def trace_depths(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
             "ln_abs_z_over_n": fs.ln_abs_z / depth,
             "ln_z_abs_over_n": fs.ln_z_abs / depth,
             "ln_z_abs2_over_n": fs.ln_z_abs2 / depth,
-            "ln_w_over_2n": (fs.ln_w_cond / (2.0 * depth))
-                            if fs.ln_w_cond is not None else None,
+            "ln_w_cond_over_2n": (fs.ln_w_cond / (2.0 * depth))
+                                 if fs.ln_w_cond is not None else None,
         }
         for col, v in row.items():
             if v is not None and not v < math.inf:

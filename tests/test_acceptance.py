@@ -29,8 +29,7 @@ from treepolymer import (
     estimate_free_energy,
     estimate_w_free_energy,
     ratio4,
-    verify_mean,
-    verify_second_moment,
+    verify_moments,
 )
 from treepolymer.cli import (
     EXPERIMENT_HEADER,
@@ -101,7 +100,7 @@ def _criterion2_rows():
     reports = []
     for label, law in cases:
         plan = ExperimentPlan(spec=law, b=2, n=6, replicas=100_000, seed=1)
-        for rep in (verify_mean(plan), verify_second_moment(plan)):
+        for rep in verify_moments(plan):
             emp = complex(rep.empirical)
             theo = complex(rep.theoretical)
             rows.append([label, rep.name, rep.replicas, emp.real, emp.imag,

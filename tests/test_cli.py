@@ -447,6 +447,20 @@ def test_missing_law_parameters_exit_as_config_errors(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["phase-point", "--model", "constant", "--c", "1", "0", "--beta", "0.5",
+     "--gamma", "3"],
+    ["simulate", "--model", "rademacher", "--t", "0.5", "--gamma", "0.5",
+     "--n", "4", "--replicas", "2"],
+])
+def test_law_fields_the_model_does_not_take_exit_as_config_errors(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_CONFIG and out == ""
+    assert err.splitlines() == [
+        f"error: model {argv[2]!r} does not take "
+        + ("beta, gamma" if argv[2] == "constant" else "gamma")]
+
+
+@pytest.mark.parametrize("argv", [
     ["phase-point", "--beta", "nan", "--gamma", "0.5"],
     ["phase-point", "--beta", "inf", "--gamma", "0.5"],
     ["simulate", "--beta", "nan", "--gamma", "0.5", "--n", "4",

@@ -1,4 +1,4 @@
-"""Environment laws: moment surfaces, phase damping, sampling, config round-trips."""
+"""Environment laws: moment surfaces, phase damping, sampling, config records."""
 
 import math
 
@@ -25,6 +25,11 @@ REL = 1e-12
 
 def close(a, b, rel=REL):
     return math.isclose(a, b, rel_tol=rel, abs_tol=rel)
+
+
+def draws(law, stream, count):
+    """i.i.d. weights xi from the stream's sequential region."""
+    return law.radius_weight_from_raw(stream.seq_block(count))[1]
 
 
 # ---------------------------------------------------------------- gaussian
@@ -58,7 +63,7 @@ def test_gaussian_rejects_negative_parameters():
 
 def test_gaussian_sample_moments():
     law = GaussianIndep(0.6, 0.9)
-    vals = law.sample(TreeStream(13, 0), 200_000)
+    vals = draws(law, TreeStream(13, 0), 200_000)
     ln_r = np.log(np.abs(vals))
     count = ln_r.size
     assert abs(ln_r.mean()) < 5.0 * 0.6 / math.sqrt(count)
@@ -94,7 +99,7 @@ def test_uniform_rejects_gamma_outside_unit_interval():
 
 def test_uniform_phase_sample_stays_in_band():
     law = LogNormalUniformPhase(0.0, 0.25)
-    vals = law.sample(TreeStream(2, 0), 10_000)
+    vals = draws(law, TreeStream(2, 0), 10_000)
     phases = np.angle(vals)
     assert np.all(np.abs(phases) <= 0.25 * math.pi + 1e-12)
     assert np.abs(vals).max() == pytest.approx(1.0)
@@ -108,7 +113,7 @@ def test_rademacher_two_point_phase():
     assert close(law.phase_damping(), 0.3)
     assert close(abs(law.mean_xi()), math.exp(0.5 * 0.49) * 0.3)
     assert close(law.lambda_c(1.0), -math.log(0.3))
-    vals = law.sample(TreeStream(5, 0), 4_000)
+    vals = draws(law, TreeStream(5, 0), 4_000)
     phases = np.angle(vals)
     theta = math.acos(0.3)
     assert np.all(np.isclose(np.abs(phases), theta))
@@ -119,7 +124,7 @@ def test_rademacher_unit_t_is_phaseless():
     law = RademacherPhase(t=1.0, beta=0.4)
     assert law.phase_damping() == 1.0
     assert law.lambda_c(3.7) == 0.0
-    vals = law.sample(TreeStream(5, 0), 100)
+    vals = draws(law, TreeStream(5, 0), 100)
     assert np.allclose(np.angle(vals), 0.0)
 
 
@@ -140,7 +145,7 @@ def test_constant_law_is_deterministic():
     assert law.lambda_c(0.9) == 0.0
     assert law.phase_damping() == 1.0
     assert close(law.log_moment_abs(3.0), 3.0 * math.log(2.0))
-    vals = law.sample(TreeStream(1, 0), 8)
+    vals = draws(law, TreeStream(1, 0), 8)
     assert np.allclose(vals, 2j)
     with pytest.raises(DomainError):
         DeterministicConstant(0)
@@ -201,11 +206,16 @@ def test_independent_custom_law_exposes_declared_phase_data():
 def test_custom_law_needs_two_table_nodes_and_is_not_config_serializable():
     with pytest.raises(DomainError):
         _indep_custom(log_moments={1.0: 0.0})
-    with pytest.raises(DomainError):
-        _indep_custom().to_config()
+    with pytest.raises(DomainError, match="unknown model 'custom'"):
+        spec_from_config({"model": "custom", "log_moments": {0.0: 0.0}})
 
 
 # ------------------------------------------------------------------ config
+
+
+# The fields each model takes, as spec_from_config reads them.
+FIELDS = {"gaussian": ("beta", "gamma"), "uniform": ("beta", "gamma"),
+          "rademacher": ("t", "beta"), "constant": ("c",)}
 
 
 @pytest.mark.parametrize(
@@ -218,9 +228,14 @@ def test_custom_law_needs_two_table_nodes_and_is_not_config_serializable():
     ],
 )
 def test_config_round_trip_preserves_the_law(law):
-    rebuilt = spec_from_config(law.to_config())
+    record = {"model": law.model,
+              **{key: getattr(law, key) for key in FIELDS[law.model]}}
+    if law.model == "constant":
+        record["c"] = [law.c.real, law.c.imag]
+    rebuilt = spec_from_config(record)
     assert type(rebuilt) is type(law)
-    assert rebuilt.to_config() == law.to_config()
+    for key in FIELDS[law.model]:
+        assert getattr(rebuilt, key) == getattr(law, key)
     assert rebuilt.mean_xi() == law.mean_xi()
 
 
@@ -231,6 +246,19 @@ def test_spec_from_config_tolerates_branching_key_and_rejects_unknown_model():
         spec_from_config({"model": "weibull"})
     with pytest.raises(DomainError):
         spec_from_config({"model": "gaussian", "beta": 0.1})
+
+
+@pytest.mark.parametrize("record", [
+    {"model": "constant", "c": [1.0, 0.0], "beta": 0.5, "gamma": 3.0},
+    {"model": "gaussian", "beta": 0.5, "gamma": 0.5, "t": 0.3},
+    {"model": "uniform", "beta": 0.5, "gamma": 0.5, "c": [1.0, 0.0]},
+    {"model": "rademacher", "t": 0.5, "gamma": 0.5},
+])
+def test_spec_from_config_refuses_fields_the_model_does_not_take(record):
+    extra = [key for key in record
+             if key != "model" and key not in FIELDS[record["model"]]]
+    with pytest.raises(DomainError, match=f"does not take {', '.join(extra)}$"):
+        spec_from_config(record)
 
 
 @pytest.mark.parametrize("record", [

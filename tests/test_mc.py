@@ -25,8 +25,7 @@ from treepolymer import (
     paley_zygmund_bound,
     ratio4,
     tau_moment_check,
-    verify_mean,
-    verify_second_moment,
+    verify_moments,
 )
 from treepolymer.mc import _zscore
 from treepolymer.rng import to_uniform
@@ -149,24 +148,29 @@ def test_batch_values_budget_guard():
 
 
 def test_verify_mean_is_exact_for_constants():
-    report = verify_mean(_plan(DeterministicConstant(2j), n=2, replicas=32))
+    report, second = verify_moments(_plan(DeterministicConstant(2j), n=2,
+                                          replicas=32))
     assert report.empirical == report.theoretical == complex(-16.0)
     assert report.z_scores == (0.0, 0.0)
     assert report.passed
     payload = report.to_dict()
     assert payload["empirical"] == [-16.0, 0.0]
     assert payload["passed"] is True
+    assert (second.name, second.empirical) == ("second_moment", 256.0)
 
 
 def test_verify_mean_within_noise_for_random_laws():
-    report = verify_mean(_plan(GaussianIndep(0.5, 0.5), n=4, replicas=20_000))
+    report, _ = verify_moments(_plan(GaussianIndep(0.5, 0.5), n=4,
+                                     replicas=20_000))
+    assert report.name == "mean"
     assert report.passed
     assert max(report.z_scores) < 5.0
 
 
 def test_verify_second_moment_within_noise():
     for law in (GaussianIndep(0.5, 0.5), LogNormalUniformPhase(0.0, 1.0)):
-        report = verify_second_moment(_plan(law, n=4, replicas=20_000))
+        _, report = verify_moments(_plan(law, n=4, replicas=20_000))
+        assert report.name == "second_moment"
         assert report.passed, (law.model, report.z_scores)
 
 

@@ -67,11 +67,6 @@ def test_alpha_min_examples():
     assert alpha_min(_unit_modulus_custom(), 2) == math.inf
 
 
-def test_alpha_min_rejects_small_cap():
-    with pytest.raises(DomainError):
-        alpha_min(GaussianIndep(1.0, 1.0), 2, alpha_cap=1.5)
-
-
 @given(st.floats(0.2, 2.0))
 def test_alpha_min_scales_inversely_with_radius_strength(beta):
     assert alpha_min(GaussianIndep(beta, 0.5), 2) == pytest.approx(BETA_C / beta, abs=1e-6)
@@ -278,13 +273,6 @@ def test_closed_form_classifier_boundary_band(gaussian_tools):
     report = classify_indep_closed_form(crit.beta_c, 0.1, crit, lam_r, lam_c, 2,
                                         lam_r_prime=lam_r_prime)
     assert report.boundary_values is not None
-
-
-def test_closed_form_classifier_works_with_numeric_derivative(gaussian_tools):
-    crit, lam_r, lam_c, _ = gaussian_tools
-    report = classify_indep_closed_form(0.8, 0.8, crit, lam_r, lam_c, 2)
-    assert report.region == "R2b"
-    assert report.predicted_f == pytest.approx(0.8 * BETA_C, abs=1e-5)
 
 
 @given(st.floats(0.02, 2.0), st.floats(0.02, 2.0))

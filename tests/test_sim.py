@@ -25,6 +25,7 @@ from treepolymer import (
     one_step_identity_check,
     trace_depths,
 )
+from treepolymer.cli import TRACE_HEADER
 
 REL = 1e-12
 
@@ -247,7 +248,7 @@ def test_thread_pool_reruns_are_bit_identical():
 
 def _meet_sum_second_moment(law, b, n):
     """Independent route: sum over ordered leaf pairs by their meet depth."""
-    m2 = law.second_abs()
+    m2 = law.moment_abs(2.0)
     m1sq = abs(law.mean_xi()) ** 2
     total = (b**n) * m2**n  # diagonal pairs
     for m in range(n):
@@ -351,13 +352,18 @@ def test_trace_walks_every_prefix_depth():
     assert [row["n"] for row in rows] == [1, 2, 3, 4, 5]
     full = dfs_evaluate(law, 2, 5, TreeStream(1, 0))
     assert rows[-1]["ln_abs_z_over_n"] == pytest.approx(full.ln_abs_z / 5.0, rel=1e-12)
-    assert rows[-1]["ln_w_over_2n"] == pytest.approx(full.ln_w_cond / 10.0, rel=1e-12)
+    assert rows[-1]["ln_w_cond_over_2n"] == pytest.approx(full.ln_w_cond / 10.0, rel=1e-12)
+
+
+def test_trace_rows_carry_the_csv_columns():
+    rows = trace_depths(GaussianIndep(0.5, 0.5), 2, 2, TreeStream(1, 0))
+    assert all(list(row) == TRACE_HEADER for row in rows)
 
 
 def test_trace_skips_pair_functional_when_disabled():
     rows = trace_depths(GaussianIndep(0.5, 0.5), 2, 3, TreeStream(1, 0),
                         include_w=False)
-    assert all(row["ln_w_over_2n"] is None for row in rows)
+    assert all(row["ln_w_cond_over_2n"] is None for row in rows)
 
 
 def test_trace_refuses_overflow_but_keeps_exact_zeros():
