@@ -78,9 +78,10 @@ class EnvironmentSpec:
         """
         r, phi = self.polar_from_raw(raw)
         unit = np.empty(phi.shape, dtype=np.complex128)
-        unit.real = np.cos(phi)
-        unit.imag = np.sin(phi)
-        return r, r * unit
+        np.cos(phi, out=unit.real)
+        np.sin(phi, out=unit.imag)
+        unit *= r
+        return r, unit
 
     # -- moment surface ----------------------------------------------------
     def log_moment_abs(self, a: float) -> float:
@@ -131,7 +132,10 @@ class _LogNormalRadius(EnvironmentSpec):
     def radius_from_raw(self, raw):
         # the second normal of the pair, unused here, is not computed
         rho, ang = _box_muller(raw[:, 0], raw[:, 1])
-        return np.exp(self.beta * (rho * np.cos(ang)))
+        np.cos(ang, out=ang)
+        ang *= rho
+        ang *= self.beta
+        return np.exp(ang, out=ang)
 
     def log_moment_abs(self, a):
         return 0.5 * (a * self.beta) ** 2
@@ -154,11 +158,17 @@ class GaussianIndep(_LogNormalRadius):
 
     def phase_from_raw(self, raw):
         rho, ang = _box_muller(raw[:, 0], raw[:, 1])
-        return self.gamma * (rho * np.sin(ang))
+        np.sin(ang, out=ang)
+        ang *= rho
+        ang *= self.gamma
+        return ang
 
     def polar_from_raw(self, raw):
         z1, z2 = normal_pair(raw[:, 0], raw[:, 1])
-        return np.exp(self.beta * z1), self.gamma * z2
+        z1 *= self.beta
+        np.exp(z1, out=z1)
+        z2 *= self.gamma
+        return z1, z2
 
     def mean_xi(self):
         return complex(math.exp(0.5 * self.beta**2 - 0.5 * self.gamma**2))
@@ -190,7 +200,10 @@ class LogNormalUniformPhase(_LogNormalRadius):
 
     def phase_from_raw(self, raw):
         u = to_uniform(raw[:, 2])
-        return self.gamma * math.pi * (2.0 * u - 1.0)
+        u *= 2.0
+        u -= 1.0
+        u *= self.gamma * math.pi
+        return u
 
     def mean_xi(self):
         return complex(math.exp(0.5 * self.beta**2) * _sinc(self.gamma))

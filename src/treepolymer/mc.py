@@ -19,17 +19,16 @@ import numpy as np
 from .env import EnvironmentSpec
 from .errors import BudgetExceeded, CoupledLaw, DomainError
 from .rng import BatchStream, TreeStream, node_offset
-from .sim import (DEFAULT_NODE_BUDGET, closed_form_second_moment,
-                  dfs_evaluate)
+from .sim import (_SLAB_DRAWS, DEFAULT_NODE_BUDGET, _group_sum,
+                  closed_form_second_moment, dfs_evaluate)
 
 # Phase-resample streams live in a replica range far above any omega index.
 _PHASE_REPLICA_BASE = 1 << 32
 
-# Memory bounds of the small-tree batches: complex values per (trees x leaves)
-# pass, and node draws per call of a law's transform (never less than one
-# phase resample's tree, or one node across the pass).
+# Memory bound of the small-tree batches: complex values per (trees x leaves)
+# pass.  Their transform calls take sim._SLAB_DRAWS node draws (never less
+# than one phase resample's tree, or one node across the pass).
 _PASS_VALUES = 1 << 19
-_SLAB_DRAWS = 1 << 16
 
 
 @dataclass
@@ -145,7 +144,9 @@ def estimate_w_free_energy(plan: ExperimentPlan) -> McEstimate:
 
 def batch_z_values(spec: EnvironmentSpec, b: int, n: int, seed: int,
                    replicas: int) -> np.ndarray:
-    """Z_n for many replicas of a small tree, vectorized across replicas."""
+    """Z_n for many replicas of a small tree, vectorized across replicas.
+    Arrays are node-major, (nodes, replicas), the order of the batch
+    stream's words."""
     if b**n > (1 << 18):
         raise BudgetExceeded("batch evaluation limited to b^n <= 2^18")
     bs = BatchStream(seed)
@@ -154,18 +155,19 @@ def batch_z_values(spec: EnvironmentSpec, b: int, n: int, seed: int,
     for r0 in range(0, replicas, chunk):
         cnt = min(chunk, replicas - r0)
         per = max(1, _SLAB_DRAWS // cnt)       # nodes per transform call
-        v = np.ones((cnt, b**n), dtype=np.complex128)
+        v = np.ones((1, cnt), dtype=np.complex128)  # 1 at each leaf
         for g in range(n, 0, -1):
             width = b**g
-            xi = np.empty((cnt, width), dtype=np.complex128)
+            xi = np.empty((width, cnt), dtype=np.complex128)
             for i0 in range(0, width, per):
                 k = min(per, width - i0)
                 raw = np.concatenate([bs.node_block(b, g, i, r0, cnt)
                                       for i in range(i0, i0 + k)])
-                xi[:, i0:i0 + k] = \
-                    spec.radius_weight_from_raw(raw)[1].reshape(k, cnt).T
-            v = (xi * v).reshape(cnt, width // b, b).sum(axis=2)
-        out[r0:r0 + cnt] = v[:, 0]
+                xi[i0:i0 + k] = \
+                    spec.radius_weight_from_raw(raw)[1].reshape(k, cnt)
+            xi *= v
+            v = _group_sum(xi, b)
+        out[r0:r0 + cnt] = v[0]
     return out
 
 
@@ -193,9 +195,11 @@ class VerifyReport:
         }
 
 
-def _zscore(diff: float, se: float) -> float:
+def _zscore(diff: float, se: float, theo: float) -> float:
+    """diff / se; with no spread (se = 0) a gap of at most 1e-12 * |theo|,
+    the roundoff of a closed form, is 0 and any larger gap inf."""
     if se == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
+        return 0.0 if diff <= 1e-12 * abs(theo) else math.inf
     return diff / se
 
 
@@ -210,8 +214,8 @@ def verify_moments(plan: ExperimentPlan) -> tuple[VerifyReport, VerifyReport]:
     r = plan.replicas
     se_re = float(np.std(zs.real, ddof=1) / math.sqrt(r))
     se_im = float(np.std(zs.imag, ddof=1) / math.sqrt(r))
-    z_re = _zscore(abs(emp.real - theo.real), se_re)
-    z_im = _zscore(abs(emp.imag - theo.imag), se_im)
+    z_re = _zscore(abs(emp.real - theo.real), se_re, theo)
+    z_im = _zscore(abs(emp.imag - theo.imag), se_im, theo)
     mean = VerifyReport(
         name="mean", replicas=r, empirical=emp, theoretical=theo,
         z_scores=(z_re, z_im), std_errors=(se_re, se_im),
@@ -221,7 +225,7 @@ def verify_moments(plan: ExperimentPlan) -> tuple[VerifyReport, VerifyReport]:
     theo2 = closed_form_second_moment(plan.spec, plan.b, plan.n).value
     emp2 = float(v.mean())
     se = float(np.std(v, ddof=1) / math.sqrt(r))
-    z = _zscore(abs(emp2 - theo2), se)
+    z = _zscore(abs(emp2 - theo2), se, theo2)
     second = VerifyReport(
         name="second_moment", replicas=r, empirical=emp2,
         theoretical=theo2, z_scores=(z,), std_errors=(se,), passed=z <= 5.0)
@@ -266,12 +270,13 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
                     [TreeStream(seed, first + j).node_block(b, 1, 0, nodes)
                      for j in range(k)])
                 phi[s0:s0 + k] = spec.phase_from_raw(raw).reshape(k, nodes)
-            v = np.ones((cnt, leaves), dtype=np.complex128)
+            v = np.ones((cnt, 1), dtype=np.complex128)  # 1 at each leaf
             for g in range(n, 0, -1):
                 lo, width = node_offset(b, g) - 1, b**g
-                xi = radii[None, lo:lo + width] \
-                    * np.exp(1j * phi[:, lo:lo + width])
-                v = (xi * v).reshape(cnt, width // b, b).sum(axis=2)
+                xi = np.exp(1j * phi[:, lo:lo + width])
+                xi *= radii[lo:lo + width]
+                xi *= v
+                v = _group_sum(xi.T, b).T
             zabs2 = np.abs(v[:, 0]) ** 2
             z2[j0:j0 + cnt] = zabs2
             z4[j0:j0 + cnt] = zabs2 * zabs2

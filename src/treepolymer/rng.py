@@ -99,17 +99,30 @@ class BatchStream:
 
 def to_uniform(raw: np.ndarray) -> np.ndarray:
     """Map uint64 words to uniforms in [0, 1) with 53-bit resolution."""
-    return (raw >> np.uint64(11)).astype(np.float64) * _U53
+    u = (raw >> np.uint64(11)).astype(np.float64)
+    u *= _U53
+    return u
 
 
 def _box_muller(raw0: np.ndarray, raw1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Box-Muller radius and angle per word pair: the two standard normals
-    are rho * cos(angle) and rho * sin(angle)."""
-    rho = np.sqrt(-2.0 * np.log1p(-to_uniform(raw0)))
-    return rho, (2.0 * np.pi) * to_uniform(raw1)
+    are rho * cos(angle) and rho * sin(angle).  Both arrays are fresh, so
+    callers may transform them in place."""
+    rho = to_uniform(raw0)
+    np.negative(rho, out=rho)
+    np.log1p(rho, out=rho)
+    rho *= -2.0
+    np.sqrt(rho, out=rho)
+    ang = to_uniform(raw1)
+    ang *= 2.0 * np.pi
+    return rho, ang
 
 
 def normal_pair(raw0: np.ndarray, raw1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two standard normals per word pair via Box-Muller."""
     rho, ang = _box_muller(raw0, raw1)
-    return rho * np.cos(ang), rho * np.sin(ang)
+    z1 = np.cos(ang)
+    z1 *= rho
+    np.sin(ang, out=ang)
+    ang *= rho
+    return z1, ang

@@ -15,25 +15,24 @@ The pair term uses the squared-sum identity to stay O(b) per node; the
 dropped cross terms are exactly the x = x' diagonal, and W dominates that
 diagonal, so the subtraction loses no relative accuracy.
 
-Every quantity is carried as (mantissa, base-2 exponent) with exact
-power-of-two rescaling, one exponent per field and generation, so depth
-alone cannot overflow.  One level sweep, ``_sweep``, applies the
-recursions a generation at a time, summing siblings with numpy's plain
-row sum: first over each of the b^k bottom subtrees of at most
-``_BLOCK_LEAVES`` leaves, in index order, then once over the top k
-generations, from the block roots aligned on each field's largest
-exponent.  Memory is O(b^d + b^k) for blocks of depth d and k = n - d.
+Every quantity, and each generation's radii, is carried as (mantissa,
+base-2 exponent) with exact power-of-two rescaling, one exponent per field
+and generation, so neither depth nor squared radii overflow.  One level
+sweep, ``_sweep``, applies the recursions a generation at a time, summing
+siblings left to right with strided adds (``_group_sum``, shared with the
+batch paths in ``mc``; at b <= 3 its bits are numpy's row sum's, except
+that negative zeros sum to -0.0, not +0.0): first over each of the b^k
+bottom subtrees of at most ``_BLOCK_LEAVES`` leaves, in index order, then
+once over the top k generations, from the block roots aligned on each
+field's largest exponent.  Memory is O(b^d + b^k) for blocks of depth d
+and k = n - d.
 
 The top sweep forms xi * Z from real parts, (xr zr - xi zi, xr zi + xi zr),
 and scales Z by the larger of |Re Z| and |Im Z|; the bottom blocks use
-numpy's complex array product and scale Z by its modulus.  The digests in
-``tests/test_digests.py`` pin both choices: ln|Z_n| depends in its last
-bit on how the root value is split into mantissa and exponent, and numpy's
-complex array product uses fused multiply-adds where the CPU has them, so
-its bits differ from the plain form's.  For the same reason Z, and those
-digests, can differ in the last bits between machines whose numpy
-dispatches to different loops; the radius fields (Z(|xi|), Z(|xi|^2), T
-and W) take no complex product.
+numpy's complex array product, which takes fused multiply-adds where the
+CPU has them, and scale Z by its modulus.  ``tests/test_digests.py`` pins
+both choices, and Z's last bits can differ between machines whose numpy
+dispatches to different loops; the radius fields take no complex product.
 
 ``brute_force_evaluate`` is the independent oracle: literal path
 enumeration, with W summed over ordered path pairs damped by
@@ -54,8 +53,10 @@ from .errors import BudgetExceeded, CoupledLaw, DomainError
 from .rng import TreeStream
 
 DEFAULT_NODE_BUDGET = 1 << 24
+_SLAB_DRAWS = 1 << 16     # node draws per transform call in the batch paths
 _BLOCK_LEAVES = 1 << 14
 _LN2 = math.log(2.0)
+_R_TOP = 480    # a sweep scales each generation's radii to below 2^_R_TOP
 
 
 @dataclass
@@ -63,11 +64,10 @@ class FunctionalSet:
     """Root values of the path functionals on one sampled tree.
 
     Plain fields overflow to inf for extreme parameters.  The ln_* fields
-    are -inf where the value is 0 and None where it is absent.  ln|Z_n| and
-    ln Z_n(|xi|) are finite while every radius |xi| is, but Z_n(|xi|^2),
-    T_n and W_n are formed from |xi|^2 in plain float64, so their logs
-    become inf or nan once some ln|xi| exceeds about 354.  arg_z is the
-    angle of Z_n, well defined even when |Z_n| overflows.
+    are -inf where the value is 0 and None where it is absent; they do not
+    overflow while every radius |xi| is finite, W_n's and Z_n(|xi|^2)'s
+    included (see _R_TOP).  arg_z is the angle of Z_n, well defined even
+    when |Z_n| overflows.
     """
 
     n: int
@@ -86,17 +86,17 @@ class FunctionalSet:
 
 def _ldexp(x: np.ndarray, k: int) -> np.ndarray:
     """x * 2**k exactly, part by part for complex x."""
-    if x.dtype.kind != "c":
-        return np.ldexp(x, k)
     return np.ldexp(x.view(np.float64), k).view(x.dtype)
 
 
-def _renorm(x: np.ndarray, e: int, size: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rescale x by the power of two that brings max(size) into [0.5, 1)."""
+def _renorm(x: np.ndarray, e: int, size: np.ndarray,
+            top: int = 0) -> tuple[np.ndarray, int]:
+    """Rescale x by the power of two that brings max(size) into
+    [2^(top-1), 2^top)."""
     mx = float(np.max(size))
     if mx <= 0.0 or not math.isfinite(mx):
         return x, e
-    k = math.frexp(mx)[1]
+    k = math.frexp(mx)[1] - top
     if k == 0:
         return x, e
     return _ldexp(x, -k), e + k
@@ -114,8 +114,12 @@ def _ln_scaled(m: float, e: int) -> float:
 
 
 def _group_sum(x: np.ndarray, b: int) -> np.ndarray:
-    """Sum consecutive groups of b elements."""
-    return x.reshape(-1, b).sum(axis=1)
+    """Sum consecutive groups of b entries along axis 0, left to right:
+    x[0::b] + x[1::b] + ... + x[b-1::b]."""
+    s = x[0::b] + x[1::b]
+    for j in range(2, b):
+        s += x[j::b]
+    return s
 
 
 def _check_budget(b: int, n: int, node_budget: int) -> None:
@@ -146,7 +150,8 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
     nodes and e their exponents.  With top=True, xi * Z is formed from real
     parts and Z is scaled by its larger part (see the module docstring).
     m is emptied, so the widest arrays are freed after the first level.
-    Overflow stays in the values (see FunctionalSet), unwarned by numpy."""
+    The largest radius goes to [2^479, 2^480), so b-fold sums of squares
+    stay finite; an infinite radius's overflow stays, unwarned by numpy."""
     z, za, a2, t, w = m
     m.clear()
     ez, ea, ea2, et, ew = e
@@ -154,6 +159,8 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
         count = b**j
         raw = stream.node_block(b, g0 + j, i0 * count, count)
         r, xi = spec.radius_weight_from_raw(raw)
+        r, k = _renorm(r, 0, r, _R_TOP)
+        ea, ea2, et, ew = ea + k, ea2 + 2 * k, et + k, ew + 2 * k
         r2 = r * r
         if top:
             xz = np.empty_like(z)
@@ -211,12 +218,7 @@ def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
                              for root_m, root_e in roots]) for f in range(5)]
         m, e = _sweep(spec, b, stream, 0, 0, k, m, e, q, include_w,
                       _corrupt_w_pair, top=True)
-    return _finish([complex(m[0][0])] + [float(v[0]) for v in m[1:]], e, n,
-                   include_w)
-
-
-def _finish(m: list, e: list, n: int, include_w: bool) -> FunctionalSet:
-    z, za, a2, t, w = m
+    z, za, a2, t, w = [complex(m[0][0])] + [float(v[0]) for v in m[1:]]
     ez, ea, ea2, et, ew = e
     return FunctionalSet(
         n=n,
@@ -239,8 +241,8 @@ def brute_force_evaluate(spec: EnvironmentSpec, b: int, n: int,
                          include_w: bool = True) -> FunctionalSet:
     """Literal path/pair enumeration oracle; shares no combine code with
     dfs_evaluate."""
-    if n > 8 or b > 3:
-        raise BudgetExceeded("brute force limited to n <= 8, b <= 3")
+    if n > 8 or b**n > 3**8:
+        raise BudgetExceeded("brute force limited to n <= 8, b^n <= 3^8")
     if n < 0 or b < 2:
         raise DomainError("need n >= 0 and b >= 2")
     if include_w and not spec.independent:
@@ -253,9 +255,8 @@ def brute_force_evaluate(spec: EnvironmentSpec, b: int, n: int,
     for g in range(1, n + 1):
         raw = stream.node_block(b, g, 0, b**g)
         r, xi = spec.radius_weight_from_raw(raw)
-        rep = b ** (n - g)
-        path_c = path_c * np.repeat(xi, rep)
-        path_r = path_r * np.repeat(r, rep)
+        path_c = path_c * np.repeat(xi, b ** (n - g))
+        path_r = path_r * np.repeat(r, b ** (n - g))
 
     z = complex(path_c.sum())
     za = float(path_r.sum())
@@ -338,11 +339,9 @@ def _ln_geom_sum(ln_x: float, n: int) -> float:
 
 
 def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
     hi, lo = (a, b) if a >= b else (b, a)
+    if lo == -math.inf:
+        return hi
     return hi + math.log1p(math.exp(lo - hi))
 
 
@@ -374,31 +373,32 @@ def one_step_identity_check(spec: EnvironmentSpec, b: int, n: int,
         _, xi = spec.radius_weight_from_raw(raw)
         path_c = path_c * np.repeat(xi, b ** (n - g))
     z_n = complex(path_c.sum())
-    fs = dfs_evaluate(spec, b, n, stream, node_budget=node_budget,
-                      include_w=False)
-    za2 = fs.z_abs2
+    za2 = dfs_evaluate(spec, b, n, stream, node_budget=node_budget,
+                       include_w=False).z_abs2
 
+    width = leaves * b
+    per = max(1, _SLAB_DRAWS // width)   # resamples per transform call
     z_next = np.empty(resamples, dtype=np.complex128)
-    for rix in range(resamples):
-        sub = TreeStream(stream.seed, stream.replica + 1 + rix)
-        raw = sub.node_block(b, n + 1, 0, b ** (n + 1))
-        _, xi = spec.radius_weight_from_raw(raw)
-        z_next[rix] = path_c @ xi.reshape(leaves, b).sum(axis=1)
+    for s0 in range(0, resamples, per):
+        subs = range(s0, min(s0 + per, resamples))
+        raw = np.concatenate([TreeStream(stream.seed, stream.replica + 1 + j)
+                              .node_block(b, n + 1, 0, width) for j in subs])
+        xi = spec.radius_weight_from_raw(raw)[1].reshape(len(subs), width)
+        # one dot per resample: a matrix-vector product rounds differently
+        z_next[subs] = [path_c @ s for s in _group_sum(xi.T, b).T]
 
     m1 = spec.mean_xi()
     sigma2 = max(spec.sigma2(), 0.0)
     target1 = b * m1 * z_n
     mean1 = complex(z_next.mean())
     se1 = math.sqrt((np.var(z_next.real) + np.var(z_next.imag)) / resamples)
-    diff1 = abs(mean1 - target1)
-    resid1 = diff1 if se1 == 0.0 else diff1 / se1
+    resid1 = abs(mean1 - target1) / (se1 or 1.0)
 
     v = np.abs(z_next) ** 2
     target2 = b * b * abs(m1) ** 2 * abs(z_n) ** 2 + b * sigma2 * za2
     mean2 = float(v.mean())
     se2 = float(np.std(v) / math.sqrt(resamples))
-    diff2 = abs(mean2 - target2)
-    resid2 = diff2 if se2 == 0.0 else diff2 / se2
+    resid2 = abs(mean2 - target2) / (se2 or 1.0)
 
     return OneStepReport(resamples, resid1, resid2, se1, se2)
 

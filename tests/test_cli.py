@@ -342,13 +342,26 @@ def test_simulate_subnormal_constant_runs(capsys):
 def test_simulate_refuses_an_overflowed_functional(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run(["simulate", "--beta", "120", "--gamma", "0.5",
+        code, out, err = run(["simulate", "--beta", "250", "--gamma", "0.5",
                               "--n", "8", "--replicas", "4", "--only",
                               "w_free_energy"], capsys)
     assert code == EXIT_CONFIG and out == ""
     assert caught == []
     assert len(err.splitlines()) == 1
     assert err.startswith("error: w_free_energy is nan")
+
+
+def test_simulate_carries_w_past_a_squared_radius_overflow(capsys):
+    # |c|^2 = 1e600 overflows float64; q = 1 and W = |Z|^2 for a constant
+    code, out, _ = run(["simulate", "--model", "constant", "--c", "1e300",
+                        "0", "--n", "6", "--replicas", "2", "--only", "both"],
+                       capsys)
+    assert code == EXIT_OK
+    results = strict_loads(out)["results"]
+    want = LN2 + math.log(1e300)
+    assert results["free_energy"]["mean"] == pytest.approx(want, rel=1e-12)
+    assert results["w_free_energy"]["mean"] == \
+        pytest.approx(results["free_energy"]["mean"], rel=1e-12)
 
 
 def test_simulate_trace_refuses_an_overflowed_radius(tmp_path, capsys):

@@ -1,17 +1,22 @@
 """Bit-identity guard: SHA-256 digests of the draw paths and the diagram.
 
 Each case hashes the exact bytes of an output of ``batch_z_values``,
-``ratio4`` (per-tree ratios and their jackknife SEs) or ``dfs_evaluate``
-over b in {2, 3} and the four built-in laws, of ``dfs_evaluate`` at b = 2
-where it used to compensate its sums or on trees deeper than its bottom
-blocks, or of the CSV, pixmap, stdout and stderr of one ``diagram``
-run.  The draw-path digests were recorded before the draw
-paths were rewritten to draw and transform whole counter ranges, the
-``dfs-compensated`` and diagram digests before the diagram was classified
-by column, the ``dfs-top`` digests before the per-node combine above the
-bottom blocks became a level sweep, and ``dfs-top-b3-n6-block4`` before
-compensated sums were removed, so a change to these functions that moves
-any output by one bit fails here.  To list the current digests, run
+``ratio4`` (per-tree ratios and their jackknife SEs), ``dfs_evaluate`` or
+``one_step_identity_check`` (its residuals and SEs) over b in {2, 3} and
+the four built-in laws, of ``dfs_evaluate`` at b = 2 where it used to
+compensate its sums or on trees deeper than its bottom blocks, or of the
+CSV, pixmap, stdout and stderr of one ``diagram`` run.  The draw-path
+digests were recorded before the draw paths were rewritten to draw and
+transform whole counter ranges, the ``dfs-compensated`` and diagram
+digests before the diagram was classified by column, the ``dfs-top``
+digests before the per-node combine above the bottom blocks became a level
+sweep, ``dfs-top-b3-n6-block4`` before compensated sums were removed, and
+the ``onestep`` digests before sibling sums became left-to-right strided
+adds (numpy's row sum before; at b <= 3, the branching factors of every
+case here, the two differ only in the sign of a sum of negative zeros),
+``batch_z_values`` went node-major and the one-step resamples were drawn
+in slabs.  A change to these functions that moves any output by one bit
+fails here.  To list the current digests, run
 ``PYTHONPATH=src python tests/test_digests.py``.
 Z from ``dfs_evaluate`` takes numpy's complex array product, which uses
 fused multiply-adds where the CPU has them (see ``treepolymer.sim``), so
@@ -56,6 +61,8 @@ LAWS = {
 BATCH_SIZES = {2: (10, 1100), 3: (6, 1100)}
 # (b, n, omega replicas, phase resamples)
 RATIO4_SIZES = {2: (5, 2, 1000), 3: (3, 2, 1000)}
+# (b, n, resamples): four transform slabs of resamples, the last one partial
+ONESTEP_SIZES = {2: (10, 100), 3: (6, 100)}
 # n = 15 at b = 2 goes past the vectorized bottom blocks
 DFS_DEPTHS = {2: (6, 15), 3: (5,)}
 # (b, n): recorded when sums were Neumaier-compensated, by default above
@@ -112,6 +119,14 @@ def _ratio4_slabs():
     # 2046 nodes x 1500 resamples: more draws than one transform slab
     est = ratio4(LAWS["gaussian"], 2, 10, 1, 1500, seed=8)
     return _hash(*est.values, *est.value_ses)
+
+
+def _onestep(law, b):
+    n, m = ONESTEP_SIZES[b]
+    rep = sim.one_step_identity_check(LAWS[law], b, n, TreeStream(13, 0),
+                                      resamples=m)
+    return _hash(rep.mean_residual, rep.second_residual, rep.mean_se,
+                 rep.second_se)
 
 
 def _fields(fs):
@@ -176,6 +191,8 @@ for _b in (2, 3):
         CASES[f"batch-{_law}-b{_b}"] = lambda law=_law, b=_b: _batch(law, b)
         CASES[f"ratio4-{_law}-b{_b}"] = lambda law=_law, b=_b: _ratio4(law, b)
         CASES[f"dfs-{_law}-b{_b}"] = lambda law=_law, b=_b: _dfs(law, b)
+        CASES[f"onestep-{_law}-b{_b}"] = \
+            lambda law=_law, b=_b: _onestep(law, b)
 CASES["ratio4-slabs-gaussian-b2"] = _ratio4_slabs
 for _key in DFS_COMPENSATED:
     CASES[f"dfs-compensated-{_key}-w"] = \
@@ -221,6 +238,16 @@ DIGESTS = {
     "diagram-gaussian": "6dcbb41714cc5014e3ac6ab7",
     "diagram-slice": "e23676fe1a8d52f2bdea3e95",
     "diagram-uniform": "b32d6f96d5e9bf2fdfac0128",
+    "onestep-constant-b2": "aa4bcb120789cd72d80e0414",
+    "onestep-constant-b3": "c6c52fd0d3307611f645068d",
+    "onestep-gaussian-b2": "426744b669d1e75e5225b197",
+    "onestep-gaussian-b3": "0d01d0876eaef10f7bf0fd59",
+    "onestep-gaussian0-b2": "1dec4342e16f097b8694455c",
+    "onestep-gaussian0-b3": "bbd93ab1320e531955d4c35b",
+    "onestep-rademacher-b2": "a808e6ee581c4e614d70c721",
+    "onestep-rademacher-b3": "0ff77f7ce5f30e348f9af463",
+    "onestep-uniform-b2": "ee8c9c56386e826d2dd2ac17",
+    "onestep-uniform-b3": "8282e8289324d8517d69d15a",
     "ratio4-constant-b2": "145869cd3d319d75381d9026",
     "ratio4-constant-b3": "2f4a273cc86fc42180d576d0",
     "ratio4-gaussian-b2": "495cd5cd41931683e1035ec2",

@@ -27,6 +27,7 @@ from treepolymer import (
     tau_moment_check,
     verify_moments,
 )
+from treepolymer import mc
 from treepolymer.mc import _zscore
 from treepolymer.rng import to_uniform
 
@@ -82,13 +83,14 @@ def test_estimators_validate_their_inputs():
 
 
 def test_overflowed_replicas_are_refused_not_averaged():
-    # at beta = 120, |xi|^2 overflows float64 while ln|Z| stays finite
-    law = GaussianIndep(120.0, 0.5)
+    assert math.isfinite(estimate_free_energy(
+        _plan(GaussianIndep(120.0, 0.5), n=8, replicas=4)).mean)
+    # at beta = 250 a radius itself overflows float64, and Z and W with it
+    law = GaussianIndep(250.0, 0.5)
     with pytest.raises(DomainError, match="^w_free_energy is nan"):
         estimate_w_free_energy(_plan(law, n=8, replicas=4))
-    assert math.isfinite(estimate_free_energy(_plan(law, n=8, replicas=4)).mean)
     with pytest.raises(DomainError, match="^free_energy is nan"):
-        estimate_free_energy(_plan(GaussianIndep(250.0, 0.5), n=8, replicas=4))
+        estimate_free_energy(_plan(law, n=8, replicas=4))
 
 
 def test_zero_partition_replicas_are_excluded_not_averaged():
@@ -175,9 +177,40 @@ def test_verify_second_moment_within_noise():
 
 
 def test_zscore_edge_cases():
-    assert _zscore(0.0, 0.0) == 0.0
-    assert _zscore(1e-9, 0.0) == math.inf
-    assert _zscore(1.0, 0.5) == 2.0
+    assert _zscore(0.0, 0.0, 1.0) == 0.0
+    assert _zscore(1e-9, 0.0, 1.0) == math.inf
+    assert _zscore(1.0, 0.5, 1.0) == 2.0
+    # with no spread, a gap within 1e-12 of the closed form is roundoff
+    assert _zscore(2.5e-13, 0.0, 256.0) == 0.0
+    assert _zscore(1e-12 * 256.0, 0.0, -256.0) == 0.0
+    assert _zscore(1e-11 * 256.0, 0.0, 256.0) == math.inf
+    assert _zscore(1e-300, 0.0, 0.0) == math.inf
+
+
+def test_second_moment_gate_passes_a_law_with_no_spread():
+    # every |Z_2|^2 is exactly 256; the closed form goes through exp(2 ln 2)
+    _, second = verify_moments(_plan(DeterministicConstant(2j), n=2,
+                                     replicas=32))
+    assert second.empirical == 256.0
+    assert second.theoretical == pytest.approx(256.0, rel=1e-15)
+    assert second.std_errors == (0.0,)
+    assert second.z_scores == (0.0,)
+    assert second.passed
+
+
+def test_second_moment_gate_fails_a_closed_form_off_by_1e_9(monkeypatch):
+    exact = mc.closed_form_second_moment
+
+    def off(spec, b, n):
+        rep = exact(spec, b, n)
+        rep.value *= 1.0 + 1e-9
+        return rep
+
+    monkeypatch.setattr(mc, "closed_form_second_moment", off)
+    _, second = verify_moments(_plan(DeterministicConstant(2j), n=2,
+                                     replicas=32))
+    assert second.z_scores == (math.inf,)
+    assert not second.passed
 
 
 # ----------------------------------------------------------------- ratio4

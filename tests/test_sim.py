@@ -25,6 +25,7 @@ from treepolymer import (
     one_step_identity_check,
     trace_depths,
 )
+from treepolymer import sim as sim_module
 from treepolymer.cli import TRACE_HEADER
 
 REL = 1e-12
@@ -113,11 +114,89 @@ def test_streaming_matches_literal_enumeration(b, seed):
             assert rel_err(fast.t_damped, slow.t_damped) < REL
 
 
+@pytest.mark.parametrize("b", [4, 5])
+def test_streaming_matches_literal_enumeration_at_wide_branching(b):
+    # b >= 4 is where left-to-right sibling sums round differently from
+    # numpy's row sum for complex values
+    laws = [
+        GaussianIndep(0.8, 0.8),
+        LogNormalUniformPhase(0.5, 0.5),
+        RademacherPhase(t=0.6, beta=0.4),
+    ]
+    for law in laws:
+        for n in range(1, 5):
+            fast = dfs_evaluate(law, b, n, TreeStream(13, 0))
+            slow = brute_force_evaluate(law, b, n, TreeStream(13, 0))
+            for name in ("z", "z_abs", "z_abs2", "w_cond", "t_damped"):
+                assert rel_err(getattr(fast, name), getattr(slow, name)) < REL
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize("b", range(2, 10))
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_group_sum_adds_siblings_left_to_right(b, dtype):
+    rng = np.random.default_rng(b)
+    groups = 200
+    size = groups * b
+
+    def draw():
+        return rng.standard_normal(size) * 10.0 ** rng.integers(-6, 7, size)
+
+    x = draw() + 1j * draw() if dtype is np.complex128 else draw()
+    # signed zeros: a group of -0.0, one of mixed zeros, one of -0.0 and one
+    # nonzero value
+    x[:b] = -0.0
+    x[b:2 * b] = [0.0 if j % 2 else -0.0 for j in range(b)]
+    x[2 * b:3 * b] = -0.0
+    x[3 * b - 1] = 1.5
+    if dtype is np.complex128:
+        x[:b] = complex(-0.0, -0.0)
+        x[4 * b:5 * b] = complex(1.0, -0.0)
+    want = []
+    for i in range(groups):
+        acc = x[i * b]
+        for j in range(1, b):
+            acc = acc + x[i * b + j]
+        want.append(acc)
+    want = np.array(want, dtype=dtype)
+    assert _bits(sim_module._group_sum(x, b)) == _bits(want)
+    # axis 0 of a node-major (nodes, replicas) array sums each column alike
+    cols = np.stack([x, x[::-1]], axis=1)
+    got = sim_module._group_sum(cols, b)
+    assert _bits(got[:, 0]) == _bits(want)
+    assert _bits(got[:, 1]) == _bits(sim_module._group_sum(x[::-1].copy(), b))
+
+
+def test_w_carries_past_a_squared_radius_overflow():
+    # the same radii shifted by 2^600 square past float64: every field
+    # keeps its mantissa and gains exactly the power of two per generation
+    base = GaussianIndep(0.5, 0.5)
+
+    def shifted(raw):
+        r, phi = base.polar_from_raw(raw)
+        return np.ldexp(r, 600), phi
+
+    table = {a: 0.125 * a * a + 600.0 * a * math.log(2.0)
+             for a in (0.0, 1.0, 2.0, 4.0)}
+    big = CustomLaw(polar=shifted, log_moments=table, mean=0j,
+                    independent=True, damping=base.phase_damping())
+    shift = 600 * math.log(2.0)
+    for n in (3, 6):
+        small = dfs_evaluate(base, 2, n, TreeStream(5, 0))
+        large = dfs_evaluate(big, 2, n, TreeStream(5, 0))
+        assert math.isfinite(large.ln_w_cond)
+        assert large.ln_z_abs == pytest.approx(small.ln_z_abs + n * shift, rel=REL)
+        assert large.ln_z_abs2 == pytest.approx(small.ln_z_abs2 + 2 * n * shift, rel=REL)
+        assert large.ln_t_damped == pytest.approx(small.ln_t_damped + n * shift, rel=REL)
+        assert large.ln_w_cond == pytest.approx(small.ln_w_cond + 2 * n * shift, rel=REL)
+
+
 def test_scalar_combine_levels_match_enumeration(monkeypatch):
     # shrink the bottom blocks so the top sweep over the block roots, which
     # forms xi * Z as a scalar product would, handles most levels
-    import treepolymer.sim as sim_module
-
     monkeypatch.setattr(sim_module, "_BLOCK_LEAVES", 4)
     for b, n in [(2, 6), (3, 5)]:
         law = GaussianIndep(0.6, 0.6)
@@ -129,8 +208,6 @@ def test_scalar_combine_levels_match_enumeration(monkeypatch):
 
 
 def test_block_size_does_not_change_values(monkeypatch):
-    import treepolymer.sim as sim_module
-
     law = LogNormalUniformPhase(0.6, 0.4)
     full = dfs_evaluate(law, 2, 9, TreeStream(3, 1))
     monkeypatch.setattr(sim_module, "_BLOCK_LEAVES", 2)
@@ -141,11 +218,9 @@ def test_block_size_does_not_change_values(monkeypatch):
 
 def test_block_size_moves_no_bit_of_the_radius_fields(monkeypatch):
     # the radius fields take no complex product and are summed in the same
-    # order in the blocks and the top sweep (numpy's, which for b >= 8 is
-    # not left to right), so only their exact exponent bookkeeping depends
-    # on the block size; Z's products differ by fused multiply-add rounding
-    import treepolymer.sim as sim_module
-
+    # order, left to right, in the blocks and the top sweep, so only their
+    # exact exponent bookkeeping depends on the block size; Z's products
+    # differ by fused multiply-add rounding
     laws = [GaussianIndep(0.8, 0.8), GaussianIndep(1.5, 0.1),
             LogNormalUniformPhase(0.6, 0.4), RademacherPhase(t=0.5, beta=0.3)]
     names = ("z_abs", "z_abs2", "t_damped", "w_cond",
