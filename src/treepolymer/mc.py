@@ -97,13 +97,14 @@ def _replica_map(plan: ExperimentPlan, fn) -> list:
 
 def _replica_estimate(plan: ExperimentPlan, one, functional: str) -> McEstimate:
     """Estimate from one value per replica.  A value of -inf (a sum that is
-    exactly 0) is excluded and counted; nan or +inf, from float64 overflow,
-    is refused.  `values`, if kept, holds every replica's value in order."""
+    exactly 0) is excluded and counted; nan or +inf, from float64 overflow
+    or a refused underflow loss (see sim.FunctionalSet), is refused.
+    `values`, if kept, holds every replica's value in order."""
     raw = _replica_map(plan, one)
     for r, v in enumerate(raw):
         if math.isnan(v) or v == math.inf:
             raise DomainError(f"{functional} is {v} in replica {r}: "
-                              "float64 overflow")
+                              "float64 overflow or underflow")
     kept = [v for v in raw if v != -math.inf]
     est = _estimate(kept, len(raw) - len(kept))
     if plan.keep_values:

@@ -29,10 +29,14 @@ and k = n - d.
 
 The top sweep forms xi * Z from real parts, (xr zr - xi zi, xr zi + xi zr),
 and scales Z by the larger of |Re Z| and |Im Z|; the bottom blocks use
-numpy's complex array product, which takes fused multiply-adds where the
-CPU has them, and scale Z by its modulus.  ``tests/test_digests.py`` pins
-both choices, and Z's last bits can differ between machines whose numpy
-dispatches to different loops; the radius fields take no complex product.
+numpy's complex array product and scale Z by its modulus.  The digests in
+``tests/test_digests.py`` pin both choices: ln|Z_n| depends in its last
+bit on how the root value is split into mantissa and exponent, and numpy's
+complex array product uses fused multiply-adds where the CPU has them, so
+its bits differ from the plain form's.  For the same reason Z, and those
+digests, can differ in the last bits between machines whose numpy
+dispatches to different loops; the radius fields (Z(|xi|), Z(|xi|^2), T
+and W) take no complex product.
 
 ``brute_force_evaluate`` is the independent oracle: literal path
 enumeration, with W summed over ordered path pairs damped by
@@ -57,6 +61,7 @@ _SLAB_DRAWS = 1 << 16     # node draws per transform call in the batch paths
 _BLOCK_LEAVES = 1 << 14
 _LN2 = math.log(2.0)
 _R_TOP = 480    # a sweep scales each generation's radii to below 2^_R_TOP
+_LOSS_SLACK = 1e-9   # roundoff allowed in the root bounds' logs (see _finish)
 
 
 @dataclass
@@ -65,9 +70,12 @@ class FunctionalSet:
 
     Plain fields overflow to inf for extreme parameters.  The ln_* fields
     are -inf where the value is 0 and None where it is absent; they do not
-    overflow while every radius |xi| is finite, W_n's and Z_n(|xi|^2)'s
-    included (see _R_TOP).  arg_z is the angle of Z_n, well defined even
-    when |Z_n| overflows.
+    overflow while every radius |xi| is finite (see _R_TOP).  One exponent
+    per field and generation cannot hold nodes that differ by more than
+    about 2^2000: the smaller ones underflow and are lost.  Z_n(|xi|^2) and
+    W_n, which span the most, are nan where _sweep or _finish finds such a
+    loss; Z_n and Z_n(|xi|) are not checked.  arg_z is the angle of Z_n,
+    well defined even when |Z_n| overflows.
     """
 
     n: int
@@ -86,6 +94,8 @@ class FunctionalSet:
 
 def _ldexp(x: np.ndarray, k: int) -> np.ndarray:
     """x * 2**k exactly, part by part for complex x."""
+    if x.dtype.kind != "c":
+        return np.ldexp(x, k)
     return np.ldexp(x.view(np.float64), k).view(x.dtype)
 
 
@@ -151,7 +161,9 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
     parts and Z is scaled by its larger part (see the module docstring).
     m is emptied, so the widest arrays are freed after the first level.
     The largest radius goes to [2^479, 2^480), so b-fold sums of squares
-    stay finite; an infinite radius's overflow stays, unwarned by numpy."""
+    stay finite; an infinite radius's overflow stays, unwarned by numpy.
+    A scale-down that squares a positive radius below the normal range
+    loses terms of the r^2-weighted sums, which are then refused as nan."""
     z, za, a2, t, w = m
     m.clear()
     ez, ea, ea2, et, ew = e
@@ -159,7 +171,10 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
         count = b**j
         raw = stream.node_block(b, g0 + j, i0 * count, count)
         r, xi = spec.radius_weight_from_raw(raw)
+        r = np.asarray(r, dtype=np.float64)
         r, k = _renorm(r, 0, r, _R_TOP)
+        if k > 0 and np.min(r, where=r > 0, initial=1.0) < 2.0**-511:
+            a2, w = np.full_like(a2, np.nan), np.full_like(w, np.nan)
         ea, ea2, et, ew = ea + k, ea2 + 2 * k, et + k, ew + 2 * k
         r2 = r * r
         if top:
@@ -218,8 +233,26 @@ def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
                              for root_m, root_e in roots]) for f in range(5)]
         m, e = _sweep(spec, b, stream, 0, 0, k, m, e, q, include_w,
                       _corrupt_w_pair, top=True)
-    z, za, a2, t, w = [complex(m[0][0])] + [float(v[0]) for v in m[1:]]
+    return _finish([complex(m[0][0])] + [float(v[0]) for v in m[1:]], e, n,
+                   b, include_w)
+
+
+def _finish(m: list, e: list, n: int, b: int,
+            include_w: bool) -> FunctionalSet:
+    """The root values, with W_n and Z_n(|xi|^2) set to nan where an exact
+    root bound shows that underflow lost part of them (see FunctionalSet)."""
+    z, za, a2, t, w = m
     ez, ea, ea2, et, ew = e
+    # Underflow mostly shrinks a value: terms flushed to 0 are lost, though
+    # a subnormal may round up.  A W below Z(|xi|^2) or T^2 lost terms that
+    # its diagonal shares with Z(|xi|^2), so both go; b^n Z(|xi|^2) >=
+    # Z(|xi|)^2 (Cauchy-Schwarz) checks Z(|xi|^2) alone.
+    ln_a2 = _ln_scaled(a2, ea2)
+    if include_w and _ln_scaled(w, ew) + _LOSS_SLACK \
+            < max(ln_a2, 2 * _ln_scaled(t, et)):
+        a2 = w = math.nan
+    if ln_a2 + _LOSS_SLACK < 2 * _ln_scaled(za, ea) - n * math.log(b):
+        a2 = math.nan
     return FunctionalSet(
         n=n,
         z=complex(_to_float(z.real, ez), _to_float(z.imag, ez)),
@@ -255,8 +288,9 @@ def brute_force_evaluate(spec: EnvironmentSpec, b: int, n: int,
     for g in range(1, n + 1):
         raw = stream.node_block(b, g, 0, b**g)
         r, xi = spec.radius_weight_from_raw(raw)
-        path_c = path_c * np.repeat(xi, b ** (n - g))
-        path_r = path_r * np.repeat(r, b ** (n - g))
+        rep = b ** (n - g)
+        path_c = path_c * np.repeat(xi, rep)
+        path_r = path_r * np.repeat(r, rep)
 
     z = complex(path_c.sum())
     za = float(path_r.sum())
@@ -339,9 +373,11 @@ def _ln_geom_sum(ln_x: float, n: int) -> float:
 
 
 def _logaddexp(a: float, b: float) -> float:
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
     hi, lo = (a, b) if a >= b else (b, a)
-    if lo == -math.inf:
-        return hi
     return hi + math.log1p(math.exp(lo - hi))
 
 
@@ -373,8 +409,9 @@ def one_step_identity_check(spec: EnvironmentSpec, b: int, n: int,
         _, xi = spec.radius_weight_from_raw(raw)
         path_c = path_c * np.repeat(xi, b ** (n - g))
     z_n = complex(path_c.sum())
-    za2 = dfs_evaluate(spec, b, n, stream, node_budget=node_budget,
-                       include_w=False).z_abs2
+    fs = dfs_evaluate(spec, b, n, stream, node_budget=node_budget,
+                      include_w=False)
+    za2 = fs.z_abs2
 
     width = leaves * b
     per = max(1, _SLAB_DRAWS // width)   # resamples per transform call
@@ -392,13 +429,15 @@ def one_step_identity_check(spec: EnvironmentSpec, b: int, n: int,
     target1 = b * m1 * z_n
     mean1 = complex(z_next.mean())
     se1 = math.sqrt((np.var(z_next.real) + np.var(z_next.imag)) / resamples)
-    resid1 = abs(mean1 - target1) / (se1 or 1.0)
+    diff1 = abs(mean1 - target1)
+    resid1 = diff1 if se1 == 0.0 else diff1 / se1
 
     v = np.abs(z_next) ** 2
     target2 = b * b * abs(m1) ** 2 * abs(z_n) ** 2 + b * sigma2 * za2
     mean2 = float(v.mean())
     se2 = float(np.std(v) / math.sqrt(resamples))
-    resid2 = abs(mean2 - target2) / (se2 or 1.0)
+    diff2 = abs(mean2 - target2)
+    resid2 = diff2 if se2 == 0.0 else diff2 / se2
 
     return OneStepReport(resamples, resid1, resid2, se1, se2)
 
@@ -408,8 +447,8 @@ def trace_depths(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
                  include_w: bool = True) -> list[dict]:
     """Per-depth normalized logs for convergence traces: rows of
     (n', ln|z|/n', ln z_abs/n', ln z_abs2/n', ln w/(2n')).  A value that is
-    nan or +inf, from float64 overflow, is refused; -inf (a sum that is
-    exactly 0) is kept."""
+    nan or +inf, from float64 overflow or a refused underflow loss, is
+    refused; -inf (a sum that is exactly 0) is kept."""
     rows = []
     for depth in range(1, n + 1):
         fs = dfs_evaluate(spec, b, depth, stream, node_budget=node_budget,
@@ -425,6 +464,6 @@ def trace_depths(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
         for col, v in row.items():
             if v is not None and not v < math.inf:
                 raise DomainError(f"trace {col} is {v} at depth {depth}: "
-                                  "float64 overflow")
+                                  "float64 overflow or underflow")
         rows.append(row)
     return rows

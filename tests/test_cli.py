@@ -342,7 +342,7 @@ def test_simulate_subnormal_constant_runs(capsys):
 def test_simulate_refuses_an_overflowed_functional(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run(["simulate", "--beta", "250", "--gamma", "0.5",
+        code, out, err = run(["simulate", "--beta", "120", "--gamma", "0.5",
                               "--n", "8", "--replicas", "4", "--only",
                               "w_free_energy"], capsys)
     assert code == EXIT_CONFIG and out == ""

@@ -27,6 +27,7 @@ from treepolymer import (
 )
 from treepolymer import sim as sim_module
 from treepolymer.cli import TRACE_HEADER
+from treepolymer.rng import to_uniform
 
 REL = 1e-12
 
@@ -192,6 +193,71 @@ def test_w_carries_past_a_squared_radius_overflow():
         assert large.ln_z_abs2 == pytest.approx(small.ln_z_abs2 + 2 * n * shift, rel=REL)
         assert large.ln_t_damped == pytest.approx(small.ln_t_damped + n * shift, rel=REL)
         assert large.ln_w_cond == pytest.approx(small.ln_w_cond + 2 * n * shift, rel=REL)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_custom_radii_of_any_real_dtype_match_enumeration(dtype):
+    # a user sampler may return integer or single-precision radii
+    def polar(raw):
+        r = (raw[:, 0] % np.uint64(3) + np.uint64(1)).astype(dtype)
+        return r, 2.0 * math.pi * to_uniform(raw[:, 1])
+
+    law = CustomLaw(polar=polar, log_moments={0.0: 0.0, 2.0: math.log(14 / 3)},
+                    mean=0j, independent=True, damping=0.5)
+    for b, n in [(2, 1), (2, 5), (3, 4)]:
+        fast = dfs_evaluate(law, b, n, TreeStream(2, 0))
+        slow = brute_force_evaluate(law, b, n, TreeStream(2, 0))
+        for name in ("z", "z_abs", "z_abs2", "w_cond", "t_damped"):
+            assert rel_err(getattr(fast, name), getattr(slow, name)) < REL
+
+
+def test_w_and_squared_sum_that_lost_terms_to_underflow_are_refused():
+    # this tree's nodes span more than one exponent per generation holds:
+    # computed in full, ln W came out -inf although W >= Z(|xi|^2), and
+    # Z(|xi|^2) about e^600 too small
+    law = GaussianIndep(120.0, 0.5)
+    fs = dfs_evaluate(law, 2, 8, TreeStream(1, 27))
+    assert math.isnan(fs.w_cond) and math.isnan(fs.ln_w_cond)
+    assert math.isnan(fs.z_abs2) and math.isnan(fs.ln_z_abs2)
+    assert math.isfinite(fs.ln_z_abs) and math.isfinite(fs.ln_t_damped)
+    alone = dfs_evaluate(law, 2, 8, TreeStream(1, 27), include_w=False)
+    assert math.isnan(alone.ln_z_abs2)
+    assert alone.ln_abs_z == fs.ln_abs_z
+
+
+def test_root_bounds_refuse_what_underflow_shrank():
+    # W >= max(Z(|xi|^2), T^2) and b^n Z(|xi|^2) >= Z(|xi|)^2 at the root
+    def finish(za, a2, t, w, include_w=True):
+        return sim_module._finish([1 + 0j, za, a2, t, w], [0] * 5, 1, 2,
+                                  include_w)
+
+    fs = finish(2.0, 2.0, 1.0, 2.0)     # both bounds met with equality
+    assert (fs.z_abs2, fs.w_cond) == (2.0, 2.0)
+    for w in (1.5, 0.0):                # W below Z(|xi|^2): both refused
+        fs = finish(2.0, 2.0, 1.0, w)
+        assert math.isnan(fs.w_cond) and math.isnan(fs.ln_z_abs2)
+    fs = finish(2.0, 2.0, 1.5, 2.0)     # W below T^2
+    assert math.isnan(fs.ln_w_cond) and math.isnan(fs.z_abs2)
+    for a2 in (1.0, 0.0):               # 2 Z(|xi|^2) below Z(|xi|)^2
+        fs = finish(2.0, a2, None, None, include_w=False)
+        assert math.isnan(fs.z_abs2) and fs.z_abs == 2.0
+
+
+def test_a_scaled_down_generation_too_wide_to_square_is_refused():
+    # radii 2^600 and 2^-400: scaled to below 2^480, the small one squares
+    # below the normal range.  The lost term is negligible here, but the
+    # sweep cannot tell, so Z(|xi|^2) and W are refused
+    def polar(raw):
+        count = raw.shape[0]
+        r = np.where(np.arange(count) % 2 == 0, 2.0**600, 2.0**-400)
+        return r, np.zeros(count)
+
+    law = CustomLaw(polar=polar, log_moments={0.0: 0.0, 2.0: 1200.0},
+                    mean=0j, independent=True, damping=1.0)
+    fs = dfs_evaluate(law, 2, 1, TreeStream(0, 0))
+    assert math.isnan(fs.ln_z_abs2) and math.isnan(fs.ln_w_cond)
+    assert fs.ln_z_abs == pytest.approx(600 * math.log(2.0), rel=REL)
+    assert fs.ln_t_damped == fs.ln_z_abs
 
 
 def test_scalar_combine_levels_match_enumeration(monkeypatch):
