@@ -281,10 +281,10 @@ def cmd_diagram(cfg: dict) -> int:
     for gamma in gammas:
         for beta, rad in zip(betas, radius):
             spec = law(beta, gamma)
-            rep = phase.classify(spec, b, eps_boundary=eps, _radius=rad)
-            counts[rep.region] = counts.get(rep.region, 0) + 1
-            labels.append(rep.region)
-            row = [beta, gamma, rep.region, rep.predicted_f]
+            region, f, _ = phase._decide(spec, b, eps, rad)
+            counts[region] = counts.get(region, 0) + 1
+            labels.append(region)
+            row = [beta, gamma, region, f]
             if replicas:
                 plan = mc.ExperimentPlan(
                     spec=spec, b=b, n=_int(cfg, "n", lo=1),
@@ -505,7 +505,8 @@ def cmd_verify(cfg: dict) -> int:
     budget = cfg["budget_nodes"]
     only = cfg.get("only")
     corrupt = bool(cfg.get("inject_defect"))
-    replicas = cfg.get("replicas") or 20000
+    replicas = 20000 if cfg.get("replicas") is None \
+        else _int(cfg, "replicas", lo=2)
     all_checks = {
         "oracle": lambda: check_oracle(seed, budget, corrupt),
         "moments": lambda: check_moments(seed, replicas),

@@ -25,9 +25,9 @@ from .sim import (_SLAB_DRAWS, DEFAULT_NODE_BUDGET, _group_sum,
 # Phase-resample streams live in a replica range far above any omega index.
 _PHASE_REPLICA_BASE = 1 << 32
 
-# Memory bound of the small-tree batches: complex values per (trees x leaves)
-# pass.  Their transform calls take sim._SLAB_DRAWS node draws (never less
-# than one phase resample's tree, or one node across the pass).
+# Memory bound of the small-tree batches, in complex values: trees x leaves
+# per ratio4 pass, replicas x leaves per nested batch_z_values subtree.
+# Transform calls take sim._SLAB_DRAWS draws, or at least one tree or node.
 _PASS_VALUES = 1 << 19
 
 
@@ -146,29 +146,45 @@ def estimate_w_free_energy(plan: ExperimentPlan) -> McEstimate:
 def batch_z_values(spec: EnvironmentSpec, b: int, n: int, seed: int,
                    replicas: int) -> np.ndarray:
     """Z_n for many replicas of a small tree, vectorized across replicas.
-    Arrays are node-major, (nodes, replicas), the order of the batch
-    stream's words."""
+
+    A pass of up to _PASS_VALUES // b replicas draws each node once for all
+    of them, walking the tree as nested bottom subtrees of the largest depth
+    s with b^s x replicas <= _PASS_VALUES.  Arrays are node-major, (nodes,
+    replicas), the order of the batch stream's words; nothing is rescaled,
+    so a replica's Z_n does not depend on the pass it shares."""
+    if b < 2 or n < 0:
+        raise DomainError("need b >= 2 and n >= 0")
     if b**n > (1 << 18):
         raise BudgetExceeded("batch evaluation limited to b^n <= 2^18")
     bs = BatchStream(seed)
     out = np.empty(replicas, dtype=np.complex128)
-    chunk = max(1, _PASS_VALUES // b**n)
-    for r0 in range(0, replicas, chunk):
-        cnt = min(chunk, replicas - r0)
+    for r0 in range(0, replicas, _PASS_VALUES // b):
+        cnt = min(_PASS_VALUES // b, replicas - r0)
         per = max(1, _SLAB_DRAWS // cnt)       # nodes per transform call
-        v = np.ones((1, cnt), dtype=np.complex128)  # 1 at each leaf
-        for g in range(n, 0, -1):
-            width = b**g
-            xi = np.empty((width, cnt), dtype=np.complex128)
-            for i0 in range(0, width, per):
-                k = min(per, width - i0)
-                raw = np.concatenate([bs.node_block(b, g, i, r0, cnt)
-                                      for i in range(i0, i0 + k)])
-                xi[i0:i0 + k] = \
-                    spec.radius_weight_from_raw(raw)[1].reshape(k, cnt)
-            xi *= v
-            v = _group_sum(xi, b)
-        out[r0:r0 + cnt] = v[0]
+        s = max(j for j in range(1, n + 2) if b**j * cnt <= _PASS_VALUES)
+
+        def subtree(g: int, i: int, d: int) -> np.ndarray:
+            """Z at node (g, i) over its depth-d subtree, shape (1, cnt):
+            t levels over the b^t subtrees of depth d - t, a multiple of s."""
+            t = min(d, (d - 1) % s + 1)
+            v = np.ones((1, cnt), dtype=np.complex128) if t == d else \
+                np.concatenate([subtree(g + t, i * b**t + c, d - t)
+                                for c in range(b**t)])
+            for j in range(t, 0, -1):
+                width, first = b**j, i * b**j
+                xi = np.empty((width, cnt), dtype=np.complex128)
+                for i0 in range(0, width, per):
+                    k = min(per, width - i0)
+                    raw = np.concatenate(
+                        [bs.node_block(b, g + j, first + c, r0, cnt)
+                         for c in range(i0, i0 + k)])
+                    xi[i0:i0 + k] = \
+                        spec.radius_weight_from_raw(raw)[1].reshape(k, cnt)
+                xi *= v
+                v = _group_sum(xi, b)
+            return v
+
+        out[r0:r0 + cnt] = subtree(0, 0, n)[0]
     return out
 
 
@@ -209,6 +225,8 @@ def verify_moments(plan: ExperimentPlan) -> tuple[VerifyReport, VerifyReport]:
     b^n m1^n (componentwise z-scores) and the mean of |Z_n|^2 against the
     closed form; each gate is a z-score of at most 5."""
     plan.check()
+    if plan.replicas < 2:
+        raise DomainError("the moment gates need at least 2 replicas")
     zs = batch_z_values(plan.spec, plan.b, plan.n, plan.seed, plan.replicas)
     theo = (plan.b * plan.spec.mean_xi()) ** plan.n
     emp = complex(zs.mean())
@@ -244,6 +262,8 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
     """
     if not spec.independent:
         raise CoupledLaw("phase resampling needs independent radius/phase")
+    if b < 2 or n < 1:
+        raise DomainError("need b >= 2 and n >= 1")
     if phase_resamples < 1000:
         raise DomainError("need at least 1000 phase resamples")
     if b ** (n + 1) > node_budget or b**n > (1 << 16):

@@ -118,16 +118,43 @@ def _radius_part(spec: EnvironmentSpec, b: int) -> tuple[float, float, float, fl
             g_of_alpha(spec, b, 2.0))
 
 
+def _decide(spec: EnvironmentSpec, b: int, eps: float,
+            radius: tuple) -> tuple[str, float, tuple | None]:
+    """`classify`'s region, predicted f and, when Boundary, the adjacent
+    formula values, from `radius` = `_radius_part(spec, b)`."""
+    target = math.log(b) + spec.log_mean_abs()   # ln(b |E xi|)
+    amin, g_amin, g_clamp, g2 = radius
+    # f = target in R1, G(a_min) in R2 and G(2) in R3
+    if g_clamp < target - eps:
+        return "R1", target, None
+    if amin < 1.0 - eps:
+        return "R2a", g_amin, None
+    if amin > 2.0 + eps:
+        if g2 > target + eps:
+            return "R3", g2, None
+        # g2 within the band of target: R1/R3 boundary
+        return "Boundary", 0.5 * (target + g2), (target, g2)
+    if amin < 2.0 - eps and g_amin > target + eps:
+        # 1 <= a_min < 2 region: deciding inequality G(a_min) vs target
+        if spec.independent:
+            return "R2b", g_amin, None
+        return "Undetermined", math.nan, None
+    # G(a_min) within the band of target, a_min within the band of 1 or 2,
+    # or all inequalities inside the band
+    return "Boundary", 0.5 * (target + g_amin), (target, g_amin)
+
+
 def classify(spec: EnvironmentSpec, b: int, eps_boundary: float = 1e-9,
              _radius: tuple | None = None) -> PhaseReport:
-    """Phase region and predicted free energy from the moment surface alone.
+    """Phase region and predicted free energy from the moment surface alone,
+    with the trace of every condition `_decide` reads.
 
     `_radius` is `_radius_part(spec, b)` computed beforehand, so that laws
     sharing one radius law (a column of the diagram) share one a_min search.
     """
     target = math.log(b) + spec.log_mean_abs()   # ln(b |E xi|)
-    amin, g_amin, g_clamp, g2 = _radius or _radius_part(spec, b)
-
+    amin, g_amin, g_clamp, g2 = radius = _radius or _radius_part(spec, b)
+    region, f, boundary_values = _decide(spec, b, eps_boundary, radius)
     trace = [
         {"name": "min_G_on_(1,2]_vs_ln_b_mean", "lhs": g_clamp, "rhs": target,
          "fired": g_clamp < target - eps_boundary},
@@ -142,33 +169,11 @@ def classify(spec: EnvironmentSpec, b: int, eps_boundary: float = 1e-9,
         {"name": "independent_phases", "lhs": spec.independent, "rhs": True,
          "fired": spec.independent},
     ]
-
-    def report(region, f, boundary_values=None):
-        return PhaseReport(
-            region=region, alpha_min=amin, g_at_alpha_min=g_amin,
-            predicted_f=f, l2_region=l2_check(spec, b), condition_trace=trace,
-            boundary_values=boundary_values,
-            boundary_width=eps_boundary if boundary_values else None)
-
-    # f = target in R1, G(a_min) in R2 and G(2) in R3
-    if g_clamp < target - eps_boundary:
-        return report("R1", target)
-    if amin < 1.0 - eps_boundary:
-        return report("R2a", g_amin)
-    if amin > 2.0 + eps_boundary:
-        if g2 > target + eps_boundary:
-            return report("R3", g2)
-        # g2 within the band of target: R1/R3 boundary
-        return report("Boundary", 0.5 * (target + g2), (target, g2))
-    if amin < 2.0 - eps_boundary:
-        # 1 <= a_min < 2 region: deciding inequality G(a_min) vs target
-        if g_amin > target + eps_boundary:
-            if spec.independent:
-                return report("R2b", g_amin)
-            return report("Undetermined", math.nan)
-        return report("Boundary", 0.5 * (target + g_amin), (target, g_amin))
-    # a_min within the band of 1 or 2, or all inequalities inside the band
-    return report("Boundary", 0.5 * (target + g_amin), (target, g_amin))
+    return PhaseReport(
+        region=region, alpha_min=amin, g_at_alpha_min=g_amin, predicted_f=f,
+        l2_region=l2_check(spec, b), condition_trace=trace,
+        boundary_values=boundary_values,
+        boundary_width=eps_boundary if boundary_values else None)
 
 
 def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:

@@ -24,8 +24,10 @@ batch paths in ``mc``; at b <= 3 its bits are numpy's row sum's, except
 that negative zeros sum to -0.0, not +0.0): first over each of the b^k
 bottom subtrees of at most ``_BLOCK_LEAVES`` leaves, in index order, then
 once over the top k generations, from the block roots aligned on each
-field's largest exponent.  Memory is O(b^d + b^k) for blocks of depth d
-and k = n - d.
+field's largest exponent.  Each sweep transforms its widest generation's
+draws in one call and all the generations above it in a second, so a tree
+within one block makes at most two Philox and two transform calls.  Memory
+is O(b^d + b^k) for blocks of depth d and k = n - d.
 
 The top sweep forms xi * Z from real parts, (xr zr - xi zi, xr zi + xi zr),
 and scales Z by the larger of |Re Z| and |Im Z|; the bottom blocks use
@@ -54,7 +56,7 @@ import numpy as np
 
 from .env import EnvironmentSpec
 from .errors import BudgetExceeded, CoupledLaw, DomainError
-from .rng import TreeStream
+from .rng import TreeStream, node_offset
 
 DEFAULT_NODE_BUDGET = 1 << 24
 _SLAB_DRAWS = 1 << 16     # node draws per transform call in the batch paths
@@ -103,7 +105,7 @@ def _renorm(x: np.ndarray, e: int, size: np.ndarray,
             top: int = 0) -> tuple[np.ndarray, int]:
     """Rescale x by the power of two that brings max(size) into
     [2^(top-1), 2^top)."""
-    mx = float(np.max(size))
+    mx = float(size.max())
     if mx <= 0.0 or not math.isfinite(mx):
         return x, e
     k = math.frexp(mx)[1] - top
@@ -160,6 +162,10 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
     nodes and e their exponents.  With top=True, xi * Z is formed from real
     parts and Z is scaled by its larger part (see the module docstring).
     m is emptied, so the widest arrays are freed after the first level.
+    The widest generation is drawn and transformed alone; after its level,
+    every generation above it is transformed in one call, from one counter
+    range when node (g0, i0) is the root, so a sweep makes at most two
+    transform calls.
     The largest radius goes to [2^479, 2^480), so b-fold sums of squares
     stay finite; an infinite radius's overflow stays, unwarned by numpy.
     A scale-down that squares a positive radius below the normal range
@@ -168,9 +174,18 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
     m.clear()
     ez, ea, ea2, et, ew = e
     for j in range(levels, 0, -1):
-        count = b**j
-        raw = stream.node_block(b, g0 + j, i0 * count, count)
-        r, xi = spec.radius_weight_from_raw(raw)
+        if j == levels:
+            r, xi = spec.radius_weight_from_raw(
+                stream.node_block(b, g0 + j, i0 * b**j, b**j))
+        else:
+            if j == levels - 1:
+                raw = (stream.node_block(b, 1, 0, node_offset(b, levels) - 1)
+                       if g0 == 0 else np.concatenate(
+                           [stream.node_block(b, g0 + g, i0 * b**g, b**g)
+                            for g in range(1, levels)]))
+                r_up, xi_up = spec.radius_weight_from_raw(raw)
+            lo = node_offset(b, j) - 1   # generation g0 + j's first draw
+            r, xi = r_up[lo:lo + b**j], xi_up[lo:lo + b**j]
         r = np.asarray(r, dtype=np.float64)
         r, k = _renorm(r, 0, r, _R_TOP)
         if k > 0 and np.min(r, where=r > 0, initial=1.0) < 2.0**-511:

@@ -395,6 +395,23 @@ def test_verify_rejects_unknown_check(capsys):
     assert code == EXIT_CONFIG and "unknown check" in err
 
 
+@pytest.mark.parametrize("replicas", ["0", "1", "-5"])
+def test_verify_refuses_fewer_than_two_replicas(replicas, capsys):
+    # one replica has no sample variance; none used to mean the default
+    code, out, err = run(["verify", "--only", "moments", "--replicas",
+                          replicas], capsys)
+    assert code == EXIT_CONFIG
+    assert out == "" and "replicas must be an integer >= 2" in err
+
+
+def test_verify_reads_a_given_replica_count(capsys):
+    code, out, _ = run(["verify", "--only", "moments", "--replicas", "2000"],
+                       capsys)
+    assert code == EXIT_OK
+    results = strict_loads(out)["checks"][0]["results"]
+    assert {r["replicas"] for r in results} == {2000}
+
+
 def test_verify_detects_injected_defect(capsys):
     code, out, err = run(["verify", "--only", "oracle", "--inject-defect"],
                          capsys)

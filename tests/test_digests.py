@@ -15,7 +15,9 @@ the ``onestep`` digests before sibling sums became left-to-right strided
 adds (numpy's row sum before; at b <= 3, the branching factors of every
 case here, the two differ only in the sign of a sum of negative zeros),
 ``batch_z_values`` went node-major and the one-step resamples were drawn
-in slabs.  A change to these functions that moves any output by one bit
+in slabs, and the ``batch-deep`` and ``dfs-blocks`` digests before a batch
+pass drew each node once for all its replicas and a level sweep
+transformed all its generations above the widest in one call.  A change to these functions that moves any output by one bit
 fails here.  To list the current digests, run
 ``PYTHONPATH=src python tests/test_digests.py``.
 Z from ``dfs_evaluate`` takes numpy's complex array product, which uses
@@ -59,6 +61,9 @@ LAWS = {
 
 # (b, n, replicas): several replica chunks, the last one partial
 BATCH_SIZES = {2: (10, 1100), 3: (6, 1100)}
+# (n, replicas): trees whose one pass spans nested bottom subtrees, with
+# levels wider than one transform slab
+BATCH_DEEP = {2: (12, 1000), 3: (8, 1000)}
 # (b, n, omega replicas, phase resamples)
 RATIO4_SIZES = {2: (5, 2, 1000), 3: (3, 2, 1000)}
 # (b, n, resamples): four transform slabs of resamples, the last one partial
@@ -107,6 +112,12 @@ def _hash(*parts) -> str:
 def _batch(law, b):
     n, reps = BATCH_SIZES[b]
     return _hash(batch_z_values(LAWS[law], b, n, seed=17, replicas=reps))
+
+
+def _batch_deep(b):
+    n, reps = BATCH_DEEP[b]
+    return _hash(batch_z_values(LAWS["gaussian"], b, n, seed=19,
+                                replicas=reps))
 
 
 def _ratio4(law, b):
@@ -167,6 +178,14 @@ def _dfs_top(key):
     return _hash(*parts)
 
 
+def _dfs_blocks():
+    """One depth-20 tree with W per random law: 64 bottom blocks at b = 2."""
+    parts = []
+    for r, law in enumerate(TOP_LAWS):
+        parts += _fields(dfs_evaluate(LAWS[law], 2, 20, TreeStream(37, r)))
+    return _hash(*parts)
+
+
 def _diagram(flags):
     """Digest of the CSV, pixmap, stdout and stderr of one diagram run; the
     output stem in stdout is replaced, so the digest is path-free."""
@@ -193,7 +212,9 @@ for _b in (2, 3):
         CASES[f"dfs-{_law}-b{_b}"] = lambda law=_law, b=_b: _dfs(law, b)
         CASES[f"onestep-{_law}-b{_b}"] = \
             lambda law=_law, b=_b: _onestep(law, b)
+    CASES[f"batch-deep-gaussian-b{_b}"] = lambda b=_b: _batch_deep(b)
 CASES["ratio4-slabs-gaussian-b2"] = _ratio4_slabs
+CASES["dfs-blocks-b2-n20"] = _dfs_blocks
 for _key in DFS_COMPENSATED:
     CASES[f"dfs-compensated-{_key}-w"] = \
         lambda key=_key: _dfs_compensated(key, True)
@@ -207,6 +228,8 @@ for _name, _flags in DIAGRAMS.items():
 DIGESTS = {
     "batch-constant-b2": "251fe8336a06c933666537fd",
     "batch-constant-b3": "c6db489c389b6c3d13ea2300",
+    "batch-deep-gaussian-b2": "990d057ad383c541cf060f37",
+    "batch-deep-gaussian-b3": "ca19fd6ed65c3e07b9fdcec8",
     "batch-gaussian-b2": "3ce6bbc7b13937253e774709",
     "batch-gaussian-b3": "5913462b4dee00844ef9cd84",
     "batch-gaussian0-b2": "29d47de4fe6e592bd9603cd2",
@@ -215,6 +238,7 @@ DIGESTS = {
     "batch-rademacher-b3": "270981951793fa0df93a5377",
     "batch-uniform-b2": "ea4a3d4ce173258cf32bd643",
     "batch-uniform-b3": "bbfa7b4dbe9d1aecca5fc16a",
+    "dfs-blocks-b2-n20": "3ceececdd3f3bd11eb23dad7",
     "dfs-compensated-n17-w": "b775cedfef3dc1086de31cd1",
     "dfs-compensated-n17-z": "3fe2fdc9c00290941776a298",
     "dfs-compensated-n6-w": "478c8149c86f1f681d552ad2",

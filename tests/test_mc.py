@@ -27,7 +27,7 @@ from treepolymer import (
     tau_moment_check,
     verify_moments,
 )
-from treepolymer import mc
+from treepolymer import mc, rng
 from treepolymer.mc import _zscore
 from treepolymer.rng import to_uniform
 
@@ -142,6 +142,39 @@ def test_batch_values_replay_and_prefix_stability():
     assert np.array_equal(first, again)
     prefix = batch_z_values(law, 2, 3, seed=9, replicas=7)
     assert np.array_equal(first[:7], prefix)
+
+
+def test_batch_values_do_not_depend_on_the_replica_count():
+    # each replica's words are its own, and every node's value takes the
+    # same operations in the same order whatever else shares its pass
+    law = LogNormalUniformPhase(0.4, 0.6)
+    full = batch_z_values(law, 2, 10, seed=4, replicas=3000)
+    head = batch_z_values(law, 2, 10, seed=4, replicas=1500)
+    assert np.array_equal(head, full[:1500])
+
+
+def test_batch_values_draw_each_node_once_per_pass(monkeypatch):
+    raw, calls = rng._raw_blocks, []
+    monkeypatch.setattr(rng, "_raw_blocks",
+                        lambda *a: calls.append(a) or raw(*a))
+    batch_z_values(GaussianIndep(0.5, 0.5), 2, 8, seed=1, replicas=3000)
+    assert len(calls) == 2**9 - 2     # the 510 nodes below the root
+
+
+@pytest.mark.parametrize("call", [
+    lambda law: batch_z_values(law, 1, 3, seed=0, replicas=4),
+    lambda law: batch_z_values(law, 2, -1, seed=0, replicas=4),
+    lambda law: ratio4(law, 1, 3, omega_replicas=1, phase_resamples=1000,
+                       seed=0),
+    lambda law: ratio4(law, 2, 0, omega_replicas=1, phase_resamples=1000,
+                       seed=0),
+    lambda law: verify_moments(_plan(law, b=1)),
+    lambda law: verify_moments(_plan(law, replicas=1)),
+], ids=["batch-b1", "batch-n-1", "ratio4-b1", "ratio4-n0", "verify-b1",
+        "verify-one-replica"])
+def test_batch_paths_refuse_a_bad_shape_as_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call(GaussianIndep(0.5, 0.5))
 
 
 def test_batch_values_budget_guard():

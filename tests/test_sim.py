@@ -25,6 +25,7 @@ from treepolymer import (
     one_step_identity_check,
     trace_depths,
 )
+from treepolymer import rng
 from treepolymer import sim as sim_module
 from treepolymer.cli import TRACE_HEADER
 from treepolymer.rng import to_uniform
@@ -300,6 +301,25 @@ def test_block_size_moves_no_bit_of_the_radius_fields(monkeypatch):
                     fs = dfs_evaluate(law, b, n, TreeStream(13, r))
                     bits.add(np.array([getattr(fs, f) for f in names]).tobytes())
                 assert len(bits) == 1, (b, n, law, r)
+
+
+@pytest.mark.parametrize("n, philox, transforms", [
+    (8, 2, [256, 254]),
+    # two bottom blocks of 14 generations, then one level over their roots
+    (15, 2 * 14 + 1, [1 << 14, (1 << 14) - 2] * 2 + [2]),
+])
+def test_a_sweep_transforms_its_widest_generation_then_the_rest(
+        n, philox, transforms, monkeypatch):
+    raw, calls = rng._raw_blocks, []
+    monkeypatch.setattr(rng, "_raw_blocks",
+                        lambda *a: calls.append(a) or raw(*a))
+    law = GaussianIndep(0.5, 0.5)
+    transform, sizes = law.radius_weight_from_raw, []
+    monkeypatch.setattr(law, "radius_weight_from_raw",
+                        lambda words: sizes.append(len(words)) or
+                        transform(words))
+    dfs_evaluate(law, 2, n, TreeStream(1, 0))
+    assert (len(calls), sizes) == (philox, transforms)
 
 
 @pytest.mark.parametrize("b, n", [(2, 1), (2, 15), (3, 9)])
