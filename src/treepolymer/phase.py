@@ -144,16 +144,12 @@ def _decide(spec: EnvironmentSpec, b: int, eps: float,
     return "Boundary", 0.5 * (target + g_amin), (target, g_amin)
 
 
-def classify(spec: EnvironmentSpec, b: int, eps_boundary: float = 1e-9,
-             _radius: tuple | None = None) -> PhaseReport:
+def classify(spec: EnvironmentSpec, b: int,
+             eps_boundary: float = 1e-9) -> PhaseReport:
     """Phase region and predicted free energy from the moment surface alone,
-    with the trace of every condition `_decide` reads.
-
-    `_radius` is `_radius_part(spec, b)` computed beforehand, so that laws
-    sharing one radius law (a column of the diagram) share one a_min search.
-    """
+    with the trace of every condition `_decide` reads."""
     target = math.log(b) + spec.log_mean_abs()   # ln(b |E xi|)
-    amin, g_amin, g_clamp, g2 = radius = _radius or _radius_part(spec, b)
+    amin, g_amin, g_clamp, g2 = radius = _radius_part(spec, b)
     region, f, boundary_values = _decide(spec, b, eps_boundary, radius)
     trace = [
         {"name": "min_G_on_(1,2]_vs_ln_b_mean", "lhs": g_clamp, "rhs": target,

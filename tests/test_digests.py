@@ -17,9 +17,9 @@ case here, the two differ only in the sign of a sum of negative zeros),
 ``batch_z_values`` went node-major and the one-step resamples were drawn
 in slabs, and the ``batch-deep`` and ``dfs-blocks`` digests before a batch
 pass drew each node once for all its replicas and a level sweep
-transformed all its generations above the widest in one call.  A change to these functions that moves any output by one bit
-fails here.  To list the current digests, run
-``PYTHONPATH=src python tests/test_digests.py``.
+transformed all its generations above the widest in one call.  A change
+to these functions that moves any output by one bit fails here.  To list
+the current digests, run ``PYTHONPATH=src python tests/test_digests.py``.
 Z from ``dfs_evaluate`` takes numpy's complex array product, which uses
 fused multiply-adds where the CPU has them (see ``treepolymer.sim``), so
 the dfs digests hold on machines whose numpy dispatches to the same loops
