@@ -8,11 +8,10 @@ env, reproducible tree-addressed randomness in rng, and the command-line
 driver in cli.
 """
 
-from .env import (CustomLaw, DeterministicConstant, EnvironmentSpec,
-                  GaussianIndep, LogNormalUniformPhase, RademacherPhase,
-                  spec_from_config)
+from .env import (DeterministicConstant, EnvironmentSpec, GaussianIndep,
+                  LogNormalUniformPhase, RademacherPhase, spec_from_config)
 from .errors import (BudgetExceeded, ConfigError, CoupledLaw, DomainError,
-                     NoBracket, NonIntegrable, TreePolymerError)
+                     NoBracket, TreePolymerError)
 from .mc import (ExperimentPlan, McEstimate, TauReport, VerifyReport,
                  batch_z_values, estimate_free_energy, estimate_w_free_energy,
                  paley_zygmund_bound, ratio4, tau_moment_check,
@@ -30,10 +29,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatchStream", "BudgetExceeded", "ConfigError", "CoupledLaw",
-    "CriticalSet", "CustomLaw", "DEFAULT_NODE_BUDGET",
+    "CriticalSet", "DEFAULT_NODE_BUDGET",
     "DeterministicConstant", "DomainError", "EnvironmentSpec",
     "ExperimentPlan", "FunctionalSet", "GaussianIndep",
-    "LogNormalUniformPhase", "McEstimate", "NoBracket", "NonIntegrable",
+    "LogNormalUniformPhase", "McEstimate", "NoBracket",
     "OneStepReport", "PhaseReport", "RademacherPhase", "SecondMomentReport",
     "TauReport", "TreePolymerError", "TreeStream", "VerifyReport",
     "alpha_min", "batch_z_values", "brute_force_evaluate", "classify",

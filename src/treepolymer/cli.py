@@ -23,7 +23,7 @@ from . import mc, phase, sim
 from .env import (EnvironmentSpec, GaussianIndep, LogNormalUniformPhase,
                   spec_from_config)
 from .errors import (BudgetExceeded, ConfigError, CoupledLaw, DomainError,
-                     NonIntegrable, NoBracket)
+                     NoBracket)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -265,9 +265,9 @@ def cmd_diagram(cfg: dict) -> int:
 
     crit = phase.critical_set(law(1.0, 1.0), b)
     eps = 1e-3
-    replicas = cfg.get("replicas") or 0
-    n = cfg.get("n")
-    if replicas and n is None:
+    replicas = 0 if cfg.get("replicas") is None \
+        else _int(cfg, "replicas", lo=1)
+    if replicas and cfg.get("n") is None:
         raise ConfigError("per-cell estimates need --n")
 
     header = ["beta", "gamma", "region", "f"]
@@ -288,7 +288,7 @@ def cmd_diagram(cfg: dict) -> int:
             if replicas:
                 plan = mc.ExperimentPlan(
                     spec=spec, b=b, n=_int(cfg, "n", lo=1),
-                    replicas=_int(cfg, "replicas", lo=1), seed=cfg["seed"],
+                    replicas=replicas, seed=cfg["seed"],
                     node_budget=cfg["budget_nodes"], keep_values=False)
                 est = mc.estimate_free_energy(plan)
                 row += [est.mean, est.ci95[0], est.ci95[1]]
@@ -583,7 +583,7 @@ def main(argv=None) -> int:
         if getattr(args, "inject_defect", False):
             cfg["inject_defect"] = True
         return args.fn(cfg)
-    except (ConfigError, DomainError, CoupledLaw, NonIntegrable, NoBracket,
+    except (ConfigError, DomainError, CoupledLaw, NoBracket,
             BudgetExceeded) as exc:
         _say(f"error: {exc}")
         return EXIT_CONFIG

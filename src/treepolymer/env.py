@@ -23,7 +23,7 @@ import numbers
 
 import numpy as np
 
-from .errors import CoupledLaw, DomainError, NonIntegrable
+from .errors import DomainError
 from .rng import _box_muller, normal_pair, to_uniform
 
 
@@ -50,13 +50,16 @@ def _nonnegative(name: str, value) -> float:
 
 
 class EnvironmentSpec:
-    """Base law. Subclasses fill the sampling and moment surface."""
+    """Base law. Subclasses fill the sampling and moment surface; a law of
+    one's own subclasses it too.  The tree evaluators read only the
+    sampling methods (and ``phase_damping`` for W), the classifiers the
+    moment surface.  A law with coupled radius and phase sets
+    ``independent = False``."""
 
     model = "abstract"
     independent = True
     beta_scale = 1.0   # point on the lambda_r axis the law itself sits at
     gamma_scale = 1.0  # point on the lambda_c axis the law itself sits at
-    moment_alpha_max = math.inf  # largest certified exponent for E|xi|^a
 
     # -- sampling ---------------------------------------------------------
     def radius_from_raw(self, raw: np.ndarray) -> np.ndarray:
@@ -304,76 +307,6 @@ class DeterministicConstant(EnvironmentSpec):
 
     def lambda_c(self, g):
         return 0.0
-
-
-class CustomLaw(EnvironmentSpec):
-    """Law given by a polar sampler plus a finite moment table.
-
-    ``log_moments`` maps exponents a to ln E|xi|^a; values between table
-    nodes come from monotone cubic (PCHIP) interpolation on (a, ln m),
-    which preserves the log-convex shape the classifiers rely on.  Queries
-    outside the table raise NonIntegrable.
-    """
-
-    model = "custom"
-
-    def __init__(self, polar, log_moments: dict, mean: complex,
-                 independent: bool = False, damping: float | None = None,
-                 lambda_c_fn=None):
-        from scipy.interpolate import PchipInterpolator
-
-        self._polar = polar
-        pts = sorted(log_moments.items())
-        if len(pts) < 2:
-            raise DomainError("log_moments needs at least two table nodes")
-        self._alphas = np.array([p[0] for p in pts], dtype=float)
-        self._logm = np.array([p[1] for p in pts], dtype=float)
-        self._interp = PchipInterpolator(self._alphas, self._logm)
-        self._deriv = self._interp.derivative()
-        self._mean = complex(mean)
-        self.independent = bool(independent)
-        self._damping = damping
-        self._lambda_c_fn = lambda_c_fn
-        self.moment_alpha_max = float(self._alphas[-1])
-
-    def polar_from_raw(self, raw):
-        return self._polar(raw)
-
-    def radius_from_raw(self, raw):
-        return self._polar(raw)[0]
-
-    def phase_from_raw(self, raw):
-        if not self.independent:
-            raise CoupledLaw("phase resampling requires independent radius/phase")
-        return self._polar(raw)[1]
-
-    def log_moment_abs(self, a):
-        if a < self._alphas[0] - 1e-12 or a > self._alphas[-1] + 1e-12:
-            raise NonIntegrable(
-                f"moment exponent {a} outside table range "
-                f"[{self._alphas[0]}, {self._alphas[-1]}]")
-        return float(self._interp(a))
-
-    def mean_xi(self):
-        return self._mean
-
-    def lambda_r(self, x):
-        return self.log_moment_abs(x)
-
-    def lambda_r_prime(self, x):
-        if x < self._alphas[0] - 1e-12 or x > self._alphas[-1] + 1e-12:
-            raise NonIntegrable(f"exponent {x} outside table range")
-        return float(self._deriv(x))
-
-    def lambda_c(self, g):
-        if self._lambda_c_fn is None:
-            raise CoupledLaw("law does not declare a phase moment function")
-        return self._lambda_c_fn(g)
-
-    def phase_damping(self):
-        if self._damping is None:
-            raise CoupledLaw("law does not declare independent phase damping")
-        return self._damping
 
 
 def spec_from_config(record: dict) -> EnvironmentSpec:

@@ -13,10 +13,6 @@ class CoupledLaw(TreePolymerError):
     """Operation requires independent radius/phase but the law is coupled."""
 
 
-class NonIntegrable(TreePolymerError):
-    """Requested moment is outside the law's certified range."""
-
-
 class NoBracket(TreePolymerError):
     """Root finder found no sign change below the search cap."""
 

@@ -154,6 +154,8 @@ def batch_z_values(spec: EnvironmentSpec, b: int, n: int, seed: int,
     so a replica's Z_n does not depend on the pass it shares."""
     if b < 2 or n < 0:
         raise DomainError("need b >= 2 and n >= 0")
+    if replicas < 0:
+        raise DomainError("replicas must be >= 0")
     if b**n > (1 << 18):
         raise BudgetExceeded("batch evaluation limited to b^n <= 2^18")
     bs = BatchStream(seed)

@@ -23,7 +23,7 @@ from .env import EnvironmentSpec
 from .errors import DomainError, NoBracket
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
-_CAP = 64.0  # search limit for a_min and for the critical beta and gamma
+_CAP = 64.0  # search limit for a_min, the critical parameters and u_c
 
 
 @dataclass
@@ -95,11 +95,11 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-8) -> float:
 def alpha_min(spec: EnvironmentSpec, b: int) -> float:
     """Unique minimizer of G on (0, _CAP], or +inf if G is still strictly
     decreasing at the cap (slope test)."""
-    cap = min(_CAP, spec.moment_alpha_max)
-    h = 1e-6 * cap
-    if g_of_alpha(spec, b, cap) < g_of_alpha(spec, b, cap - h):
+    h = 1e-6 * _CAP
+    if g_of_alpha(spec, b, _CAP) < g_of_alpha(spec, b, _CAP - h):
         return math.inf
-    return golden_section_min(lambda a: g_of_alpha(spec, b, a), 1e-6, cap, tol=1e-8)
+    return golden_section_min(lambda a: g_of_alpha(spec, b, a), 1e-6, _CAP,
+                              tol=1e-8)
 
 
 def l2_check(spec: EnvironmentSpec, b: int) -> bool:
@@ -112,8 +112,7 @@ def _radius_part(spec: EnvironmentSpec, b: int) -> tuple[float, float, float, fl
     radius: a_min, and G at a_min (capped), at a_min clamped to [1, 2] and
     at 2."""
     amin = alpha_min(spec, b)
-    cap = min(_CAP, spec.moment_alpha_max)
-    return (amin, g_of_alpha(spec, b, min(amin, cap)),
+    return (amin, g_of_alpha(spec, b, min(amin, _CAP)),
             g_of_alpha(spec, b, min(max(amin, 1.0), 2.0)),
             g_of_alpha(spec, b, 2.0))
 
@@ -218,7 +217,6 @@ def critical_set(spec: EnvironmentSpec, b: int) -> CriticalSet:
     A parameter whose equation has no root below the cap is set to +inf.
     """
     lnb = math.log(b)
-    cap = min(_CAP, 0.5 * spec.moment_alpha_max)
 
     def legendre_gap(x):
         return x * spec.lambda_r_prime(x) - spec.lambda_r(x) - lnb
@@ -226,8 +224,8 @@ def critical_set(spec: EnvironmentSpec, b: int) -> CriticalSet:
     def legendre_gap2(x):
         return legendre_gap(2.0 * x)
 
-    beta_c = _solve_or_inf(legendre_gap, cap)
-    beta_0 = _solve_or_inf(legendre_gap2, 0.5 * cap)
+    beta_c = _solve_or_inf(legendre_gap, _CAP)
+    beta_0 = _solve_or_inf(legendre_gap2, 0.5 * _CAP)
 
     def phase_gap(g):
         return 2.0 * spec.lambda_c(g) - lnb
@@ -253,8 +251,6 @@ def critical_set(spec: EnvironmentSpec, b: int) -> CriticalSet:
 
 
 def _solve_or_inf(f, cap: float) -> float:
-    if not math.isfinite(cap) or cap <= 0:
-        return math.inf
     try:
         lo, hi = _first_bracket(f, 1e-9, cap, steps=4096)
     except NoBracket:
@@ -343,8 +339,7 @@ def positive_weight_free_energy(spec: EnvironmentSpec, exponent: int, b: int) ->
     def gap(u):
         return u * big_l_prime(u) - big_l(u) - lnb
 
-    cap = min(64.0, spec.moment_alpha_max / exponent)
-    u_c = _solve_or_inf(gap, cap)
+    u_c = _solve_or_inf(gap, _CAP)
     if u_c >= 1.0:
         return lnb + big_l(1.0)
     return big_l_prime(u_c)

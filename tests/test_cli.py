@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from treepolymer import CustomLaw, cli, phase, spec_from_config
+from treepolymer import cli, phase, spec_from_config
 from treepolymer.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -21,6 +24,8 @@ from treepolymer.cli import (
     rows_to_csv,
 )
 from treepolymer.errors import ConfigError
+
+from laws import CoupledGaussian
 
 LN2 = math.log(2.0)
 
@@ -110,14 +115,7 @@ def test_phase_point_infinite_critical_values_serialize_as_strings(capsys):
 
 
 def test_strict_flag_turns_undetermined_into_exit_3(capsys, monkeypatch):
-    def polar(raw):
-        count = raw.shape[0]
-        return np.ones(count), np.zeros(count)
-
-    table = {a: 0.5 * (0.8 * a) ** 2 for a in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)}
-    coupled = CustomLaw(polar=polar, log_moments=table, mean=0.9 + 0j,
-                        independent=False)
-    monkeypatch.setattr(cli, "_law", lambda cfg: coupled)
+    monkeypatch.setattr(cli, "_law", lambda cfg: CoupledGaussian(0.8, 0.5))
     code, out, _ = run(["phase-point", "--strict"], capsys)
     assert code == EXIT_UNDETERMINED
     payload = strict_loads(out)
@@ -195,6 +193,19 @@ def test_diagram_with_cell_estimates_extends_the_header(tmp_path, capsys):
     cells = lines[2].split(",")
     assert len(cells) == 7
     assert math.isfinite(float(cells[4]))
+
+
+def test_diagram_refuses_zero_replicas_from_flag_and_config(tmp_path,
+                                                            capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, "replicas": 0}))
+    stem = tmp_path / "zero"
+    for source in (["--n", "4", "--replicas", "0"], ["--config", str(cfg)]):
+        code, out, err = run(["diagram", "--grid", "0:2:3", "--out",
+                              str(stem)] + source, capsys)
+        assert code == EXIT_CONFIG
+        assert out == "" and "replicas must be an integer >= 1" in err
+        assert not stem.with_suffix(".csv").exists()
 
 
 @pytest.mark.parametrize("model, b, grid", [
@@ -514,3 +525,27 @@ def test_non_integer_budget_variable_exits_as_config_error(monkeypatch, capsys):
     code, _, err = run(["simulate", "--beta", "0.5", "--gamma", "0.5",
                         "--n", "4", "--replicas", "2"], capsys)
     assert code == EXIT_CONFIG and "TREEPOLYMER_BUDGET_NODES" in err
+
+
+# ------------------------------------------------------------- dependencies
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-point", "--beta", "0.5", "--gamma", "0.5"],
+    ["simulate", "--beta", "0.5", "--gamma", "0.5", "--n", "4",
+     "--replicas", "2", "--only", "both"],
+    ["verify", "--only", "oracle"],
+])
+def test_commands_run_without_scipy(argv, tmp_path):
+    # numpy is the only runtime dependency: with scipy's import blocked,
+    # any use of scipy would fail the command
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys; sys.modules['scipy'] = None\n"
+              "from treepolymer.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr

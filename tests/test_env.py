@@ -8,13 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from treepolymer import (
-    CoupledLaw,
-    CustomLaw,
     DeterministicConstant,
     DomainError,
     GaussianIndep,
     LogNormalUniformPhase,
-    NonIntegrable,
     RademacherPhase,
     TreeStream,
     spec_from_config,
@@ -151,65 +148,6 @@ def test_constant_law_is_deterministic():
         DeterministicConstant(0)
 
 
-# ------------------------------------------------------------------ custom
-
-
-def _indep_custom(**kwargs):
-    def polar(raw):
-        count = raw.shape[0]
-        return np.ones(count), np.zeros(count)
-
-    defaults = dict(
-        polar=polar,
-        log_moments={0.0: 0.0, 1.0: 0.0, 2.0: 0.0, 4.0: 0.0},
-        mean=1.0 + 0j,
-    )
-    defaults.update(kwargs)
-    return CustomLaw(**defaults)
-
-
-def test_custom_law_interpolates_through_table_nodes():
-    law = _indep_custom(log_moments={0.0: 0.0, 1.0: 0.5, 2.0: 2.0, 3.0: 4.5})
-    for a, expect in [(0.0, 0.0), (1.0, 0.5), (2.0, 2.0), (3.0, 4.5)]:
-        assert close(law.log_moment_abs(a), expect, rel=1e-9)
-    mid = law.log_moment_abs(1.5)
-    assert 0.5 < mid < 2.0
-    assert law.moment_alpha_max == 3.0
-
-
-def test_custom_law_refuses_queries_outside_the_table():
-    law = _indep_custom(log_moments={0.0: 0.0, 2.0: 1.0})
-    with pytest.raises(NonIntegrable):
-        law.log_moment_abs(2.5)
-    with pytest.raises(NonIntegrable):
-        law.lambda_r_prime(-1.0)
-
-
-def test_coupled_custom_law_refuses_phase_decomposition():
-    law = _indep_custom(independent=False)
-    with pytest.raises(CoupledLaw):
-        law.phase_from_raw(np.zeros((1, 4), dtype=np.uint64))
-    with pytest.raises(CoupledLaw):
-        law.phase_damping()
-    with pytest.raises(CoupledLaw):
-        law.lambda_c(1.0)
-
-
-def test_independent_custom_law_exposes_declared_phase_data():
-    law = _indep_custom(independent=True, damping=0.25, lambda_c_fn=lambda g: 0.5 * g)
-    assert law.phase_damping() == 0.25
-    assert law.lambda_c(2.0) == 1.0
-    r, phi = law.polar_from_raw(np.zeros((3, 4), dtype=np.uint64))
-    assert np.allclose(r, 1.0) and np.allclose(phi, 0.0)
-
-
-def test_custom_law_needs_two_table_nodes_and_is_not_config_serializable():
-    with pytest.raises(DomainError):
-        _indep_custom(log_moments={1.0: 0.0})
-    with pytest.raises(DomainError, match="unknown model 'custom'"):
-        spec_from_config({"model": "custom", "log_moments": {0.0: 0.0}})
-
-
 # ------------------------------------------------------------------ config
 
 
@@ -244,6 +182,9 @@ def test_spec_from_config_tolerates_branching_key_and_rejects_unknown_model():
     assert isinstance(law, GaussianIndep)
     with pytest.raises(DomainError):
         spec_from_config({"model": "weibull"})
+    # a law of one's own subclasses EnvironmentSpec; no record builds one
+    with pytest.raises(DomainError, match="unknown model 'custom'"):
+        spec_from_config({"model": "custom", "log_moments": {0.0: 0.0}})
     with pytest.raises(DomainError):
         spec_from_config({"model": "gaussian", "beta": 0.1})
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from treepolymer import (
     BudgetExceeded,
     CoupledLaw,
-    CustomLaw,
     DeterministicConstant,
     DomainError,
     ExperimentPlan,
@@ -30,6 +29,8 @@ from treepolymer import (
 from treepolymer import mc, rng
 from treepolymer.mc import _zscore
 from treepolymer.rng import to_uniform
+
+from laws import CoupledGaussian, SamplerLaw
 
 LN2 = math.log(2.0)
 
@@ -75,11 +76,8 @@ def test_estimators_validate_their_inputs():
         estimate_free_energy(_plan(law, replicas=0))
     with pytest.raises(BudgetExceeded):
         estimate_free_energy(_plan(law, n=10, node_budget=100))
-    coupled = CustomLaw(
-        polar=lambda raw: (np.ones(raw.shape[0]), np.zeros(raw.shape[0])),
-        log_moments={0.0: 0.0, 4.0: 0.0}, mean=1.0 + 0j, independent=False)
     with pytest.raises(CoupledLaw):
-        estimate_w_free_energy(_plan(coupled))
+        estimate_w_free_energy(_plan(CoupledGaussian(0.5, 0.5)))
 
 
 def test_overflowed_replicas_are_refused_not_averaged():
@@ -100,10 +98,7 @@ def test_zero_partition_replicas_are_excluded_not_averaged():
         u = to_uniform(raw[:, 2])
         return np.where(u < 0.5, 0.0, 2.0), np.zeros(raw.shape[0])
 
-    law = CustomLaw(polar=polar,
-                    log_moments={0.0: 0.0, 1.0: 0.0, 2.0: LN2, 4.0: 3 * LN2},
-                    mean=1.0 + 0j, independent=True, damping=1.0,
-                    lambda_c_fn=lambda g: 0.0)
+    law = SamplerLaw(polar)
     est = estimate_free_energy(_plan(law, n=1, replicas=64))
     assert est.excluded_count > 0
     assert est.replicas + est.excluded_count == 64
@@ -135,6 +130,11 @@ def test_batch_values_for_constant_law_are_exact():
     assert np.all(vals == complex(-16.0))
 
 
+def test_batch_values_of_no_replicas_are_empty():
+    vals = batch_z_values(GaussianIndep(0.5, 0.5), 2, 3, seed=0, replicas=0)
+    assert vals.shape == (0,) and vals.dtype == np.complex128
+
+
 def test_batch_values_replay_and_prefix_stability():
     law = GaussianIndep(0.5, 0.5)
     first = batch_z_values(law, 2, 3, seed=9, replicas=20)
@@ -164,14 +164,15 @@ def test_batch_values_draw_each_node_once_per_pass(monkeypatch):
 @pytest.mark.parametrize("call", [
     lambda law: batch_z_values(law, 1, 3, seed=0, replicas=4),
     lambda law: batch_z_values(law, 2, -1, seed=0, replicas=4),
+    lambda law: batch_z_values(law, 2, 3, seed=0, replicas=-1),
     lambda law: ratio4(law, 1, 3, omega_replicas=1, phase_resamples=1000,
                        seed=0),
     lambda law: ratio4(law, 2, 0, omega_replicas=1, phase_resamples=1000,
                        seed=0),
     lambda law: verify_moments(_plan(law, b=1)),
     lambda law: verify_moments(_plan(law, replicas=1)),
-], ids=["batch-b1", "batch-n-1", "ratio4-b1", "ratio4-n0", "verify-b1",
-        "verify-one-replica"])
+], ids=["batch-b1", "batch-n-1", "batch-negative-replicas", "ratio4-b1",
+        "ratio4-n0", "verify-b1", "verify-one-replica"])
 def test_batch_paths_refuse_a_bad_shape_as_a_domain_error(call):
     with pytest.raises(DomainError):
         call(GaussianIndep(0.5, 0.5))
@@ -265,11 +266,9 @@ def test_ratio4_guards():
         ratio4(law, 2, 3, omega_replicas=1, phase_resamples=10, seed=0)
     with pytest.raises(BudgetExceeded):
         ratio4(law, 2, 17, omega_replicas=1, phase_resamples=1000, seed=0)
-    coupled = CustomLaw(
-        polar=lambda raw: (np.ones(raw.shape[0]), np.zeros(raw.shape[0])),
-        log_moments={0.0: 0.0, 4.0: 0.0}, mean=1.0 + 0j, independent=False)
     with pytest.raises(CoupledLaw):
-        ratio4(coupled, 2, 3, omega_replicas=1, phase_resamples=1000, seed=0)
+        ratio4(CoupledGaussian(0.5, 0.5), 2, 3, omega_replicas=1,
+               phase_resamples=1000, seed=0)
 
 
 def test_ratio4_reports_per_tree_ratios_with_errors():

@@ -8,7 +8,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from treepolymer import (
-    CustomLaw,
     DeterministicConstant,
     DomainError,
     GaussianIndep,
@@ -23,26 +22,13 @@ from treepolymer import (
     positive_weight_free_energy,
 )
 
+from laws import CoupledGaussian
+
 LN2 = math.log(2.0)
 BETA_C = math.sqrt(2.0 * LN2)     # Gaussian b=2 strong-disorder threshold
 BETA_0 = 0.5 * BETA_C
 GAMMA_C = math.sqrt(LN2)
 GAMMA_0 = math.sqrt(0.5 * LN2)
-
-
-def _unit_modulus_custom():
-    def polar(raw):
-        count = raw.shape[0]
-        return np.ones(count), np.zeros(count)
-
-    return CustomLaw(
-        polar=polar,
-        log_moments={0.0: 0.0, 1.0: 0.0, 2.0: 0.0, 4.0: 0.0},
-        mean=1.0 + 0j,
-        independent=True,
-        damping=1.0,
-        lambda_c_fn=lambda g: 0.0,
-    )
 
 
 # ------------------------------------------------------------------ G(a)
@@ -64,7 +50,6 @@ def test_alpha_min_examples():
     assert alpha_min(GaussianIndep(1.0, 1.0), 2) == pytest.approx(BETA_C, abs=1e-6)
     assert alpha_min(GaussianIndep(0.3, 0.3), 2) == pytest.approx(BETA_C / 0.3, abs=1e-6)
     assert alpha_min(DeterministicConstant(1.0), 2) == math.inf
-    assert alpha_min(_unit_modulus_custom(), 2) == math.inf
 
 
 @given(st.floats(0.2, 2.0))
@@ -172,15 +157,9 @@ def test_classify_reports_exact_boundary_with_both_values():
 
 
 def test_classify_undetermined_without_independence():
-    def polar(raw):
-        count = raw.shape[0]
-        return np.ones(count), np.zeros(count)
-
-    # moment table of a strong radius (quadratic in a), phases undeclared
-    table = {a: 0.5 * (0.8 * a) ** 2 for a in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)}
-    law = CustomLaw(polar=polar, log_moments=table, mean=0.941928 + 0j,
-                    independent=False)
-    report = classify(law, 2)
+    # 1 <= a_min < 2 and G(a_min) above ln(b|E xi|): R2b needs independence
+    assert classify(GaussianIndep(0.8, 0.5), 2).region == "R2b"
+    report = classify(CoupledGaussian(0.8, 0.5), 2)
     assert report.region == "Undetermined"
     assert math.isnan(report.predicted_f)
 

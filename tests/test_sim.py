@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from treepolymer import (
     BudgetExceeded,
     CoupledLaw,
-    CustomLaw,
     DeterministicConstant,
     DomainError,
     GaussianIndep,
@@ -29,6 +28,8 @@ from treepolymer import rng
 from treepolymer import sim as sim_module
 from treepolymer.cli import TRACE_HEADER
 from treepolymer.rng import to_uniform
+
+from laws import SamplerLaw
 
 REL = 1e-12
 
@@ -77,9 +78,7 @@ def _alternating_phase_law():
         phases = np.where(np.arange(count) % 2 == 0, math.pi / 4.0, -math.pi / 4.0)
         return np.full(count, root2), phases
 
-    table = {a: 0.5 * a * math.log(2.0) for a in (0.0, 1.0, 2.0, 4.0)}
-    return CustomLaw(polar=polar, log_moments=table, mean=1.0 + 0j,
-                     independent=False)
+    return SamplerLaw(polar, independent=False)
 
 
 def test_position_dependent_phases_cancel_in_pairs():
@@ -181,10 +180,7 @@ def test_w_carries_past_a_squared_radius_overflow():
         r, phi = base.polar_from_raw(raw)
         return np.ldexp(r, 600), phi
 
-    table = {a: 0.125 * a * a + 600.0 * a * math.log(2.0)
-             for a in (0.0, 1.0, 2.0, 4.0)}
-    big = CustomLaw(polar=shifted, log_moments=table, mean=0j,
-                    independent=True, damping=base.phase_damping())
+    big = SamplerLaw(shifted, damping=base.phase_damping())
     shift = 600 * math.log(2.0)
     for n in (3, 6):
         small = dfs_evaluate(base, 2, n, TreeStream(5, 0))
@@ -203,8 +199,7 @@ def test_custom_radii_of_any_real_dtype_match_enumeration(dtype):
         r = (raw[:, 0] % np.uint64(3) + np.uint64(1)).astype(dtype)
         return r, 2.0 * math.pi * to_uniform(raw[:, 1])
 
-    law = CustomLaw(polar=polar, log_moments={0.0: 0.0, 2.0: math.log(14 / 3)},
-                    mean=0j, independent=True, damping=0.5)
+    law = SamplerLaw(polar, damping=0.5)
     for b, n in [(2, 1), (2, 5), (3, 4)]:
         fast = dfs_evaluate(law, b, n, TreeStream(2, 0))
         slow = brute_force_evaluate(law, b, n, TreeStream(2, 0))
@@ -253,8 +248,7 @@ def test_a_scaled_down_generation_too_wide_to_square_is_refused():
         r = np.where(np.arange(count) % 2 == 0, 2.0**600, 2.0**-400)
         return r, np.zeros(count)
 
-    law = CustomLaw(polar=polar, log_moments={0.0: 0.0, 2.0: 1200.0},
-                    mean=0j, independent=True, damping=1.0)
+    law = SamplerLaw(polar)
     fs = dfs_evaluate(law, 2, 1, TreeStream(0, 0))
     assert math.isnan(fs.ln_z_abs2) and math.isnan(fs.ln_w_cond)
     assert fs.ln_z_abs == pytest.approx(600 * math.log(2.0), rel=REL)
@@ -530,9 +524,7 @@ def test_trace_skips_pair_functional_when_disabled():
 def test_trace_refuses_overflow_but_keeps_exact_zeros():
     with pytest.raises(DomainError, match="at depth 3: float64 overflow"):
         trace_depths(GaussianIndep(600.0, 0.5), 2, 4, TreeStream(0, 0))
-    zero = CustomLaw(
-        polar=lambda raw: (np.zeros(raw.shape[0]), np.zeros(raw.shape[0])),
-        log_moments={0.0: 0.0, 2.0: 0.0}, mean=0j, independent=True,
-        damping=1.0)
+    zero = SamplerLaw(
+        lambda raw: (np.zeros(raw.shape[0]), np.zeros(raw.shape[0])))
     for row in trace_depths(zero, 2, 2, TreeStream(0, 0)):
         assert [row[k] for k in row if k != "n"] == [-math.inf] * 4
