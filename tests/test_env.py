@@ -17,6 +17,8 @@ from treepolymer import (
     spec_from_config,
 )
 
+from laws import SamplerLaw
+
 REL = 1e-12
 
 
@@ -182,11 +184,20 @@ def test_spec_from_config_tolerates_branching_key_and_rejects_unknown_model():
     assert isinstance(law, GaussianIndep)
     with pytest.raises(DomainError):
         spec_from_config({"model": "weibull"})
-    # a law of one's own subclasses EnvironmentSpec; no record builds one
-    with pytest.raises(DomainError, match="unknown model 'custom'"):
-        spec_from_config({"model": "custom", "log_moments": {0.0: 0.0}})
     with pytest.raises(DomainError):
         spec_from_config({"model": "gaussian", "beta": 0.1})
+
+
+def test_custom_law_needs_two_table_nodes_and_is_not_config_serializable():
+    # a law of one's own that declares no moment surface answers no moment
+    # query, and no config record builds it
+    law = SamplerLaw(lambda raw: (np.ones(raw.shape), np.zeros(raw.shape)))
+    with pytest.raises(NotImplementedError):
+        law.log_moment_abs(1.0)
+    with pytest.raises(NotImplementedError):
+        law.moment_abs(2.0)
+    with pytest.raises(DomainError, match="unknown model 'custom'"):
+        spec_from_config({"model": "custom", "log_moments": {0.0: 0.0}})
 
 
 @pytest.mark.parametrize("record", [
