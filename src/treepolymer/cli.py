@@ -474,7 +474,7 @@ def check_ratio4(seed: int, budget: int) -> dict:
     margins = [3.0 + 3.0 * se - r
                for r, se in zip(est.values, est.value_ses)]
     return {"name": "ratio4", "passed": min(margins) >= 0.0,
-            "max_ratio": est.max_value, "ratios": est.values,
+            "max_ratio": max(est.values), "ratios": est.values,
             "ses": est.value_ses}
 
 

@@ -40,7 +40,6 @@ class McEstimate:
     median: float
     excluded_count: int = 0
     values: list | None = None         # per replica in order, -inf if excluded
-    max_value: float | None = None     # filled by ratio4
     value_ses: list | None = None      # filled by ratio4
 
     def to_dict(self) -> dict:
@@ -259,8 +258,8 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
     """Conditional fourth-moment ratio E[|Z|^4|radii] / E[|Z|^2|radii]^2 per
     frozen radius tree, estimated from phase resamples, with jackknife SEs.
 
-    The returned estimate carries per-omega ratios in `values`, their
-    jackknife standard errors in `value_ses`, and the max in `max_value`.
+    The returned estimate carries per-omega ratios in `values` and their
+    jackknife standard errors in `value_ses`.
     """
     if not spec.independent:
         raise CoupledLaw("phase resampling needs independent radius/phase")
@@ -315,7 +314,6 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
 
     est = _estimate(ratios, 0)
     est.values = ratios
-    est.max_value = max(ratios)
     est.value_ses = ses
     return est
 

@@ -5,15 +5,19 @@
 * Z_n        = sum over paths of the product of complex weights,
 * Z_n(|xi|)  = the same sum over |xi|,
 * Z_n(|xi|^2),
-* T_n        = q^n Z_n(|xi|)   with q = |E e^{i theta}| (internal to W),
 * W_n        = E[|Z_n|^2 | radii], via the per-node recursion
-               W <- sum_x |xi_x|^2 W_x + q^2 [ (sum_x |xi_x| T_x)^2
-                                               - sum_x |xi_x|^2 T_x^2 ],
-               T <- q sum_x |xi_x| T_x,   leaf base W = T = 1.
+               W <- sum_x |xi_x|^2 W_x + q^(2h+2) [ (sum_x |xi_x| A_x)^2
+                                                    - sum_x (|xi_x| A_x)^2 ]
+               over the children x, of height h, with A = Z(|xi|),
+               q = |E e^{i theta}| and leaf base W = 1,
+* T_n        = q^n Z_n(|xi|).
 
-The pair term uses the squared-sum identity to stay O(b) per node; the
-dropped cross terms are exactly the x = x' diagonal, and W dominates that
-diagonal, so the subtraction loses no relative accuracy.
+A node of height h has damped sum T = q^h Z(|xi|), so the pair term
+q^2 [(sum_x |xi_x| T_x)^2 - sum_x (|xi_x| T_x)^2] is the one above, built
+from the products |xi_x| A_x of Z(|xi|)'s update: no T is carried, only
+the scalar q^h.  The squared-sum identity keeps the pair term O(b) per
+node; the dropped cross terms are exactly the x = x' diagonal, and W
+dominates that diagonal, so the subtraction loses no relative accuracy.
 
 Every quantity, and each generation's radii, is carried as (mantissa,
 base-2 exponent) with exact power-of-two rescaling, one exponent per field
@@ -29,16 +33,13 @@ draws in one call and all the generations above it in a second, so a tree
 within one block makes at most two Philox and two transform calls.  Memory
 is O(b^d + b^k) for blocks of depth d and k = n - d.
 
-The top sweep forms xi * Z from real parts, (xr zr - xi zi, xr zi + xi zr),
-and scales Z by the larger of |Re Z| and |Im Z|; the bottom blocks use
-numpy's complex array product and scale Z by its modulus.  The digests in
-``tests/test_digests.py`` pin both choices: ln|Z_n| depends in its last
-bit on how the root value is split into mantissa and exponent, and numpy's
-complex array product uses fused multiply-adds where the CPU has them, so
-its bits differ from the plain form's.  For the same reason Z, and those
-digests, can differ in the last bits between machines whose numpy
-dispatches to different loops; the radius fields (Z(|xi|), Z(|xi|^2), T
-and W) take no complex product.
+Every sweep forms xi * Z with numpy's complex array product and scales Z by
+its modulus, so the block size moves no bit of Z while no value turns
+subnormal.  numpy's complex product uses fused multiply-adds where the CPU
+has them, so Z, and the digests in ``tests/test_digests.py`` that pin it,
+can differ in the last bits between machines whose numpy dispatches to
+different loops; the radius fields (Z(|xi|), Z(|xi|^2), W and T) take no
+complex product.
 
 ``brute_force_evaluate`` is the independent oracle: literal path
 enumeration, with W summed over ordered path pairs damped by
@@ -56,7 +57,7 @@ import numpy as np
 
 from .env import EnvironmentSpec
 from .errors import BudgetExceeded, CoupledLaw, DomainError
-from .rng import TreeStream, node_offset
+from .rng import BatchStream, TreeStream, node_offset
 
 DEFAULT_NODE_BUDGET = 1 << 24
 _SLAB_DRAWS = 1 << 16     # node draws per transform call in the batch paths
@@ -77,7 +78,8 @@ class FunctionalSet:
     about 2^2000: the smaller ones underflow and are lost.  Z_n(|xi|^2) and
     W_n, which span the most, are nan where _sweep or _finish finds such a
     loss; Z_n and Z_n(|xi|) are not checked.  arg_z is the angle of Z_n,
-    well defined even when |Z_n| overflows.
+    well defined even when |Z_n| overflows.  t_damped = q^n Z_n(|xi|) is
+    formed at the root, so ln_t_damped stays finite where q^n underflows.
     """
 
     n: int
@@ -153,15 +155,15 @@ def _block_depth(b: int, n: int) -> int:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
-           m: list, e: list, q: float, include_w: bool, corrupt: bool,
-           top: bool) -> tuple[list, list]:
+           m: list, e: list, t: tuple[float, int], q: float, include_w: bool,
+           corrupt: bool) -> tuple[list, list, tuple[float, int]]:
     """Apply the per-node recursions `levels` times, from the b**levels
     generation-(g0 + levels) nodes under node (g0, i0) up to that node.
 
-    m holds the mantissa arrays of (Z, Z(|xi|), Z(|xi|^2), T, W) over those
-    nodes and e their exponents.  With top=True, xi * Z is formed from real
-    parts and Z is scaled by its larger part (see the module docstring).
-    m is emptied, so the widest arrays are freed after the first level.
+    m holds the mantissa arrays of (Z, Z(|xi|), Z(|xi|^2), W) over those
+    nodes and e their exponents; t is (mantissa, exponent) of q^h for their
+    height h, advanced only with W.  m is emptied, so the widest arrays are
+    freed after the first level.
     The widest generation is drawn and transformed alone; after its level,
     every generation above it is transformed in one call, from one counter
     range when node (g0, i0) is the root, so a sweep makes at most two
@@ -170,9 +172,10 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
     stay finite; an infinite radius's overflow stays, unwarned by numpy.
     A scale-down that squares a positive radius below the normal range
     loses terms of the r^2-weighted sums, which are then refused as nan."""
-    z, za, a2, t, w = m
+    z, za, a2, w = m
     m.clear()
-    ez, ea, ea2, et, ew = e
+    ez, ea, ea2, ew = e
+    tm, et = t
     for j in range(levels, 0, -1):
         if j == levels:
             r, xi = spec.radius_weight_from_raw(
@@ -190,36 +193,31 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
         r, k = _renorm(r, 0, r, _R_TOP)
         if k > 0 and np.min(r, where=r > 0, initial=1.0) < 2.0**-511:
             a2, w = np.full_like(a2, np.nan), np.full_like(w, np.nan)
-        ea, ea2, et, ew = ea + k, ea2 + 2 * k, et + k, ew + 2 * k
+        ea, ea2, ew = ea + k, ea2 + 2 * k, ew + 2 * k
         r2 = r * r
-        if top:
-            xz = np.empty_like(z)
-            xz.real = xi.real * z.real - xi.imag * z.imag
-            xz.imag = xi.real * z.imag + xi.imag * z.real
-        else:
-            xz = xi * z
-        z = _group_sum(xz, b)
-        za = _group_sum(r * za, b)
+        z = _group_sum(xi * z, b)
+        rza = r * za
+        za = _group_sum(rza, b)
+        s2 = _group_sum(rza * rza, b) if include_w else None
+        del rza                      # a Z-only sweep frees it here
         a2 = _group_sum(r2 * a2, b)
         if include_w:
-            rt = r * t
-            s1 = _group_sum(rt, b)
-            s2 = _group_sum(rt * rt, b)
+            tm, dt = math.frexp(q * tm)
+            et += dt
             diag = _group_sum(r2 * w, b)
-            pair = (q * q) * np.maximum(s1 * s1 - s2, 0.0)
+            pair = (tm * tm) * np.maximum(za * za - s2, 0.0)
             if corrupt:
                 pair = pair * 1.001
-            e_new = max(ew, 2 * et)
+            ep = 2 * (ea + et)
+            e_new = max(ew, ep)
             w = diag * math.ldexp(1.0, ew - e_new) \
-                + pair * math.ldexp(1.0, 2 * et - e_new)
+                + pair * math.ldexp(1.0, ep - e_new)
             ew = e_new
-            t = q * s1
-            t, et = _renorm(t, et, t)
             w, ew = _renorm(w, ew, w)
-        z, ez = _renorm(z, ez, np.abs(z.view(np.float64)) if top else np.abs(z))
+        z, ez = _renorm(z, ez, np.abs(z))
         za, ea = _renorm(za, ea, za)
         a2, ea2 = _renorm(a2, ea2, a2)
-    return [z, za, a2, t, w], [ez, ea, ea2, et, ew]
+    return [z, za, a2, w], [ez, ea, ea2, ew], (tm, et)
 
 
 def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
@@ -235,21 +233,23 @@ def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
     d = _block_depth(b, n)
     k = n - d
     leaves = b**d
-    tw = leaves if include_w else 1   # without W, T and W stay one 1 per block
+    tw = leaves if include_w else 1   # without W, W stays one 1 per block
     roots = [_sweep(spec, b, stream, k, i, d,
                     [np.ones(leaves, dtype=np.complex128), np.ones(leaves),
-                     np.ones(leaves), np.ones(tw), np.ones(tw)], [0] * 5,
-                    q, include_w, _corrupt_w_pair, top=False)
+                     np.ones(leaves), np.ones(tw)],
+                    [0] * 4, (1.0, 0), q, include_w, _corrupt_w_pair)
              for i in range(b**k)]
-    m, e = roots[0]
+    m, e, t = roots[0]
     if k:
-        e = np.max([root_e for _, root_e in roots], axis=0).tolist()
+        e = np.max([root_e for _, root_e, _ in roots], axis=0).tolist()
         m = [np.concatenate([_ldexp(root_m[f], root_e[f] - e[f])
-                             for root_m, root_e in roots]) for f in range(5)]
-        m, e = _sweep(spec, b, stream, 0, 0, k, m, e, q, include_w,
-                      _corrupt_w_pair, top=True)
-    return _finish([complex(m[0][0])] + [float(v[0]) for v in m[1:]], e, n,
-                   b, include_w)
+                             for root_m, root_e, _ in roots])
+             for f in range(4)]
+        m, e, t = _sweep(spec, b, stream, 0, 0, k, m, e, t, q, include_w,
+                         _corrupt_w_pair)
+    z, za, a2, w = (v[0] for v in m)
+    return _finish([complex(z), float(za), float(a2), t[0] * float(za),
+                    float(w)], e[:3] + [t[1] + e[1], e[3]], n, b, include_w)
 
 
 def _finish(m: list, e: list, n: int, b: int,
@@ -343,7 +343,6 @@ class SecondMomentReport:
     value: float
     ln_value: float
     growth: str        # mean_squared | critical | diagonal
-    growth_rate: float  # asymptotic (1/n) ln E|Z_n|^2
 
 
 def closed_form_second_moment(spec: EnvironmentSpec, b: int, n: int) -> SecondMomentReport:
@@ -366,13 +365,9 @@ def closed_form_second_moment(spec: EnvironmentSpec, b: int, n: int) -> SecondMo
     ln_value = _logaddexp(term1, term2)
     value = math.exp(ln_value) if ln_value < 709.0 else math.inf
     gap = ln_a - ln_m2                   # sign of b|m1|^2 - m2
-    if gap > 1e-12:
-        growth, rate = "mean_squared", 2.0 * (lnb + ln_m1)
-    elif gap < -1e-12:
-        growth, rate = "diagonal", lnb + ln_m2
-    else:
-        growth, rate = "critical", lnb + ln_m2
-    return SecondMomentReport(value, ln_value, growth, rate)
+    growth = ("mean_squared" if gap > 1e-12 else
+              "diagonal" if gap < -1e-12 else "critical")
+    return SecondMomentReport(value, ln_value, growth)
 
 
 def _ln_geom_sum(ln_x: float, n: int) -> float:
@@ -410,7 +405,9 @@ def one_step_identity_check(spec: EnvironmentSpec, b: int, n: int,
                             node_budget: int = DEFAULT_NODE_BUDGET) -> OneStepReport:
     """Freeze a depth-n tree, resample generation n+1 `resamples` times, and
     compare the empirical conditional mean of Z_{n+1} with b m1 Z_n and the
-    conditional second moment with b^2|m1|^2 |Z_n|^2 + b sigma^2 Z_n(|xi|^2)."""
+    conditional second moment with b^2|m1|^2 |Z_n|^2 + b sigma^2 Z_n(|xi|^2).
+    Resample s is batch-stream replica ((replica + 1) << 32) + s of the
+    tree's seed, so each node's resamples are one counter range."""
     if n < 1:
         raise DomainError("need n >= 1")
     _check_budget(b, n + 1, node_budget)
@@ -430,14 +427,16 @@ def one_step_identity_check(spec: EnvironmentSpec, b: int, n: int,
 
     width = leaves * b
     per = max(1, _SLAB_DRAWS // width)   # resamples per transform call
+    bs = BatchStream(stream.seed)
+    first = (stream.replica + 1) << 32
     z_next = np.empty(resamples, dtype=np.complex128)
     for s0 in range(0, resamples, per):
-        subs = range(s0, min(s0 + per, resamples))
-        raw = np.concatenate([TreeStream(stream.seed, stream.replica + 1 + j)
-                              .node_block(b, n + 1, 0, width) for j in subs])
-        xi = spec.radius_weight_from_raw(raw)[1].reshape(len(subs), width)
-        # one dot per resample: a matrix-vector product rounds differently
-        z_next[subs] = [path_c @ s for s in _group_sum(xi.T, b).T]
+        cnt = min(per, resamples - s0)
+        raw = np.concatenate([bs.node_block(b, n + 1, i, first + s0, cnt)
+                              for i in range(width)])
+        xi = spec.radius_weight_from_raw(raw)[1].reshape(width, cnt)
+        # summed row by row: a BLAS product's bits depend on its threads
+        z_next[s0:s0 + cnt] = (_group_sum(xi, b) * path_c[:, None]).sum(0)
 
     m1 = spec.mean_xi()
     sigma2 = max(spec.sigma2(), 0.0)

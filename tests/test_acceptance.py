@@ -387,7 +387,7 @@ def test_criterion_07_fourth_moment_bound():
     ok = min(margins) >= 0.0
     _report(7, "fourth moment bound", ok)
     assert len(rows) == 20
-    assert ok, f"max ratio {est.max_value:.4f}, min margin {min(margins):.4f}"
+    assert ok, f"max ratio {max(est.values):.4f}, min margin {min(margins):.4f}"
 
 
 # --------------------------------------------------------------- criterion 8

@@ -5,21 +5,23 @@ Each case hashes the exact bytes of an output of ``batch_z_values``,
 ``one_step_identity_check`` (its residuals and SEs) over b in {2, 3} and
 the four built-in laws, of ``dfs_evaluate`` at b = 2 where it used to
 compensate its sums or on trees deeper than its bottom blocks, or of the
-CSV, pixmap, stdout and stderr of one ``diagram`` run.  The draw-path
-digests were recorded before the draw paths were rewritten to draw and
-transform whole counter ranges, the ``dfs-compensated`` and diagram
-digests before the diagram was classified by column, the ``dfs-top``
-digests before the per-node combine above the bottom blocks became a level
-sweep, ``dfs-top-b3-n6-block4`` before compensated sums were removed, and
-the ``onestep`` digests before sibling sums became left-to-right strided
-adds (numpy's row sum before; at b <= 3, the branching factors of every
-case here, the two differ only in the sign of a sum of negative zeros),
-``batch_z_values`` went node-major and the one-step resamples were drawn
-in slabs, and the ``batch-deep`` and ``dfs-blocks`` digests before a batch
-pass drew each node once for all its replicas and a level sweep
-transformed all its generations above the widest in one call.  A change
-to these functions that moves any output by one bit fails here.  To list
-the current digests, run ``PYTHONPATH=src python tests/test_digests.py``.
+CSV, pixmap, stdout and stderr of one ``diagram`` run.  A change to these
+functions that moves any output by one bit fails here.  To list the
+current digests, run ``PYTHONPATH=src python tests/test_digests.py``; each
+line whose digest differs from ``DIGESTS`` ends in ``# was <old digest>``.
+
+History.  The ``batch`` and ``ratio4`` digests were recorded before the
+draw paths were rewritten to draw and transform whole counter ranges, the
+diagram digests before the diagram was classified by column, and the
+``batch-deep`` digests before a batch pass drew each node once for all its
+replicas.  The ``dfs`` digests were re-recorded when the level sweep
+stopped carrying T (it derives T = q^n Z(|xi|) at the root, and W's pair
+term from Z(|xi|)'s update) and its top sweep took numpy's complex
+product, as the bottom blocks do; ``dfs-constant-b3`` and
+``dfs-compensated-n6-z`` kept their older bits.  The ``onestep`` digests
+were re-recorded when the resamples moved to the batch stream and their
+path sums became row-by-row numpy sums instead of BLAS dot products.
+
 Z from ``dfs_evaluate`` takes numpy's complex array product, which uses
 fused multiply-adds where the CPU has them (see ``treepolymer.sim``), so
 the dfs digests hold on machines whose numpy dispatches to the same loops
@@ -70,14 +72,13 @@ RATIO4_SIZES = {2: (5, 2, 1000), 3: (3, 2, 1000)}
 ONESTEP_SIZES = {2: (10, 100), 3: (6, 100)}
 # n = 15 at b = 2 goes past the vectorized bottom blocks
 DFS_DEPTHS = {2: (6, 15), 3: (5,)}
-# (b, n): recorded when sums were Neumaier-compensated, by default above
+# (b, n): where sums were once Neumaier-compensated, by default above
 # n = 16 and on request at n = 6.  At b = 2 a compensated pair sum rounds
-# back to the plain one, so the plain sums keep these bits.
+# back to the plain one, so the Z-only n = 6 case keeps the bits of then.
 DFS_COMPENSATED = {"n17": (2, 17), "n6": (2, 6)}
 # (b, n, bottom-block leaves or None for the default): trees that take the
-# combine above the bottom blocks.  About 2% of trees have an ln|Z| whose
-# last bit depends on how the root's mantissa and exponent are split, so
-# each case hashes 52 trees, with W, over the four random laws.
+# level sweep above the bottom blocks; each case hashes 52 trees, with W,
+# over the four random laws.
 DFS_TOP = {"b2-n9-block4": (2, 9, 4),
            "b3-n6-block4": (3, 6, 4),
            "b2-n15": (2, 15, None),
@@ -238,40 +239,40 @@ DIGESTS = {
     "batch-rademacher-b3": "270981951793fa0df93a5377",
     "batch-uniform-b2": "ea4a3d4ce173258cf32bd643",
     "batch-uniform-b3": "bbfa7b4dbe9d1aecca5fc16a",
-    "dfs-blocks-b2-n20": "3ceececdd3f3bd11eb23dad7",
-    "dfs-compensated-n17-w": "b775cedfef3dc1086de31cd1",
-    "dfs-compensated-n17-z": "3fe2fdc9c00290941776a298",
-    "dfs-compensated-n6-w": "478c8149c86f1f681d552ad2",
+    "dfs-blocks-b2-n20": "a02338d0a9488844a0ea2139",
+    "dfs-compensated-n17-w": "720cdd6916b7b4515ed13f09",
+    "dfs-compensated-n17-z": "bb70e45dec8127a6f1454101",
+    "dfs-compensated-n6-w": "9097400c3b925745ec6d0ddf",
     "dfs-compensated-n6-z": "9fe6c3832d8d4ff2cba2994b",
-    "dfs-constant-b2": "d7bb47dcae27215ba2b5cc34",
+    "dfs-constant-b2": "a2959a8a5b9b14f4eb4db593",
     "dfs-constant-b3": "eee254fa9f9ba6ffb928d1ea",
-    "dfs-gaussian-b2": "b291e31960dca6da79c645a9",
-    "dfs-gaussian-b3": "fb6d0712b08a967ca0703ae7",
-    "dfs-gaussian0-b2": "d53f6e45eb816bc4dffad035",
-    "dfs-gaussian0-b3": "3c23a6f1bd390eec3d77b790",
-    "dfs-rademacher-b2": "25e47c2acef80fea7887b58f",
-    "dfs-rademacher-b3": "64234d8abeea80662cd2fd34",
-    "dfs-uniform-b2": "2477949798219a9f7031c2b9",
-    "dfs-top-b2-n15": "0ba65667f8816a4d816efa0f",
-    "dfs-top-b2-n9-block4": "15f500db7478ff25a0568fce",
-    "dfs-top-b3-n10": "6f627b2c3505bfe7ce9c5a60",
-    "dfs-top-b3-n6-block4": "80c79a593bae700545f23d50",
-    "dfs-uniform-b3": "3be8c6468a2d5c2c95f695f7",
+    "dfs-gaussian-b2": "0f91b3ff57a5801e1c360a83",
+    "dfs-gaussian-b3": "4870b928bff562f8e2b462e1",
+    "dfs-gaussian0-b2": "6e7cac2a862aa9975131d16b",
+    "dfs-gaussian0-b3": "e3b191e14d761d015070e9a7",
+    "dfs-rademacher-b2": "0fd5ccf107e7607344ecdace",
+    "dfs-rademacher-b3": "d90308420f528b03c57ab2c2",
+    "dfs-uniform-b2": "018685b4d888e2f2aeab59db",
+    "dfs-top-b2-n15": "d3ad1e90244d3651b1765df0",
+    "dfs-top-b2-n9-block4": "3fd898722e9310c75e114ec6",
+    "dfs-top-b3-n10": "1a3ed6a0186327552c8ebd58",
+    "dfs-top-b3-n6-block4": "0185d825186c2b899a548013",
+    "dfs-uniform-b3": "402a15edd0ec74715b26fad2",
     "diagram-b3": "46f38d231bd0f5af8334c093",
     "diagram-estimates": "5057fbde978e0ca19ad0a414",
     "diagram-gaussian": "6dcbb41714cc5014e3ac6ab7",
     "diagram-slice": "e23676fe1a8d52f2bdea3e95",
     "diagram-uniform": "b32d6f96d5e9bf2fdfac0128",
-    "onestep-constant-b2": "aa4bcb120789cd72d80e0414",
-    "onestep-constant-b3": "c6c52fd0d3307611f645068d",
-    "onestep-gaussian-b2": "426744b669d1e75e5225b197",
-    "onestep-gaussian-b3": "0d01d0876eaef10f7bf0fd59",
-    "onestep-gaussian0-b2": "1dec4342e16f097b8694455c",
-    "onestep-gaussian0-b3": "bbd93ab1320e531955d4c35b",
-    "onestep-rademacher-b2": "a808e6ee581c4e614d70c721",
-    "onestep-rademacher-b3": "0ff77f7ce5f30e348f9af463",
-    "onestep-uniform-b2": "ee8c9c56386e826d2dd2ac17",
-    "onestep-uniform-b3": "8282e8289324d8517d69d15a",
+    "onestep-constant-b2": "229ebb7b3ff5d95db60ca2af",
+    "onestep-constant-b3": "88ab105c1c4b92443ecf7490",
+    "onestep-gaussian-b2": "011cdb1fc954e7c8c0786ce4",
+    "onestep-gaussian-b3": "d4d66dc6f38edd0a6f7d5f86",
+    "onestep-gaussian0-b2": "99f5b1f156fdaea657c0b44a",
+    "onestep-gaussian0-b3": "e54dedfd828b59a666f43867",
+    "onestep-rademacher-b2": "640635f43c853659f2193888",
+    "onestep-rademacher-b3": "0e009d90b74ea1b6d71906cf",
+    "onestep-uniform-b2": "74e1c52306473f66495b8907",
+    "onestep-uniform-b3": "6c48d60778cedecadb0f772e",
     "ratio4-constant-b2": "145869cd3d319d75381d9026",
     "ratio4-constant-b3": "2f4a273cc86fc42180d576d0",
     "ratio4-gaussian-b2": "495cd5cd41931683e1035ec2",
@@ -293,4 +294,6 @@ def test_output_bits_match_the_recorded_digest(name):
 
 if __name__ == "__main__":
     for name in sorted(CASES):
-        print(f'    "{name}": "{CASES[name]()}",')
+        new, old = CASES[name](), DIGESTS.get(name, "absent")
+        was = "" if new == old else f"  # was {old}"
+        print(f'    "{name}": "{new}",{was}')

@@ -255,7 +255,6 @@ def test_ratio4_is_unity_without_phase_randomness():
                  omega_replicas=3, phase_resamples=1000, seed=5)
     for v in est.values:
         assert v == pytest.approx(1.0, abs=1e-12)
-    assert est.max_value == max(est.values)
     for se in est.value_ses:
         assert se == pytest.approx(0.0, abs=1e-9)
 
@@ -276,7 +275,6 @@ def test_ratio4_reports_per_tree_ratios_with_errors():
     est = ratio4(law, 2, 4, omega_replicas=4, phase_resamples=1200, seed=2)
     assert len(est.values) == 4
     assert len(est.value_ses) == 4
-    assert est.max_value == max(est.values)
     assert all(v > 0 for v in est.values)
 
 

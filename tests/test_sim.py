@@ -2,6 +2,9 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -256,8 +259,8 @@ def test_a_scaled_down_generation_too_wide_to_square_is_refused():
 
 
 def test_scalar_combine_levels_match_enumeration(monkeypatch):
-    # shrink the bottom blocks so the top sweep over the block roots, which
-    # forms xi * Z as a scalar product would, handles most levels
+    # shrink the bottom blocks so the top sweep over the block roots handles
+    # most levels
     monkeypatch.setattr(sim_module, "_BLOCK_LEAVES", 4)
     for b, n in [(2, 6), (3, 5)]:
         law = GaussianIndep(0.6, 0.6)
@@ -278,14 +281,14 @@ def test_block_size_does_not_change_values(monkeypatch):
 
 
 def test_block_size_moves_no_bit_of_the_radius_fields(monkeypatch):
-    # the radius fields take no complex product and are summed in the same
-    # order, left to right, in the blocks and the top sweep, so only their
-    # exact exponent bookkeeping depends on the block size; Z's products
-    # differ by fused multiply-add rounding
+    # every field is summed in the same order, left to right, and Z takes
+    # the same complex product in the blocks and the top sweep, so only the
+    # exact exponent bookkeeping depends on the block size; Z's bits too
     laws = [GaussianIndep(0.8, 0.8), GaussianIndep(1.5, 0.1),
             LogNormalUniformPhase(0.6, 0.4), RademacherPhase(t=0.5, beta=0.3)]
     names = ("z_abs", "z_abs2", "t_damped", "w_cond",
-             "ln_z_abs", "ln_z_abs2", "ln_t_damped", "ln_w_cond")
+             "ln_z_abs", "ln_z_abs2", "ln_t_damped", "ln_w_cond",
+             "z", "ln_abs_z", "arg_z")
     for b, n in [(2, 9), (3, 6), (2, 12), (9, 3)]:
         for law in laws:
             for r in range(5):
@@ -340,6 +343,38 @@ def test_total_damping_collapses_to_diagonal():
     fs = dfs_evaluate(law, 2, 5, TreeStream(3, 0))
     assert rel_err(fs.w_cond, fs.z_abs2) < REL
     assert fs.t_damped == 0.0
+
+
+def test_a_damping_whose_square_power_underflows_keeps_w_exact():
+    # q^(2n) = 1e-2400 is far below float64, but q^h is carried as
+    # (mantissa, exponent): W is the diagonal Z(|xi|^2) plus pair terms
+    # that the oracle's float64 damping flushes to 0
+    law = RademacherPhase(t=1e-200, beta=0.5)
+    fast = dfs_evaluate(law, 2, 6, TreeStream(3, 0))
+    slow = brute_force_evaluate(law, 2, 6, TreeStream(3, 0))
+    assert math.isfinite(fast.w_cond)
+    assert rel_err(fast.w_cond, slow.w_cond) < REL
+    assert rel_err(fast.ln_t_damped,
+                   6 * math.log(1e-200) + fast.ln_z_abs) < REL
+
+
+@pytest.mark.parametrize("b, n, leaves", [
+    (2, 7, None), (3, 5, None), (5, 3, None),
+    (2, 9, 4), (3, 6, 9), (5, 4, 25),      # several bottom blocks
+])
+def test_damped_sum_is_q_to_the_n_times_the_radius_sum(b, n, leaves,
+                                                       monkeypatch):
+    # T = q^n Z(|xi|) is derived from one carried scalar q^h; check it over
+    # the random laws, with and without the top sweep
+    if leaves is not None:
+        monkeypatch.setattr(sim_module, "_BLOCK_LEAVES", leaves)
+    laws = [GaussianIndep(0.8, 0.8), LogNormalUniformPhase(0.5, 0.5),
+            RademacherPhase(t=0.6, beta=0.4)]
+    for law in laws:
+        ln_q = math.log(law.phase_damping())
+        for r in range(3):
+            fs = dfs_evaluate(law, b, n, TreeStream(17, r))
+            assert rel_err(fs.ln_t_damped, n * ln_q + fs.ln_z_abs) < REL
 
 
 # -------------------------------------------------------------- invariants
@@ -460,6 +495,24 @@ def test_one_step_identity_within_monte_carlo_noise():
     assert report.resamples == 8000
     assert report.mean_residual < 5.0
     assert report.second_residual < 5.0
+
+
+def test_one_step_bits_do_not_depend_on_blas_threads():
+    # a BLAS matrix-vector product splits its sums by thread count, which
+    # moved the last bits of this case between one thread and two
+    args = "GaussianIndep(0.5, 0.7), 3, 6, TreeStream(13, 0), resamples=100"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(sim_module.__file__)),
+                    env.get("PYTHONPATH")) if p)
+    script = ("from treepolymer import *\n"
+              f"print(repr(one_step_identity_check({args})))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    here = one_step_identity_check(GaussianIndep(0.5, 0.7), 3, 6,
+                                   TreeStream(13, 0), resamples=100)
+    assert proc.stdout.strip() == repr(here)
 
 
 def test_one_step_identity_needs_depth():
