@@ -2,9 +2,9 @@
 
 Replicas are independent tasks keyed by the counter-based stream, so the
 estimators return identical values for any scheduling or thread count.
-The moment verifiers use the transposed stream family (replicas contiguous
-per node) to batch many small trees in a few numpy passes; the law is
-identical to the per-replica family.
+``batch_z_values`` and ``ratio4`` evaluate many small trees at once in
+``sim._column_z``; ``batch_z_values`` draws from the transposed stream
+family (replicas contiguous per node), whose law is the per-replica one's.
 """
 
 from __future__ import annotations
@@ -18,17 +18,13 @@ import numpy as np
 
 from .env import EnvironmentSpec
 from .errors import BudgetExceeded, CoupledLaw, DomainError
-from .rng import BatchStream, TreeStream, node_offset
-from .sim import (_SLAB_DRAWS, DEFAULT_NODE_BUDGET, _group_sum,
-                  closed_form_second_moment, dfs_evaluate)
+from .rng import TreeStream, node_offset
+from .sim import (_PASS_VALUES, _SLAB_DRAWS, DEFAULT_NODE_BUDGET,
+                  _batch_weights, _column_z, closed_form_second_moment,
+                  dfs_evaluate)
 
 # Phase-resample streams live in a replica range far above any omega index.
 _PHASE_REPLICA_BASE = 1 << 32
-
-# Memory bound of the small-tree batches, in complex values: trees x leaves
-# per ratio4 pass, replicas x leaves per nested batch_z_values subtree.
-# Transform calls take sim._SLAB_DRAWS draws, or at least one tree or node.
-_PASS_VALUES = 1 << 19
 
 
 @dataclass
@@ -111,81 +107,50 @@ def _replica_estimate(plan: ExperimentPlan, one, functional: str) -> McEstimate:
     return est
 
 
-def estimate_free_energy(plan: ExperimentPlan) -> McEstimate:
-    """Mean of (1/n) ln|Z_n| over independent replicas; zero-|Z| replicas
-    are excluded and counted."""
+def _free_energy(plan: ExperimentPlan, include_w: bool) -> McEstimate:
     plan.check()
     if plan.n < 1:
         raise DomainError("free energy needs n >= 1")
-
-    def one(r: int) -> float:
-        fs = dfs_evaluate(plan.spec, plan.b, plan.n, TreeStream(plan.seed, r),
-                          node_budget=plan.node_budget, include_w=False)
-        return fs.ln_abs_z / plan.n
-
-    return _replica_estimate(plan, one, "free_energy")
-
-
-def estimate_w_free_energy(plan: ExperimentPlan) -> McEstimate:
-    """Mean of (1/2n) ln W_n over independent radius environments."""
-    plan.check()
-    if plan.n < 1:
-        raise DomainError("free energy needs n >= 1")
-    if not plan.spec.independent:
+    if include_w and not plan.spec.independent:
         raise CoupledLaw("W requires independent radius/phase")
 
     def one(r: int) -> float:
         fs = dfs_evaluate(plan.spec, plan.b, plan.n, TreeStream(plan.seed, r),
-                          node_budget=plan.node_budget, include_w=True)
-        return fs.ln_w_cond / (2.0 * plan.n)
+                          node_budget=plan.node_budget, include_w=include_w)
+        return fs.ln_w_cond / (2.0 * plan.n) if include_w \
+            else fs.ln_abs_z / plan.n
 
-    return _replica_estimate(plan, one, "w_free_energy")
+    return _replica_estimate(
+        plan, one, "w_free_energy" if include_w else "free_energy")
+
+
+def estimate_free_energy(plan: ExperimentPlan) -> McEstimate:
+    """Mean of (1/n) ln|Z_n| over independent replicas; zero-|Z| replicas
+    are excluded and counted."""
+    return _free_energy(plan, False)
+
+
+def estimate_w_free_energy(plan: ExperimentPlan) -> McEstimate:
+    """Mean of (1/2n) ln W_n over independent radius environments."""
+    return _free_energy(plan, True)
 
 
 def batch_z_values(spec: EnvironmentSpec, b: int, n: int, seed: int,
                    replicas: int) -> np.ndarray:
-    """Z_n for many replicas of a small tree, vectorized across replicas.
-
-    A pass of up to _PASS_VALUES // b replicas draws each node once for all
-    of them, walking the tree as nested bottom subtrees of the largest depth
-    s with b^s x replicas <= _PASS_VALUES.  Arrays are node-major, (nodes,
-    replicas), the order of the batch stream's words; nothing is rescaled,
-    so a replica's Z_n does not depend on the pass it shares."""
+    """Z_n for many replicas of a small tree: a pass of up to
+    _PASS_VALUES // b batch-stream replicas is one sim._column_z walk, so
+    a replica's Z_n does not depend on the pass it shares."""
     if b < 2 or n < 0:
         raise DomainError("need b >= 2 and n >= 0")
     if replicas < 0:
         raise DomainError("replicas must be >= 0")
     if b**n > (1 << 18):
         raise BudgetExceeded("batch evaluation limited to b^n <= 2^18")
-    bs = BatchStream(seed)
     out = np.empty(replicas, dtype=np.complex128)
     for r0 in range(0, replicas, _PASS_VALUES // b):
         cnt = min(_PASS_VALUES // b, replicas - r0)
-        per = max(1, _SLAB_DRAWS // cnt)       # nodes per transform call
-        s = max(j for j in range(1, n + 2) if b**j * cnt <= _PASS_VALUES)
-
-        def subtree(g: int, i: int, d: int) -> np.ndarray:
-            """Z at node (g, i) over its depth-d subtree, shape (1, cnt):
-            t levels over the b^t subtrees of depth d - t, a multiple of s."""
-            t = min(d, (d - 1) % s + 1)
-            v = np.ones((1, cnt), dtype=np.complex128) if t == d else \
-                np.concatenate([subtree(g + t, i * b**t + c, d - t)
-                                for c in range(b**t)])
-            for j in range(t, 0, -1):
-                width, first = b**j, i * b**j
-                xi = np.empty((width, cnt), dtype=np.complex128)
-                for i0 in range(0, width, per):
-                    k = min(per, width - i0)
-                    raw = np.concatenate(
-                        [bs.node_block(b, g + j, first + c, r0, cnt)
-                         for c in range(i0, i0 + k)])
-                    xi[i0:i0 + k] = \
-                        spec.radius_weight_from_raw(raw)[1].reshape(k, cnt)
-                xi *= v
-                v = _group_sum(xi, b)
-            return v
-
-        out[r0:r0 + cnt] = subtree(0, 0, n)[0]
+        out[r0:r0 + cnt] = _column_z(b, n, cnt,
+                                     _batch_weights(spec, seed, b, r0, cnt))
     return out
 
 
@@ -265,6 +230,8 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
         raise CoupledLaw("phase resampling needs independent radius/phase")
     if b < 2 or n < 1:
         raise DomainError("need b >= 2 and n >= 1")
+    if omega_replicas < 1:
+        raise DomainError("need omega_replicas >= 1")
     if phase_resamples < 1000:
         raise DomainError("need at least 1000 phase resamples")
     if b ** (n + 1) > node_budget or b**n > (1 << 16):
@@ -273,7 +240,7 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
     leaves = b**n
     nodes = node_offset(b, n + 1) - 1       # generations 1..n, one range
     m = phase_resamples
-    chunk = max(1, _PASS_VALUES // leaves)  # resamples per recursion pass
+    chunk = max(1, _PASS_VALUES // leaves)  # resamples per _column_z walk
     per = max(1, _SLAB_DRAWS // nodes)      # resamples per transform call
     ratios: list[float] = []
     ses: list[float] = []
@@ -281,27 +248,23 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
         radii = spec.radius_from_raw(
             TreeStream(seed, o).node_block(b, 1, 0, nodes))
         z2 = np.empty(m)
-        z4 = np.empty(m)
         for j0 in range(0, m, chunk):
             cnt = min(chunk, m - j0)
-            phi = np.empty((cnt, nodes))
+            phi = np.empty((nodes, cnt))
             for s0 in range(0, cnt, per):
                 k = min(per, cnt - s0)
                 first = _PHASE_REPLICA_BASE + o * m + j0 + s0
                 raw = np.concatenate(
                     [TreeStream(seed, first + j).node_block(b, 1, 0, nodes)
                      for j in range(k)])
-                phi[s0:s0 + k] = spec.phase_from_raw(raw).reshape(k, nodes)
-            v = np.ones((cnt, 1), dtype=np.complex128)  # 1 at each leaf
-            for g in range(n, 0, -1):
-                lo, width = node_offset(b, g) - 1, b**g
-                xi = np.exp(1j * phi[:, lo:lo + width])
-                xi *= radii[lo:lo + width]
-                xi *= v
-                v = _group_sum(xi.T, b).T
-            zabs2 = np.abs(v[:, 0]) ** 2
-            z2[j0:j0 + cnt] = zabs2
-            z4[j0:j0 + cnt] = zabs2 * zabs2
+                phi[:, s0:s0 + k] = spec.phase_from_raw(raw).reshape(k, nodes).T
+
+            def weights(g: int, i0: int, k: int) -> np.ndarray:
+                lo = node_offset(b, g) - 1 + i0
+                return np.exp(1j * phi[lo:lo + k]) * radii[lo:lo + k, None]
+
+            z2[j0:j0 + cnt] = np.abs(_column_z(b, n, cnt, weights)) ** 2
+        z4 = z2 * z2
         s2 = float(z2.mean())
         s4 = float(z4.mean())
         ratio = s4 / (s2 * s2)

@@ -24,7 +24,7 @@ base-2 exponent) with exact power-of-two rescaling, one exponent per field
 and generation, so neither depth nor squared radii overflow.  One level
 sweep, ``_sweep``, applies the recursions a generation at a time, summing
 siblings left to right with strided adds (``_group_sum``, shared with the
-batch paths in ``mc``; at b <= 3 its bits are numpy's row sum's, except
+many-tree ``_column_z``; at b <= 3 its bits are numpy's row sum's, except
 that negative zeros sum to -0.0, not +0.0): first over each of the b^k
 bottom subtrees of at most ``_BLOCK_LEAVES`` leaves, in index order, then
 once over the top k generations, from the block roots aligned on each
@@ -61,6 +61,7 @@ from .rng import BatchStream, TreeStream, node_offset
 
 DEFAULT_NODE_BUDGET = 1 << 24
 _SLAB_DRAWS = 1 << 16     # node draws per transform call in the batch paths
+_PASS_VALUES = 1 << 19    # complex values per _column_z subtree
 _BLOCK_LEAVES = 1 << 14
 _LN2 = math.log(2.0)
 _R_TOP = 480    # a sweep scales each generation's radii to below 2^_R_TOP
@@ -391,9 +392,52 @@ def _logaddexp(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
+def _column_z(b: int, n: int, cnt: int, weights) -> np.ndarray:
+    """Z_n of cnt trees (one_step_identity_check's, mc.batch_z_values' and
+    mc.ratio4's), one per column of node-major (nodes, cnt) arrays, walked
+    as nested bottom subtrees of the largest depth s with b^s * cnt <=
+    _PASS_VALUES.  weights(g, i0, k) returns a fresh (k, cnt) array of
+    nodes i0 .. i0+k-1 of generation g, asked for once per node.  Nothing
+    is rescaled, so a column's Z_n does not depend on the other columns."""
+    s = max(j for j in range(1, n + 2) if b**j * cnt <= _PASS_VALUES)
+
+    def subtree(g: int, i: int, d: int) -> np.ndarray:
+        """Z at node (g, i) over its depth-d subtree, shape (1, cnt):
+        t levels over the b^t subtrees of depth d - t, a multiple of s."""
+        t = min(d, (d - 1) % s + 1)
+        v = np.ones((1, cnt), dtype=np.complex128) if t == d else \
+            np.concatenate([subtree(g + t, i * b**t + c, d - t)
+                            for c in range(b**t)])
+        for j in range(t, 0, -1):
+            xi = weights(g + j, i * b**j, b**j)
+            xi *= v
+            v = _group_sum(xi, b)
+            del xi          # freed before the next generation is drawn
+        return v
+
+    return subtree(0, 0, n)[0]
+
+
+def _batch_weights(spec, seed: int, b: int, r0: int, cnt: int):
+    """_column_z weights of BatchStream(seed) replicas r0 .. r0+cnt-1, one
+    draw call per node and one transform call per _SLAB_DRAWS draws."""
+    bs = BatchStream(seed)
+    per = max(1, _SLAB_DRAWS // cnt)
+
+    def weights(g: int, i0: int, k: int) -> np.ndarray:
+        xi = np.empty((k, cnt), dtype=np.complex128)
+        for c0 in range(0, k, per):
+            m = min(per, k - c0)
+            raw = np.concatenate([bs.node_block(b, g, i0 + c, r0, cnt)
+                                  for c in range(c0, c0 + m)])
+            xi[c0:c0 + m] = spec.radius_weight_from_raw(raw)[1].reshape(m, cnt)
+        return xi
+
+    return weights
+
+
 @dataclass
 class OneStepReport:
-    resamples: int
     mean_residual: float     # |empirical E[Z_{n+1}|F_n] - b m1 Z_n| / SE (or abs diff when SE = 0)
     second_residual: float   # same for E[|Z_{n+1}|^2|F_n]
     mean_se: float
@@ -407,53 +451,45 @@ def one_step_identity_check(spec: EnvironmentSpec, b: int, n: int,
     compare the empirical conditional mean of Z_{n+1} with b m1 Z_n and the
     conditional second moment with b^2|m1|^2 |Z_n|^2 + b sigma^2 Z_n(|xi|^2).
     Resample s is batch-stream replica ((replica + 1) << 32) + s of the
-    tree's seed, so each node's resamples are one counter range."""
+    tree's seed; a pass of up to _PASS_VALUES // b resamples is one
+    _column_z walk, the frozen weights repeated across its columns."""
     if n < 1:
         raise DomainError("need n >= 1")
+    if resamples < 2:
+        raise DomainError("need at least 2 resamples")
     _check_budget(b, n + 1, node_budget)
-    leaves = b**n
-    if leaves * 16 > node_budget * 8:
-        raise BudgetExceeded("path table for the frozen tree exceeds budget")
-
-    path_c = np.ones(leaves, dtype=np.complex128)
-    for g in range(1, n + 1):
-        raw = stream.node_block(b, g, 0, b**g)
-        _, xi = spec.radius_weight_from_raw(raw)
-        path_c = path_c * np.repeat(xi, b ** (n - g))
-    z_n = complex(path_c.sum())
     fs = dfs_evaluate(spec, b, n, stream, node_budget=node_budget,
                       include_w=False)
-    za2 = fs.z_abs2
-
-    width = leaves * b
-    per = max(1, _SLAB_DRAWS // width)   # resamples per transform call
-    bs = BatchStream(stream.seed)
     first = (stream.replica + 1) << 32
     z_next = np.empty(resamples, dtype=np.complex128)
-    for s0 in range(0, resamples, per):
-        cnt = min(per, resamples - s0)
-        raw = np.concatenate([bs.node_block(b, n + 1, i, first + s0, cnt)
-                              for i in range(width)])
-        xi = spec.radius_weight_from_raw(raw)[1].reshape(width, cnt)
-        # summed row by row: a BLAS product's bits depend on its threads
-        z_next[s0:s0 + cnt] = (_group_sum(xi, b) * path_c[:, None]).sum(0)
+    for s0 in range(0, resamples, _PASS_VALUES // b):
+        cnt = min(_PASS_VALUES // b, resamples - s0)
+        fresh = _batch_weights(spec, stream.seed, b, first + s0, cnt)
+
+        def weights(g: int, i0: int, k: int) -> np.ndarray:
+            if g > n:
+                return fresh(g, i0, k)
+            xi = spec.radius_weight_from_raw(stream.node_block(b, g, i0, k))[1]
+            return np.repeat(xi[:, None], cnt, axis=1)
+
+        z_next[s0:s0 + cnt] = _column_z(b, n + 1, cnt, weights)
 
     m1 = spec.mean_xi()
     sigma2 = max(spec.sigma2(), 0.0)
-    target1 = b * m1 * z_n
+    target1 = b * m1 * fs.z
     mean1 = complex(z_next.mean())
     se1 = math.sqrt((np.var(z_next.real) + np.var(z_next.imag)) / resamples)
     diff1 = abs(mean1 - target1)
     resid1 = diff1 if se1 == 0.0 else diff1 / se1
 
     v = np.abs(z_next) ** 2
-    target2 = b * b * abs(m1) ** 2 * abs(z_n) ** 2 + b * sigma2 * za2
+    target2 = b * b * abs(m1) ** 2 * abs(fs.z) ** 2 + b * sigma2 * fs.z_abs2
     mean2 = float(v.mean())
     se2 = float(np.std(v) / math.sqrt(resamples))
     diff2 = abs(mean2 - target2)
     resid2 = diff2 if se2 == 0.0 else diff2 / se2
 
-    return OneStepReport(resamples, resid1, resid2, se1, se2)
+    return OneStepReport(resid1, resid2, se1, se2)
 
 
 def trace_depths(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,

@@ -20,7 +20,9 @@ term from Z(|xi|)'s update) and its top sweep took numpy's complex
 product, as the bottom blocks do; ``dfs-constant-b3`` and
 ``dfs-compensated-n6-z`` kept their older bits.  The ``onestep`` digests
 were re-recorded when the resamples moved to the batch stream and their
-path sums became row-by-row numpy sums instead of BLAS dot products.
+path sums became row-by-row numpy sums instead of BLAS dot products, and
+again when Z_{n+1} became the bottom-up sum of ``sim._column_z`` instead of
+path products and Z_n came from ``dfs_evaluate``.
 
 Z from ``dfs_evaluate`` takes numpy's complex array product, which uses
 fused multiply-adds where the CPU has them (see ``treepolymer.sim``), so
@@ -68,7 +70,8 @@ BATCH_SIZES = {2: (10, 1100), 3: (6, 1100)}
 BATCH_DEEP = {2: (12, 1000), 3: (8, 1000)}
 # (b, n, omega replicas, phase resamples)
 RATIO4_SIZES = {2: (5, 2, 1000), 3: (3, 2, 1000)}
-# (b, n, resamples): four transform slabs of resamples, the last one partial
+# (b, n, resamples): one pass, whose generation n+1 is transformed in four
+# slabs of nodes, the last one partial
 ONESTEP_SIZES = {2: (10, 100), 3: (6, 100)}
 # n = 15 at b = 2 goes past the vectorized bottom blocks
 DFS_DEPTHS = {2: (6, 15), 3: (5,)}
@@ -263,16 +266,16 @@ DIGESTS = {
     "diagram-gaussian": "6dcbb41714cc5014e3ac6ab7",
     "diagram-slice": "e23676fe1a8d52f2bdea3e95",
     "diagram-uniform": "b32d6f96d5e9bf2fdfac0128",
-    "onestep-constant-b2": "229ebb7b3ff5d95db60ca2af",
-    "onestep-constant-b3": "88ab105c1c4b92443ecf7490",
-    "onestep-gaussian-b2": "011cdb1fc954e7c8c0786ce4",
-    "onestep-gaussian-b3": "d4d66dc6f38edd0a6f7d5f86",
-    "onestep-gaussian0-b2": "99f5b1f156fdaea657c0b44a",
-    "onestep-gaussian0-b3": "e54dedfd828b59a666f43867",
-    "onestep-rademacher-b2": "640635f43c853659f2193888",
-    "onestep-rademacher-b3": "0e009d90b74ea1b6d71906cf",
-    "onestep-uniform-b2": "74e1c52306473f66495b8907",
-    "onestep-uniform-b3": "6c48d60778cedecadb0f772e",
+    "onestep-constant-b2": "537d6ebc3bbadaedeff0e906",
+    "onestep-constant-b3": "6a8ecee2d59982eab88317cc",
+    "onestep-gaussian-b2": "e2b520839e17a6a8e5c4dc71",
+    "onestep-gaussian-b3": "fb4fb576bce04477381b83dd",
+    "onestep-gaussian0-b2": "17d8f0bcc5337b731af6d602",
+    "onestep-gaussian0-b3": "401ce49d0def581b7ec99be9",
+    "onestep-rademacher-b2": "86c52cab8a5d83c5c79de0cf",
+    "onestep-rademacher-b3": "f93a13a7f1ca969f45242633",
+    "onestep-uniform-b2": "bb2f8eaff3731631fed14f68",
+    "onestep-uniform-b3": "3fb2968302f453d465af8a50",
     "ratio4-constant-b2": "145869cd3d319d75381d9026",
     "ratio4-constant-b3": "2f4a273cc86fc42180d576d0",
     "ratio4-gaussian-b2": "495cd5cd41931683e1035ec2",
@@ -285,6 +288,10 @@ DIGESTS = {
     "ratio4-uniform-b2": "ec031e5fb754447dff2c696c",
     "ratio4-uniform-b3": "17e9e6fbfb767cead27f67b5",
 }
+
+
+def test_every_recorded_digest_has_a_case():
+    assert set(CASES) == set(DIGESTS)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

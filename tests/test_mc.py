@@ -21,12 +21,13 @@ from treepolymer import (
     dfs_evaluate,
     estimate_free_energy,
     estimate_w_free_energy,
+    one_step_identity_check,
     paley_zygmund_bound,
     ratio4,
     tau_moment_check,
     verify_moments,
 )
-from treepolymer import mc, rng
+from treepolymer import mc, rng, sim
 from treepolymer.mc import _zscore
 from treepolymer.rng import to_uniform
 
@@ -161,6 +162,26 @@ def test_batch_values_draw_each_node_once_per_pass(monkeypatch):
     assert len(calls) == 2**9 - 2     # the 510 nodes below the root
 
 
+def test_nested_subtree_walks_keep_every_bit(monkeypatch):
+    # a pass bound of 4 values nests every walk below in subtrees of depth
+    # at most 2; at the real bound ratio4 never nests, and no other test
+    # nests the one-step check
+    law = GaussianIndep(0.5, 0.7)
+
+    def run() -> str:
+        est = ratio4(law, 2, 3, omega_replicas=2, phase_resamples=1000,
+                     seed=3)
+        step = one_step_identity_check(law, 2, 3, TreeStream(3, 0),
+                                       resamples=50)
+        zs = batch_z_values(law, 2, 5, seed=3, replicas=10)
+        return repr((zs.tolist(), est.values, est.value_ses, step))
+
+    wide = run()
+    monkeypatch.setattr(mc, "_PASS_VALUES", 4)   # batch and ratio4 passes
+    monkeypatch.setattr(sim, "_PASS_VALUES", 4)  # walks, one-step passes
+    assert run() == wide
+
+
 @pytest.mark.parametrize("call", [
     lambda law: batch_z_values(law, 1, 3, seed=0, replicas=4),
     lambda law: batch_z_values(law, 2, -1, seed=0, replicas=4),
@@ -169,10 +190,17 @@ def test_batch_values_draw_each_node_once_per_pass(monkeypatch):
                        seed=0),
     lambda law: ratio4(law, 2, 0, omega_replicas=1, phase_resamples=1000,
                        seed=0),
+    lambda law: ratio4(law, 2, 3, omega_replicas=0, phase_resamples=1000,
+                       seed=0),
+    lambda law: one_step_identity_check(law, 2, 3, TreeStream(0, 0),
+                                        resamples=0),
+    lambda law: one_step_identity_check(law, 2, 3, TreeStream(0, 0),
+                                        resamples=1),
     lambda law: verify_moments(_plan(law, b=1)),
     lambda law: verify_moments(_plan(law, replicas=1)),
 ], ids=["batch-b1", "batch-n-1", "batch-negative-replicas", "ratio4-b1",
-        "ratio4-n0", "verify-b1", "verify-one-replica"])
+        "ratio4-n0", "ratio4-no-omegas", "onestep-no-resamples",
+        "onestep-one-resample", "verify-b1", "verify-one-replica"])
 def test_batch_paths_refuse_a_bad_shape_as_a_domain_error(call):
     with pytest.raises(DomainError):
         call(GaussianIndep(0.5, 0.5))

@@ -492,7 +492,6 @@ def test_one_step_identity_is_exact_for_constants():
 def test_one_step_identity_within_monte_carlo_noise():
     report = one_step_identity_check(GaussianIndep(0.5, 0.5), 2, 3,
                                      TreeStream(9, 0), resamples=8000)
-    assert report.resamples == 8000
     assert report.mean_residual < 5.0
     assert report.second_residual < 5.0
 
@@ -513,6 +512,17 @@ def test_one_step_bits_do_not_depend_on_blas_threads():
     here = one_step_identity_check(GaussianIndep(0.5, 0.7), 3, 6,
                                    TreeStream(13, 0), resamples=100)
     assert proc.stdout.strip() == repr(here)
+
+
+def test_one_step_draws_each_node_once_per_pass(monkeypatch):
+    # generation n+1 takes one call per node, the frozen tree one per
+    # generation and its dfs_evaluate at most two
+    raw, calls = rng._raw_blocks, []
+    monkeypatch.setattr(rng, "_raw_blocks",
+                        lambda *a: calls.append(a) or raw(*a))
+    one_step_identity_check(GaussianIndep(0.5, 0.5), 2, 10, TreeStream(13, 0),
+                            resamples=100)
+    assert len(calls) <= 2**11 + 2 * 10
 
 
 def test_one_step_identity_needs_depth():
