@@ -11,8 +11,11 @@ phase arrays) and the analytic moment surface used by the phase module:
 
 Radius and phase draw from disjoint parts of one node's word block, so a
 frozen-radius phase resample only has to swap the stream feeding
-``phase_from_raw``.  The built-in random laws share one log-normal radius
-(``_LogNormalRadius``) and differ only in their phase.
+``phase_from_raw``.  Each transform writes into arrays its caller lends
+through ``out`` and allocates only when given none, so the tree kernels
+reuse one set of work arrays per thread.  The built-in random laws share
+one log-normal radius (``_LogNormalRadius``) and differ only in their
+phase.
 """
 
 from __future__ import annotations
@@ -49,12 +52,26 @@ def _nonnegative(name: str, value) -> float:
     return x
 
 
+def _fresh(n: int, out: tuple | None, count: int) -> tuple:
+    """out, or `count` fresh float64 arrays of length n."""
+    return out if out is not None else tuple(np.empty(n) for _ in range(count))
+
+
 class EnvironmentSpec:
     """Base law. Subclasses fill the sampling and moment surface; a law of
     one's own subclasses it too.  The tree evaluators read only the
     sampling methods (and ``phase_damping`` for W), the classifiers the
     moment surface.  A law with coupled radius and phase sets
-    ``independent = False``."""
+    ``independent = False``.
+
+    The sampling methods map raw words, shape (n, 4), to length-n arrays.
+    Their optional ``out`` lends the arrays to write: the results (float64,
+    and complex128 for xi), then one float64 work array, all of length n.
+    Given ``out``, the built-in laws allocate nothing.  A law of one's own
+    may ignore ``out`` in ``radius_from_raw``, ``phase_from_raw`` and
+    ``polar_from_raw`` and return arrays of its own, of any real dtype;
+    ``radius_weight_from_raw``, which the tree kernels call, writes into
+    ``out`` in any case."""
 
     model = "abstract"
     independent = True
@@ -62,29 +79,43 @@ class EnvironmentSpec:
     gamma_scale = 1.0  # point on the lambda_c axis the law itself sits at
 
     # -- sampling ---------------------------------------------------------
-    def radius_from_raw(self, raw: np.ndarray) -> np.ndarray:
+    def radius_from_raw(self, raw: np.ndarray,
+                        out: tuple | None = None) -> np.ndarray:
+        """|xi|; out = (r, work)."""
         raise NotImplementedError
 
-    def phase_from_raw(self, raw: np.ndarray) -> np.ndarray:
+    def phase_from_raw(self, raw: np.ndarray,
+                       out: tuple | None = None) -> np.ndarray:
+        """The phase angle; out = (phi, work)."""
         raise NotImplementedError
 
-    def polar_from_raw(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.radius_from_raw(raw), self.phase_from_raw(raw)
-
-    def radius_weight_from_raw(self, raw: np.ndarray) \
+    def polar_from_raw(self, raw: np.ndarray, out: tuple | None = None) \
             -> tuple[np.ndarray, np.ndarray]:
-        """(|xi|, xi) pairs; by default xi is rebuilt from the polar sample
-        as r * (cos phi + i sin phi), the bits of r * exp(i*phi).
+        """(|xi|, phase); out = (r, phi, work)."""
+        r, phi, work = _fresh(len(raw), out, 3)
+        return (self.radius_from_raw(raw, (r, work)),
+                self.phase_from_raw(raw, (phi, work)))
+
+    def radius_weight_from_raw(self, raw: np.ndarray,
+                               out: tuple | None = None) \
+            -> tuple[np.ndarray, np.ndarray]:
+        """(|xi|, xi) pairs, out = (r, xi, work); by default xi is rebuilt
+        from the polar sample as r * (cos phi + i sin phi), the bits of
+        r * exp(i*phi), and the polar sample works in xi's memory.
 
         Laws whose complex value is known exactly override this to avoid
         the roundoff of the polar reconstruction.
         """
-        r, phi = self.polar_from_raw(raw)
-        unit = np.empty(phi.shape, dtype=np.complex128)
-        np.cos(phi, out=unit.real)
-        np.sin(phi, out=unit.imag)
-        unit *= r
-        return r, unit
+        n = len(raw)
+        r, xi, work = out if out is not None else \
+            (np.empty(n), np.empty(n, dtype=np.complex128), np.empty(n))
+        rr, phi = self.polar_from_raw(raw, (r, work, xi.view(np.float64)[:n]))
+        if rr is not r:
+            r[...] = rr
+        np.cos(phi, out=xi.real)
+        np.sin(phi, out=xi.imag)
+        xi *= r
+        return r, xi
 
     # -- moment surface ----------------------------------------------------
     def log_moment_abs(self, a: float) -> float:
@@ -132,13 +163,15 @@ class _LogNormalRadius(EnvironmentSpec):
     Box-Muller normal of each word pair: ln E|xi|^a = (a*beta)^2 / 2.
     Subclasses set ``beta`` and ``beta_scale`` and define the phase."""
 
-    def radius_from_raw(self, raw):
-        # the second normal of the pair, unused here, is not computed
-        rho, ang = _box_muller(raw[:, 0], raw[:, 1])
-        np.cos(ang, out=ang)
-        ang *= rho
-        ang *= self.beta
-        return np.exp(ang, out=ang)
+    def radius_from_raw(self, raw, out=None):
+        # the second normal of the pair, unused here, is not computed; the
+        # angle is turned into the radius where it lies
+        r, rho = _fresh(len(raw), out, 2)
+        _box_muller(raw[:, 0], raw[:, 1], (rho, r))
+        np.cos(r, out=r)
+        r *= rho
+        r *= self.beta
+        return np.exp(r, out=r)
 
     def log_moment_abs(self, a):
         return 0.5 * (a * self.beta) ** 2
@@ -159,19 +192,20 @@ class GaussianIndep(_LogNormalRadius):
         self.beta = self.beta_scale = _nonnegative("beta", beta)
         self.gamma = self.gamma_scale = _nonnegative("gamma", gamma)
 
-    def phase_from_raw(self, raw):
-        rho, ang = _box_muller(raw[:, 0], raw[:, 1])
-        np.sin(ang, out=ang)
-        ang *= rho
-        ang *= self.gamma
-        return ang
+    def phase_from_raw(self, raw, out=None):
+        phi, rho = _fresh(len(raw), out, 2)
+        _box_muller(raw[:, 0], raw[:, 1], (rho, phi))
+        np.sin(phi, out=phi)
+        phi *= rho
+        phi *= self.gamma
+        return phi
 
-    def polar_from_raw(self, raw):
-        z1, z2 = normal_pair(raw[:, 0], raw[:, 1])
-        z1 *= self.beta
-        np.exp(z1, out=z1)
-        z2 *= self.gamma
-        return z1, z2
+    def polar_from_raw(self, raw, out=None):
+        r, phi = normal_pair(raw[:, 0], raw[:, 1], _fresh(len(raw), out, 3))
+        r *= self.beta
+        np.exp(r, out=r)
+        phi *= self.gamma
+        return r, phi
 
     def mean_xi(self):
         return complex(math.exp(0.5 * self.beta**2 - 0.5 * self.gamma**2))
@@ -201,8 +235,8 @@ class LogNormalUniformPhase(_LogNormalRadius):
             raise DomainError("gamma must be in [0, 1]")
         self.gamma = self.gamma_scale = gamma
 
-    def phase_from_raw(self, raw):
-        u = to_uniform(raw[:, 2])
+    def phase_from_raw(self, raw, out=None):
+        u = to_uniform(raw[:, 2], out[0] if out else None)
         u *= 2.0
         u -= 1.0
         u *= self.gamma * math.pi
@@ -248,9 +282,12 @@ class RademacherPhase(_LogNormalRadius):
         self.beta = self.beta_scale = _nonnegative("beta", beta)
         self._theta = math.acos(t)
 
-    def phase_from_raw(self, raw):
-        u = to_uniform(raw[:, 2])
-        return np.where(u < 0.5, self._theta, -self._theta)
+    def phase_from_raw(self, raw, out=None):
+        u = to_uniform(raw[:, 2], out[0] if out else None)
+        heads = u < 0.5
+        u.fill(-self._theta)
+        u[heads] = self._theta
+        return u
 
     def mean_xi(self):
         return complex(math.exp(0.5 * self.beta**2) * self.t)
@@ -283,15 +320,22 @@ class DeterministicConstant(EnvironmentSpec):
             raise DomainError("c must be nonzero")
         self.c = c
 
-    def radius_from_raw(self, raw):
-        return np.full(raw.shape[0], abs(self.c))
+    def radius_from_raw(self, raw, out=None):
+        r = out[0] if out else np.empty(len(raw))
+        r.fill(abs(self.c))
+        return r
 
-    def phase_from_raw(self, raw):
-        return np.full(raw.shape[0], cmath.phase(self.c))
+    def phase_from_raw(self, raw, out=None):
+        phi = out[0] if out else np.empty(len(raw))
+        phi.fill(cmath.phase(self.c))
+        return phi
 
-    def radius_weight_from_raw(self, raw):
-        return (np.full(raw.shape[0], abs(self.c)),
-                np.full(raw.shape[0], self.c))
+    def radius_weight_from_raw(self, raw, out=None):
+        r, xi = out[:2] if out else \
+            (np.empty(len(raw)), np.empty(len(raw), dtype=np.complex128))
+        r.fill(abs(self.c))
+        xi.fill(self.c)
+        return r, xi
 
     def log_moment_abs(self, a):
         return a * math.log(abs(self.c))

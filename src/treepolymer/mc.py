@@ -20,8 +20,8 @@ from .env import EnvironmentSpec
 from .errors import BudgetExceeded, CoupledLaw, DomainError
 from .rng import TreeStream, node_offset
 from .sim import (_PASS_VALUES, _SLAB_DRAWS, DEFAULT_NODE_BUDGET,
-                  _batch_weights, _column_z, closed_form_second_moment,
-                  dfs_evaluate)
+                  _batch_weights, _column_z, _workspace, _zscore,
+                  closed_form_second_moment, dfs_evaluate)
 
 # Phase-resample streams live in a replica range far above any omega index.
 _PHASE_REPLICA_BASE = 1 << 32
@@ -178,14 +178,6 @@ class VerifyReport:
         }
 
 
-def _zscore(diff: float, se: float, theo: float) -> float:
-    """diff / se; with no spread (se = 0) a gap of at most 1e-12 * |theo|,
-    the roundoff of a closed form, is 0 and any larger gap inf."""
-    if se == 0.0:
-        return 0.0 if diff <= 1e-12 * abs(theo) else math.inf
-    return diff / se
-
-
 def verify_moments(plan: ExperimentPlan) -> tuple[VerifyReport, VerifyReport]:
     """One batch of Z_n, checked twice: the complex mean against
     b^n m1^n (componentwise z-scores) and the mean of |Z_n|^2 against the
@@ -248,20 +240,28 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
         radii = spec.radius_from_raw(
             TreeStream(seed, o).node_block(b, 1, 0, nodes))
         z2 = np.empty(m)
+        ws = _workspace()
         for j0 in range(0, m, chunk):
             cnt = min(chunk, m - j0)
-            phi = np.empty((nodes, cnt))
+            phi = ws.take("phi", nodes * cnt).reshape(nodes, cnt)
             for s0 in range(0, cnt, per):
                 k = min(per, cnt - s0)
                 first = _PHASE_REPLICA_BASE + o * m + j0 + s0
-                raw = np.concatenate(
-                    [TreeStream(seed, first + j).node_block(b, 1, 0, nodes)
-                     for j in range(k)])
-                phi[:, s0:s0 + k] = spec.phase_from_raw(raw).reshape(k, nodes).T
+                raw = ws.take("raw", 4 * k * nodes,
+                              np.uint64).reshape(k, nodes, 4)
+                for j in range(k):
+                    raw[j] = TreeStream(seed, first + j).node_block(
+                        b, 1, 0, nodes)
+                phases = spec.phase_from_raw(
+                    raw.reshape(k * nodes, 4),
+                    out=(ws.take("r", k * nodes), ws.take("work", k * nodes)))
+                phi[:, s0:s0 + k] = phases.reshape(k, nodes).T
 
-            def weights(g: int, i0: int, k: int) -> np.ndarray:
+            def weights(g: int, i0: int, out: np.ndarray) -> None:
                 lo = node_offset(b, g) - 1 + i0
-                return np.exp(1j * phi[lo:lo + k]) * radii[lo:lo + k, None]
+                np.multiply(1j, phi[lo:lo + len(out)], out=out)
+                np.exp(out, out=out)
+                out *= radii[lo:lo + len(out), None]
 
             z2[j0:j0 + cnt] = np.abs(_column_z(b, n, cnt, weights)) ** 2
         z4 = z2 * z2

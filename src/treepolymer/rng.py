@@ -97,32 +97,45 @@ class BatchStream:
         return _raw_blocks(self._key, counter, count)
 
 
-def to_uniform(raw: np.ndarray) -> np.ndarray:
-    """Map uint64 words to uniforms in [0, 1) with 53-bit resolution."""
-    u = (raw >> np.uint64(11)).astype(np.float64)
-    u *= _U53
-    return u
+def to_uniform(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map uint64 words to uniforms in [0, 1) with 53-bit resolution, into
+    out if given.  The shifted words are cast to float64 on their way into
+    out, exactly, since they are below 2^53."""
+    if out is None:
+        out = np.empty(raw.shape)
+    np.right_shift(raw, np.uint64(11), out=out)
+    out *= _U53
+    return out
 
 
-def _box_muller(raw0: np.ndarray, raw1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _box_muller(raw0: np.ndarray, raw1: np.ndarray,
+                out: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Box-Muller radius and angle per word pair: the two standard normals
-    are rho * cos(angle) and rho * sin(angle).  Both arrays are fresh, so
-    callers may transform them in place."""
-    rho = to_uniform(raw0)
+    are rho * cos(angle) and rho * sin(angle).  They are written into
+    out = (rho, angle) if given, else into fresh arrays; callers may
+    transform them in place."""
+    n = len(raw0)
+    rho, ang = out if out is not None else (np.empty(n), np.empty(n))
+    to_uniform(raw0, rho)
     np.negative(rho, out=rho)
     np.log1p(rho, out=rho)
     rho *= -2.0
     np.sqrt(rho, out=rho)
-    ang = to_uniform(raw1)
+    to_uniform(raw1, ang)
     ang *= 2.0 * np.pi
     return rho, ang
 
 
-def normal_pair(raw0: np.ndarray, raw1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two standard normals per word pair via Box-Muller."""
-    rho, ang = _box_muller(raw0, raw1)
-    z1 = np.cos(ang)
+def normal_pair(raw0: np.ndarray, raw1: np.ndarray,
+                out: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Two standard normals per word pair via Box-Muller, written into
+    out = (z1, z2, work) if given, else into fresh arrays."""
+    n = len(raw0)
+    z1, z2, rho = out if out is not None else \
+        (np.empty(n), np.empty(n), np.empty(n))
+    _box_muller(raw0, raw1, (rho, z2))
+    np.cos(z2, out=z1)
     z1 *= rho
-    np.sin(ang, out=ang)
-    ang *= rho
-    return z1, ang
+    np.sin(z2, out=z2)
+    z2 *= rho
+    return z1, z2

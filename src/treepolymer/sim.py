@@ -30,8 +30,21 @@ bottom subtrees of at most ``_BLOCK_LEAVES`` leaves, in index order, then
 once over the top k generations, from the block roots aligned on each
 field's largest exponent.  Each sweep transforms its widest generation's
 draws in one call and all the generations above it in a second, so a tree
-within one block makes at most two Philox and two transform calls.  Memory
-is O(b^d + b^k) for blocks of depth d and k = n - d.
+within one block makes at most two Philox and two transform calls.
+
+Memory is O(b^d + b^k) for blocks of depth d and k = n - d, in one
+workspace per thread (``_Workspace``, held in a ``threading.local`` as
+``rng`` holds its Philox generator) that lives as long as its thread.  It
+has one array per role (draw words, radii and weights, the transforms'
+work array, each field over a sweep's generations, a level's products and
+parent-wide sums, ``_column_z``'s columns and one array per nesting
+depth), grown to the largest size the role has needed and used through
+slices: 2.4 MiB for the level sweep at b = 2, 12.5 MiB for 10^4 batch
+replicas at n = 9.  Every level forms its products, sibling sums and
+rescalings in place, and the transforms write into the workspace, so a
+warm evaluation allocates only Philox output and the root values, which
+it copies out as Python numbers.  Only ``_column_z`` returns a view of the
+workspace, and its callers copy it.
 
 Every sweep forms xi * Z with numpy's complex array product and scales Z by
 its modulus, so the block size moves no bit of Z while no value turns
@@ -51,6 +64,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,24 +111,51 @@ class FunctionalSet:
     arg_z: float
 
 
-def _ldexp(x: np.ndarray, k: int) -> np.ndarray:
-    """x * 2**k exactly, part by part for complex x."""
-    if x.dtype.kind != "c":
-        return np.ldexp(x, k)
-    return np.ldexp(x.view(np.float64), k).view(x.dtype)
+class _Workspace(dict):
+    """One thread's work arrays by role, each grown to the largest size its
+    role has needed and handed out as a leading slice.  A role has one use
+    live at a time."""
+
+    def take(self, role: str, size: int, dtype=np.float64) -> np.ndarray:
+        a = self.get(role)
+        if a is None or len(a) < size:
+            a = self[role] = np.empty(size, dtype=dtype)
+        return a[:size]
 
 
-def _renorm(x: np.ndarray, e: int, size: np.ndarray,
-            top: int = 0) -> tuple[np.ndarray, int]:
-    """Rescale x by the power of two that brings max(size) into
-    [2^(top-1), 2^top)."""
+_local = threading.local()
+
+
+def _workspace() -> _Workspace:
+    """This thread's workspace, made on its first use."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None:
+        ws = _local.workspace = _Workspace()
+    return ws
+
+
+def _draw(ws: _Workspace, spec, raw: np.ndarray,
+          xi: np.ndarray | None = None):
+    """(|xi|, xi) of the words raw, transformed in the workspace ws; xi goes
+    into the given array, if any."""
+    n = len(raw)
+    if xi is None:
+        xi = ws.take("xi", n, np.complex128)
+    return spec.radius_weight_from_raw(
+        raw, out=(ws.take("r", n), xi, ws.take("work", n)))
+
+
+def _renorm(x: np.ndarray, e: int, size: np.ndarray, top: int = 0) -> int:
+    """Rescale x in place by the power of two that brings max(size) into
+    [2^(top-1), 2^top); return the exponent e of x's new scale."""
     mx = float(size.max())
     if mx <= 0.0 or not math.isfinite(mx):
-        return x, e
+        return e
     k = math.frexp(mx)[1] - top
-    if k == 0:
-        return x, e
-    return _ldexp(x, -k), e + k
+    if k:
+        v = x.view(np.float64) if x.dtype.kind == "c" else x
+        np.ldexp(v, -k, out=v)   # part by part for complex x: exact
+    return e + k
 
 
 def _to_float(m: float, e: int) -> float:
@@ -128,10 +169,11 @@ def _ln_scaled(m: float, e: int) -> float:
     return -math.inf if m == 0.0 else math.log(m) + e * _LN2
 
 
-def _group_sum(x: np.ndarray, b: int) -> np.ndarray:
-    """Sum consecutive groups of b entries along axis 0, left to right:
-    x[0::b] + x[1::b] + ... + x[b-1::b]."""
-    s = x[0::b] + x[1::b]
+def _group_sum(x: np.ndarray, b: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Sum consecutive groups of b entries along axis 0, left to right,
+    into out if given: x[0::b] + x[1::b] + ... + x[b-1::b]."""
+    s = np.add(x[0::b], x[1::b], out=out)
     for j in range(2, b):
         s += x[j::b]
     return s
@@ -161,10 +203,13 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
     """Apply the per-node recursions `levels` times, from the b**levels
     generation-(g0 + levels) nodes under node (g0, i0) up to that node.
 
-    m holds the mantissa arrays of (Z, Z(|xi|), Z(|xi|^2), W) over those
-    nodes and e their exponents; t is (mantissa, exponent) of q^h for their
-    height h, advanced only with W.  m is emptied, so the widest arrays are
-    freed after the first level.
+    m holds the values of (Z, Z(|xi|), Z(|xi|^2), W) over those nodes, as
+    numbers or sequences, and e their exponents; t is (mantissa, exponent)
+    of q^h for their height h, advanced only with W.  Each field lives in a
+    workspace array over the sweep's generations, generation j (0 at node
+    (g0, i0)) at [node_offset(b, j), node_offset(b, j + 1)); each level
+    forms its products in place over its generation and sums siblings into
+    the parents'.  The root values are returned as Python numbers.
     The widest generation is drawn and transformed alone; after its level,
     every generation above it is transformed in one call, from one counter
     range when node (g0, i0) is the root, so a sweep makes at most two
@@ -173,52 +218,81 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
     stay finite; an infinite radius's overflow stays, unwarned by numpy.
     A scale-down that squares a positive radius below the normal range
     loses terms of the r^2-weighted sums, which are then refused as nan."""
-    z, za, a2, w = m
-    m.clear()
+    ws = _workspace()
+    size, hi = node_offset(b, levels + 1), node_offset(b, levels)
+    z, za, a2, w = (ws.take("z", size, np.complex128), ws.take("za", size),
+                    ws.take("a2", size), ws.take("w", size))
+    products = ws.take("products", b**levels)        # a level's r * Z(|xi|)
+    parents = ws.take("parents", b**levels // b)     # and a parents-wide sum
+    fields = (z[hi:], za[hi:], a2[hi:], w[hi:])      # the widest generation
+    for f, v in zip(fields, m):
+        f[:] = v
     ez, ea, ea2, ew = e
     tm, et = t
     for j in range(levels, 0, -1):
+        width = b**j
         if j == levels:
-            r, xi = spec.radius_weight_from_raw(
-                stream.node_block(b, g0 + j, i0 * b**j, b**j))
+            r, xi = _draw(ws, spec,
+                          stream.node_block(b, g0 + j, i0 * width, width))
         else:
             if j == levels - 1:
-                raw = (stream.node_block(b, 1, 0, node_offset(b, levels) - 1)
-                       if g0 == 0 else np.concatenate(
-                           [stream.node_block(b, g0 + g, i0 * b**g, b**g)
-                            for g in range(1, levels)]))
-                r_up, xi_up = spec.radius_weight_from_raw(raw)
+                count = node_offset(b, levels) - 1
+                if g0 == 0:
+                    raw = stream.node_block(b, 1, 0, count)
+                else:
+                    raw = ws.take("raw", 4 * count,
+                                  np.uint64).reshape(count, 4)
+                    for g in range(1, levels):
+                        lo = node_offset(b, g) - 1
+                        raw[lo:lo + b**g] = stream.node_block(
+                            b, g0 + g, i0 * b**g, b**g)
+                r_up, xi_up = _draw(ws, spec, raw)
             lo = node_offset(b, j) - 1   # generation g0 + j's first draw
-            r, xi = r_up[lo:lo + b**j], xi_up[lo:lo + b**j]
-        r = np.asarray(r, dtype=np.float64)
-        r, k = _renorm(r, 0, r, _R_TOP)
+            r, xi = r_up[lo:lo + width], xi_up[lo:lo + width]
+        z1, za1, a21, w1 = fields
+        lo = node_offset(b, j - 1)       # the parents' values at [lo, hi)
+        fields = z0, za0, a20, w0 = z[lo:hi], za[lo:hi], a2[lo:hi], w[lo:hi]
+        hi = lo
+        k = _renorm(r, 0, r, _R_TOP)
         if k > 0 and np.min(r, where=r > 0, initial=1.0) < 2.0**-511:
-            a2, w = np.full_like(a2, np.nan), np.full_like(w, np.nan)
+            a21[:] = w1[:] = np.nan
         ea, ea2, ew = ea + k, ea2 + 2 * k, ew + 2 * k
-        r2 = r * r
-        z = _group_sum(xi * z, b)
-        rza = r * za
-        za = _group_sum(rza, b)
-        s2 = _group_sum(rza * rza, b) if include_w else None
-        del rza                      # a Z-only sweep frees it here
-        a2 = _group_sum(r2 * a2, b)
+        rza = np.multiply(r, za1, out=products[:width])
+        np.multiply(r, r, out=r)     # r^2 from here on
+        _group_sum(np.multiply(xi, z1, out=xi), b, z0)
+        _group_sum(rza, b, za0)
+        if include_w:
+            s2 = _group_sum(np.multiply(rza, rza, out=rza), b,
+                            parents[:width // b])
+        _group_sum(np.multiply(r, a21, out=a21), b, a20)
         if include_w:
             tm, dt = math.frexp(q * tm)
             et += dt
-            diag = _group_sum(r2 * w, b)
-            pair = (tm * tm) * np.maximum(za * za - s2, 0.0)
+            _group_sum(np.multiply(r, w1, out=w1), b, w0)   # the diagonal
+            pair = np.multiply(za0, za0, out=rza[:width // b])
+            pair -= s2
+            np.maximum(pair, 0.0, out=pair)
+            pair *= tm * tm
             if corrupt:
-                pair = pair * 1.001
+                pair *= 1.001
             ep = 2 * (ea + et)
             e_new = max(ew, ep)
-            w = diag * math.ldexp(1.0, ew - e_new) \
-                + pair * math.ldexp(1.0, ep - e_new)
-            ew = e_new
-            w, ew = _renorm(w, ew, w)
-        z, ez = _renorm(z, ez, np.abs(z))
-        za, ea = _renorm(za, ea, za)
-        a2, ea2 = _renorm(a2, ea2, a2)
-    return [z, za, a2, w], [ez, ea, ea2, ew], (tm, et)
+            w0 *= math.ldexp(1.0, ew - e_new)
+            pair *= math.ldexp(1.0, ep - e_new)
+            w0 += pair
+            ew = _renorm(w0, e_new, w0)
+        ez = _renorm(z0, ez, np.abs(z0, out=parents[:width // b]))
+        ea = _renorm(za0, ea, za0)
+        ea2 = _renorm(a20, ea2, a20)
+    return ([complex(z[0]), float(za[0]), float(a2[0]),
+             float(w[0]) if include_w else 1.0], [ez, ea, ea2, ew], (tm, et))
+
+
+def _scaled(x, k: int):
+    """x * 2**k exactly, part by part for complex x."""
+    if isinstance(x, complex):
+        return complex(math.ldexp(x.real, k), math.ldexp(x.imag, k))
+    return math.ldexp(x, k)
 
 
 def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
@@ -233,24 +307,19 @@ def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
     q = spec.phase_damping() if include_w else 0.0
     d = _block_depth(b, n)
     k = n - d
-    leaves = b**d
-    tw = leaves if include_w else 1   # without W, W stays one 1 per block
-    roots = [_sweep(spec, b, stream, k, i, d,
-                    [np.ones(leaves, dtype=np.complex128), np.ones(leaves),
-                     np.ones(leaves), np.ones(tw)],
-                    [0] * 4, (1.0, 0), q, include_w, _corrupt_w_pair)
+    roots = [_sweep(spec, b, stream, k, i, d, [1.0] * 4, [0] * 4, (1.0, 0), q,
+                    include_w, _corrupt_w_pair)
              for i in range(b**k)]
     m, e, t = roots[0]
     if k:
-        e = np.max([root_e for _, root_e, _ in roots], axis=0).tolist()
-        m = [np.concatenate([_ldexp(root_m[f], root_e[f] - e[f])
-                             for root_m, root_e, _ in roots])
-             for f in range(4)]
+        e = [max(root_e[f] for _, root_e, _ in roots) for f in range(4)]
+        m = [[_scaled(root_m[f], root_e[f] - e[f])
+              for root_m, root_e, _ in roots] for f in range(4)]
         m, e, t = _sweep(spec, b, stream, 0, 0, k, m, e, t, q, include_w,
                          _corrupt_w_pair)
-    z, za, a2, w = (v[0] for v in m)
-    return _finish([complex(z), float(za), float(a2), t[0] * float(za),
-                    float(w)], e[:3] + [t[1] + e[1], e[3]], n, b, include_w)
+    z, za, a2, w = m
+    return _finish([z, za, a2, t[0] * za, w], e[:3] + [t[1] + e[1], e[3]],
+                   n, b, include_w)
 
 
 def _finish(m: list, e: list, n: int, b: int,
@@ -396,26 +465,36 @@ def _column_z(b: int, n: int, cnt: int, weights) -> np.ndarray:
     """Z_n of cnt trees (one_step_identity_check's, mc.batch_z_values' and
     mc.ratio4's), one per column of node-major (nodes, cnt) arrays, walked
     as nested bottom subtrees of the largest depth s with b^s * cnt <=
-    _PASS_VALUES.  weights(g, i0, k) returns a fresh (k, cnt) array of
-    nodes i0 .. i0+k-1 of generation g, asked for once per node.  Nothing
-    is rescaled, so a column's Z_n does not depend on the other columns."""
+    _PASS_VALUES.  weights(g, i0, out) fills out, the workspace's (k, cnt)
+    slice for nodes i0 .. i0+k-1 of generation g, asked for once per node.
+    Nothing is rescaled, so a column's Z_n does not depend on the other
+    columns.  The result is a view into the workspace, which the caller
+    copies before the thread's next walk."""
     s = max(j for j in range(1, n + 2) if b**j * cnt <= _PASS_VALUES)
+    ws = _workspace()
 
-    def subtree(g: int, i: int, d: int) -> np.ndarray:
-        """Z at node (g, i) over its depth-d subtree, shape (1, cnt):
-        t levels over the b^t subtrees of depth d - t, a multiple of s."""
+    def subtree(g: int, i: int, d: int, depth: int) -> np.ndarray:
+        """Z at node (g, i) over its depth-d subtree, shape (cnt,): t levels
+        over the b^t subtrees of depth d - t, a multiple of s, whose values
+        fill the rows of this nesting depth's array."""
         t = min(d, (d - 1) % s + 1)
-        v = np.ones((1, cnt), dtype=np.complex128) if t == d else \
-            np.concatenate([subtree(g + t, i * b**t + c, d - t)
-                            for c in range(b**t)])
+        rows = 1 if t == d else b**t       # level t's input rows
+        v = ws.take(f"v{depth}", max(rows, b**t // b) * cnt,
+                    np.complex128).reshape(-1, cnt)
+        if t == d:
+            v[0] = 1.0
+        else:
+            for c in range(rows):
+                v[c] = subtree(g + t, i * b**t + c, d - t, depth + 1)
         for j in range(t, 0, -1):
-            xi = weights(g + j, i * b**j, b**j)
-            xi *= v
-            v = _group_sum(xi, b)
-            del xi          # freed before the next generation is drawn
-        return v
+            xi = ws.take("cols", b**j * cnt, np.complex128).reshape(b**j, cnt)
+            weights(g + j, i * b**j, xi)
+            xi *= v[:rows]
+            rows = b**(j - 1)
+            _group_sum(xi, b, v[:rows])
+        return v[0]
 
-    return subtree(0, 0, n)[0]
+    return subtree(0, 0, n, 0)
 
 
 def _batch_weights(spec, seed: int, b: int, r0: int, cnt: int):
@@ -424,21 +503,32 @@ def _batch_weights(spec, seed: int, b: int, r0: int, cnt: int):
     bs = BatchStream(seed)
     per = max(1, _SLAB_DRAWS // cnt)
 
-    def weights(g: int, i0: int, k: int) -> np.ndarray:
-        xi = np.empty((k, cnt), dtype=np.complex128)
-        for c0 in range(0, k, per):
-            m = min(per, k - c0)
-            raw = np.concatenate([bs.node_block(b, g, i0 + c, r0, cnt)
-                                  for c in range(c0, c0 + m)])
-            xi[c0:c0 + m] = spec.radius_weight_from_raw(raw)[1].reshape(m, cnt)
-        return xi
+    def weights(g: int, i0: int, out: np.ndarray) -> None:
+        ws = _workspace()
+        for c0 in range(0, len(out), per):
+            m = min(per, len(out) - c0)
+            raw = ws.take("raw", 4 * m * cnt, np.uint64).reshape(m, cnt, 4)
+            for c in range(m):
+                raw[c] = bs.node_block(b, g, i0 + c0 + c, r0, cnt)
+            _draw(ws, spec, raw.reshape(m * cnt, 4),
+                  out[c0:c0 + m].reshape(-1))
 
     return weights
 
 
+def _zscore(diff: float, se: float, target) -> float:
+    """diff / se, where a gap of at most 1e-12 * |target|, the roundoff of
+    a closed form, scores 0, and with no spread (se = 0) any larger gap
+    scores inf.  A sample without spread can carry an se of roundoff size,
+    so the gap is judged first."""
+    if diff <= 1e-12 * abs(target):
+        return 0.0
+    return math.inf if se == 0.0 else diff / se
+
+
 @dataclass
 class OneStepReport:
-    mean_residual: float     # |empirical E[Z_{n+1}|F_n] - b m1 Z_n| / SE (or abs diff when SE = 0)
+    mean_residual: float     # _zscore of |empirical E[Z_{n+1}|F_n] - b m1 Z_n|
     second_residual: float   # same for E[|Z_{n+1}|^2|F_n]
     mean_se: float
     second_se: float
@@ -466,11 +556,13 @@ def one_step_identity_check(spec: EnvironmentSpec, b: int, n: int,
         cnt = min(_PASS_VALUES // b, resamples - s0)
         fresh = _batch_weights(spec, stream.seed, b, first + s0, cnt)
 
-        def weights(g: int, i0: int, k: int) -> np.ndarray:
+        def weights(g: int, i0: int, out: np.ndarray) -> None:
             if g > n:
-                return fresh(g, i0, k)
-            xi = spec.radius_weight_from_raw(stream.node_block(b, g, i0, k))[1]
-            return np.repeat(xi[:, None], cnt, axis=1)
+                fresh(g, i0, out)
+            else:
+                xi = _draw(_workspace(), spec,
+                           stream.node_block(b, g, i0, len(out)))[1]
+                out[...] = xi[:, None]
 
         z_next[s0:s0 + cnt] = _column_z(b, n + 1, cnt, weights)
 
@@ -479,15 +571,13 @@ def one_step_identity_check(spec: EnvironmentSpec, b: int, n: int,
     target1 = b * m1 * fs.z
     mean1 = complex(z_next.mean())
     se1 = math.sqrt((np.var(z_next.real) + np.var(z_next.imag)) / resamples)
-    diff1 = abs(mean1 - target1)
-    resid1 = diff1 if se1 == 0.0 else diff1 / se1
+    resid1 = _zscore(abs(mean1 - target1), se1, target1)
 
     v = np.abs(z_next) ** 2
     target2 = b * b * abs(m1) ** 2 * abs(fs.z) ** 2 + b * sigma2 * fs.z_abs2
     mean2 = float(v.mean())
     se2 = float(np.std(v) / math.sqrt(resamples))
-    diff2 = abs(mean2 - target2)
-    resid2 = diff2 if se2 == 0.0 else diff2 / se2
+    resid2 = _zscore(abs(mean2 - target2), se2, target2)
 
     return OneStepReport(resid1, resid2, se1, se2)
 

@@ -16,14 +16,14 @@ class CoupledGaussian(GaussianIndep):
 class SamplerLaw(EnvironmentSpec):
     """A law given only by its polar sampler, raw words -> (radius, phase);
     it has no moment surface.  ``damping`` is the phase damping that W
-    reads."""
+    reads.  It ignores the arrays a caller lends and returns its own."""
 
     def __init__(self, polar, independent=True, damping=1.0):
         self._polar = polar
         self.independent = independent
         self._damping = damping
 
-    def polar_from_raw(self, raw):
+    def polar_from_raw(self, raw, out=None):
         return self._polar(raw)
 
     def phase_damping(self):

@@ -247,6 +247,36 @@ def test_weight_has_the_bits_of_the_complex_exponential(law):
     assert np.array_equal(xi.view(np.uint64), reference.view(np.uint64))
 
 
+@pytest.mark.parametrize("law", [
+    GaussianIndep(0.8, 0.3),
+    LogNormalUniformPhase(0.5, 0.5),
+    RademacherPhase(t=0.6, beta=0.2),
+    DeterministicConstant(0.6 + 0.3j),
+])
+def test_lent_arrays_get_the_bits_of_fresh_ones(law):
+    # the tree kernels lend workspace arrays through `out`, filled with
+    # stale values here; the results must not depend on them
+    raw = TreeStream(5, 0).seq_block(3000)
+
+    def lent(*dtypes):
+        return tuple(np.full(len(raw), 7.0, dtype=d) for d in dtypes)
+
+    calls = [
+        (law.radius_from_raw, lent(float, float), 1),
+        (law.phase_from_raw, lent(float, float), 1),
+        (law.polar_from_raw, lent(float, float, float), 2),
+        (law.radius_weight_from_raw, lent(float, complex, float), 2),
+    ]
+    for transform, out, results in calls:
+        fresh = transform(raw)
+        into = transform(raw, out=out)
+        if results == 1:
+            fresh, into = (fresh,), (into,)
+        for a, b, target in zip(fresh, into, out):
+            assert b is target, transform
+            assert a.tobytes() == b.tobytes(), transform
+
+
 # -------------------------------------------------------------- properties
 
 

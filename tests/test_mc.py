@@ -247,6 +247,10 @@ def test_zscore_edge_cases():
     assert _zscore(1e-12 * 256.0, 0.0, -256.0) == 0.0
     assert _zscore(1e-11 * 256.0, 0.0, 256.0) == math.inf
     assert _zscore(1e-300, 0.0, 0.0) == math.inf
+    # an SE of roundoff size does not turn a roundoff gap into a score
+    assert _zscore(2.5e-13, 1e-16, 256.0) == 0.0
+    assert _zscore(1e-11 * 256.0, 1e-16, 256.0) == 1e-11 * 256.0 / 1e-16
+    assert _zscore is sim._zscore
 
 
 def test_second_moment_gate_passes_a_law_with_no_spread():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,10 +22,12 @@ from treepolymer import (
     LogNormalUniformPhase,
     RademacherPhase,
     TreeStream,
+    batch_z_values,
     brute_force_evaluate,
     closed_form_second_moment,
     dfs_evaluate,
     one_step_identity_check,
+    ratio4,
     trace_depths,
 )
 from treepolymer import rng
@@ -313,8 +316,8 @@ def test_a_sweep_transforms_its_widest_generation_then_the_rest(
     law = GaussianIndep(0.5, 0.5)
     transform, sizes = law.radius_weight_from_raw, []
     monkeypatch.setattr(law, "radius_weight_from_raw",
-                        lambda words: sizes.append(len(words)) or
-                        transform(words))
+                        lambda words, out=None: sizes.append(len(words)) or
+                        transform(words, out))
     dfs_evaluate(law, 2, n, TreeStream(1, 0))
     assert (len(calls), sizes) == (philox, transforms)
 
@@ -433,6 +436,84 @@ def test_thread_pool_reruns_are_bit_identical():
     assert serial == threaded
 
 
+# ------------------------------------------------------------- workspace
+# Each thread reuses one set of work arrays (sim._Workspace) for every
+# kernel, so nothing returned may be a view of them.
+
+
+def _snapshot(value):
+    """The bytes of a result, whatever it holds."""
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if isinstance(value, list):
+        return np.array(value).tobytes()
+    return np.array([v for v in vars(value).values() if v is not None],
+                    dtype=complex).tobytes()
+
+
+def test_results_survive_a_later_call_of_another_size(monkeypatch):
+    law = GaussianIndep(0.8, 0.8)
+    calls = [
+        lambda n: dfs_evaluate(law, 2, n, TreeStream(4, 0)),
+        lambda n: dfs_evaluate(law, 3, n - 3, TreeStream(4, 0),
+                               include_w=False),
+        lambda n: batch_z_values(law, 2, n - 3, 5, 300 + n),
+        lambda n: ratio4(law, 2, n - 6, 2, 1000, 6).values,
+        lambda n: one_step_identity_check(law, 2, n - 5, TreeStream(4, 0),
+                                          resamples=50 + n),
+    ]
+    for leaves in (1 << 14, 1 << 6):   # then multi-block trees
+        monkeypatch.setattr(sim_module, "_BLOCK_LEAVES", leaves)
+        for call in calls:
+            first = call(11)
+            before = _snapshot(first)
+            call(9)
+            call(13)
+            assert _snapshot(first) == before, (leaves, call)
+
+
+def test_concurrent_sizes_keep_their_serial_bits(monkeypatch):
+    # two sizes in flight at once, a multi-block n = 15 and an n = 9, so
+    # each thread's workspace grows while the other's is in use
+    monkeypatch.setattr(sim_module, "_BLOCK_LEAVES", 1 << 12)
+    law = GaussianIndep(0.8, 0.8)
+    jobs = [(n, r) for r in range(4) for n in (15, 9)]
+
+    def run(job):
+        n, r = job
+        return (dfs_evaluate(law, 2, n, TreeStream(21, r)),
+                batch_z_values(law, 2, n - 6, r, 200 * n).tobytes())
+
+    serial = [run(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, job) for job in jobs]
+            threaded = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_a_warm_tree_allocates_little_beyond_its_words():
+    # numpy reports its array data to tracemalloc.  At the peak of a warm
+    # evaluation one generation's Philox words (2^14 draws, 512 KiB) and
+    # numpy's 128-KiB cast buffer for xi *= r are alive: 0.63 MiB here,
+    # where fresh arrays for every level and transform came to 2.1 MiB.
+    # Any further array of a bottom-block generation alive with them adds
+    # at least 128 KiB, so the bound sits just above the measured peak.
+    law = GaussianIndep(0.8, 0.8)
+    dfs_evaluate(law, 2, 16, TreeStream(1, 0))
+    tracemalloc.start()
+    try:
+        dfs_evaluate(law, 2, 16, TreeStream(1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 2**20, peak
+
+
 # ----------------------------------------------------------- second moment
 
 
@@ -483,10 +564,16 @@ def test_second_moment_rejects_depth_zero():
 
 
 def test_one_step_identity_is_exact_for_constants():
-    report = one_step_identity_check(DeterministicConstant(1.0), 2, 2,
-                                     TreeStream(0, 0), resamples=50)
-    assert report.mean_residual == 0.0
-    assert report.second_residual == 0.0
+    # a law without spread has SEs of roundoff size, not 0; a gap within
+    # roundoff of the target must still score 0
+    for c, b, n, stream, resamples in [
+            (1.0, 2, 2, TreeStream(0, 0), 50),
+            (0.6 + 0.3j, 2, 10, TreeStream(13, 0), 100),
+            (0.6 + 0.3j, 3, 6, TreeStream(13, 0), 100)]:
+        report = one_step_identity_check(DeterministicConstant(c), b, n,
+                                         stream, resamples=resamples)
+        assert report.mean_residual == 0.0, (c, b, n)
+        assert report.second_residual == 0.0, (c, b, n)
 
 
 def test_one_step_identity_within_monte_carlo_noise():
