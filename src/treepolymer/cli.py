@@ -396,10 +396,6 @@ def cmd_simulate(cfg: dict) -> int:
 
 # --- verify ----------------------------------------------------------------
 
-def _relerr(a: float, x: float) -> float:
-    return abs(a - x) / max(abs(a), abs(x), 1e-300)
-
-
 def check_oracle(seed: int, budget: int, corrupt: bool) -> dict:
     from .rng import TreeStream
     worst = 0.0

@@ -19,9 +19,9 @@ import numpy as np
 from .env import EnvironmentSpec
 from .errors import BudgetExceeded, CoupledLaw, DomainError
 from .rng import TreeStream, node_offset
-from .sim import (_PASS_VALUES, _SLAB_DRAWS, DEFAULT_NODE_BUDGET,
-                  _batch_weights, _column_z, _workspace, _zscore,
-                  closed_form_second_moment, dfs_evaluate)
+from .sim import (_SLAB_DRAWS, DEFAULT_NODE_BUDGET, _batch_weights,
+                  _column_z, _workspace, _zscore, closed_form_second_moment,
+                  dfs_evaluate)
 
 # Phase-resample streams live in a replica range far above any omega index.
 _PHASE_REPLICA_BASE = 1 << 32
@@ -137,21 +137,16 @@ def estimate_w_free_energy(plan: ExperimentPlan) -> McEstimate:
 
 def batch_z_values(spec: EnvironmentSpec, b: int, n: int, seed: int,
                    replicas: int) -> np.ndarray:
-    """Z_n for many replicas of a small tree: a pass of up to
-    _PASS_VALUES // b batch-stream replicas is one sim._column_z walk, so
-    a replica's Z_n does not depend on the pass it shares."""
+    """Z_n of batch-stream replicas 0 .. replicas-1 of a small tree, all in
+    one sim._column_z walk, so a replica's Z_n does not depend on the
+    others."""
     if b < 2 or n < 0:
         raise DomainError("need b >= 2 and n >= 0")
     if replicas < 0:
         raise DomainError("replicas must be >= 0")
     if b**n > (1 << 18):
         raise BudgetExceeded("batch evaluation limited to b^n <= 2^18")
-    out = np.empty(replicas, dtype=np.complex128)
-    for r0 in range(0, replicas, _PASS_VALUES // b):
-        cnt = min(_PASS_VALUES // b, replicas - r0)
-        out[r0:r0 + cnt] = _column_z(b, n, cnt,
-                                     _batch_weights(spec, seed, b, r0, cnt))
-    return out
+    return _column_z(b, n, replicas, _batch_weights(spec, seed, b, 0))
 
 
 @dataclass
@@ -215,6 +210,11 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
     """Conditional fourth-moment ratio E[|Z|^4|radii] / E[|Z|^2|radii]^2 per
     frozen radius tree, estimated from phase resamples, with jackknife SEs.
 
+    Phase resample j of radius tree o is the whole tree
+    TreeStream(seed, 2^32 + o * phase_resamples + j).  A slab of
+    _SLAB_DRAWS // nodes resamples (at least one) is transformed in one
+    call into the workspace and walked by one sim._column_z call.
+
     The returned estimate carries per-omega ratios in `values` and their
     jackknife standard errors in `value_ses`.
     """
@@ -229,41 +229,36 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
     if b ** (n + 1) > node_budget or b**n > (1 << 16):
         raise BudgetExceeded("tree too large for phase resampling")
 
-    leaves = b**n
     nodes = node_offset(b, n + 1) - 1       # generations 1..n, one range
     m = phase_resamples
-    chunk = max(1, _PASS_VALUES // leaves)  # resamples per _column_z walk
-    per = max(1, _SLAB_DRAWS // nodes)      # resamples per transform call
+    per = max(1, _SLAB_DRAWS // nodes)      # resamples per slab
+    ws = _workspace()
     ratios: list[float] = []
     ses: list[float] = []
     for o in range(omega_replicas):
         radii = spec.radius_from_raw(
             TreeStream(seed, o).node_block(b, 1, 0, nodes))
         z2 = np.empty(m)
-        ws = _workspace()
-        for j0 in range(0, m, chunk):
-            cnt = min(chunk, m - j0)
-            phi = ws.take("phi", nodes * cnt).reshape(nodes, cnt)
-            for s0 in range(0, cnt, per):
-                k = min(per, cnt - s0)
-                first = _PHASE_REPLICA_BASE + o * m + j0 + s0
-                raw = ws.take("raw", 4 * k * nodes,
-                              np.uint64).reshape(k, nodes, 4)
-                for j in range(k):
-                    raw[j] = TreeStream(seed, first + j).node_block(
-                        b, 1, 0, nodes)
-                phases = spec.phase_from_raw(
-                    raw.reshape(k * nodes, 4),
-                    out=(ws.take("r", k * nodes), ws.take("work", k * nodes)))
-                phi[:, s0:s0 + k] = phases.reshape(k, nodes).T
+        for j0 in range(0, m, per):
+            k = min(per, m - j0)
+            first = _PHASE_REPLICA_BASE + o * m + j0
+            raw = ws.take("raw", 4 * k * nodes, np.uint64).reshape(k, nodes, 4)
+            for j in range(k):
+                raw[j] = TreeStream(seed, first + j).node_block(b, 1, 0, nodes)
+            phases = spec.phase_from_raw(
+                raw.reshape(k * nodes, 4),
+                out=(ws.take("r", k * nodes), ws.take("work", k * nodes)))
+            phi = ws.take("phi", nodes * k).reshape(nodes, k)
+            phi[...] = phases.reshape(k, nodes).T
 
-            def weights(g: int, i0: int, out: np.ndarray) -> None:
+            def weights(g: int, i0: int, c0: int, out: np.ndarray) -> None:
                 lo = node_offset(b, g) - 1 + i0
-                np.multiply(1j, phi[lo:lo + len(out)], out=out)
+                rows = slice(lo, lo + len(out))
+                np.multiply(1j, phi[rows, c0:c0 + out.shape[1]], out=out)
                 np.exp(out, out=out)
-                out *= radii[lo:lo + len(out), None]
+                out *= radii[rows, None]
 
-            z2[j0:j0 + cnt] = np.abs(_column_z(b, n, cnt, weights)) ** 2
+            z2[j0:j0 + k] = np.abs(_column_z(b, n, k, weights)) ** 2
         z4 = z2 * z2
         s2 = float(z2.mean())
         s4 = float(z4.mean())
@@ -323,12 +318,7 @@ def tau_moment_check(spec: EnvironmentSpec, tau: float, samples: int,
         cnt = min(chunk, samples - i0)
         r = spec.radius_from_raw(stream.seq_block(cnt))
         vals[i0:i0 + cnt] = r ** (-tau)
-    mean = float(vals.mean())
-    se = float(np.std(vals, ddof=1) / math.sqrt(samples))
-    est = McEstimate(
-        replicas=samples, mean=mean, std_error=se,
-        ci95=(mean - 1.96 * se, mean + 1.96 * se),
-        median=float(np.median(vals)), excluded_count=0)
+    est = _estimate(vals.tolist(), 0)
     cum = np.cumsum(vals) / np.arange(1, samples + 1)
     half = cum[samples // 2 - 1]
     slope = (math.log(cum[-1]) - math.log(half)) / (math.log(samples) - math.log(samples // 2))

@@ -109,13 +109,11 @@ def to_uniform(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _box_muller(raw0: np.ndarray, raw1: np.ndarray,
-                out: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+                out: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Box-Muller radius and angle per word pair: the two standard normals
     are rho * cos(angle) and rho * sin(angle).  They are written into
-    out = (rho, angle) if given, else into fresh arrays; callers may
-    transform them in place."""
-    n = len(raw0)
-    rho, ang = out if out is not None else (np.empty(n), np.empty(n))
+    out = (rho, angle), which callers may transform in place."""
+    rho, ang = out
     to_uniform(raw0, rho)
     np.negative(rho, out=rho)
     np.log1p(rho, out=rho)

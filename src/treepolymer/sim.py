@@ -43,8 +43,8 @@ slices: 2.4 MiB for the level sweep at b = 2, 12.5 MiB for 10^4 batch
 replicas at n = 9.  Every level forms its products, sibling sums and
 rescalings in place, and the transforms write into the workspace, so a
 warm evaluation allocates only Philox output and the root values, which
-it copies out as Python numbers.  Only ``_column_z`` returns a view of the
-workspace, and its callers copy it.
+it copies out as Python numbers; ``_column_z`` returns its columns' Z_n
+in a new array.
 
 Every sweep forms xi * Z with numpy's complex array product and scales Z by
 its modulus, so the block size moves no bit of Z while no value turns
@@ -412,12 +412,11 @@ def brute_force_evaluate(spec: EnvironmentSpec, b: int, n: int,
 class SecondMomentReport:
     value: float
     ln_value: float
-    growth: str        # mean_squared | critical | diagonal
 
 
 def closed_form_second_moment(spec: EnvironmentSpec, b: int, n: int) -> SecondMomentReport:
     """Exact E|Z_n|^2 = b^n (b|m1|^2)^n + sigma^2 b^n m2^(n-1) sum_j x^j,
-    with x = b|m1|^2 / m2, plus the growth-rate trichotomy label."""
+    with x = b|m1|^2 / m2."""
     if n < 1:
         raise DomainError("closed form needs n >= 1")
     lnb = math.log(b)
@@ -434,10 +433,7 @@ def closed_form_second_moment(spec: EnvironmentSpec, b: int, n: int) -> SecondMo
                  + _ln_geom_sum(ln_x, n))
     ln_value = _logaddexp(term1, term2)
     value = math.exp(ln_value) if ln_value < 709.0 else math.inf
-    gap = ln_a - ln_m2                   # sign of b|m1|^2 - m2
-    growth = ("mean_squared" if gap > 1e-12 else
-              "diagonal" if gap < -1e-12 else "critical")
-    return SecondMomentReport(value, ln_value, growth)
+    return SecondMomentReport(value, ln_value)
 
 
 def _ln_geom_sum(ln_x: float, n: int) -> float:
@@ -461,17 +457,19 @@ def _logaddexp(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _column_z(b: int, n: int, cnt: int, weights) -> np.ndarray:
-    """Z_n of cnt trees (one_step_identity_check's, mc.batch_z_values' and
-    mc.ratio4's), one per column of node-major (nodes, cnt) arrays, walked
-    as nested bottom subtrees of the largest depth s with b^s * cnt <=
-    _PASS_VALUES.  weights(g, i0, out) fills out, the workspace's (k, cnt)
-    slice for nodes i0 .. i0+k-1 of generation g, asked for once per node.
-    Nothing is rescaled, so a column's Z_n does not depend on the other
-    columns.  The result is a view into the workspace, which the caller
-    copies before the thread's next walk."""
-    s = max(j for j in range(1, n + 2) if b**j * cnt <= _PASS_VALUES)
+def _column_z(b: int, n: int, count: int, weights) -> np.ndarray:
+    """Z_n of count trees (one_step_identity_check's, mc.batch_z_values' and
+    mc.ratio4's), one per column, in a new array.  The columns are walked in
+    passes of up to _PASS_VALUES // b, a pass of cnt columns over node-major
+    (nodes, cnt) arrays as nested bottom subtrees of the largest depth s
+    with b^s * cnt <= _PASS_VALUES.  weights(g, i0, c0, out) fills out, the
+    workspace's (k, cnt) slice for nodes i0 .. i0+k-1 of generation g in
+    columns c0 .. c0+cnt-1, asked for once per node and pass.  Nothing is
+    rescaled, so a column's Z_n does not depend on the other columns."""
+    if b > _PASS_VALUES:
+        raise BudgetExceeded(f"b = {b} exceeds {_PASS_VALUES} values per pass")
     ws = _workspace()
+    z = np.empty(count, dtype=np.complex128)
 
     def subtree(g: int, i: int, d: int, depth: int) -> np.ndarray:
         """Z at node (g, i) over its depth-d subtree, shape (cnt,): t levels
@@ -488,30 +486,36 @@ def _column_z(b: int, n: int, cnt: int, weights) -> np.ndarray:
                 v[c] = subtree(g + t, i * b**t + c, d - t, depth + 1)
         for j in range(t, 0, -1):
             xi = ws.take("cols", b**j * cnt, np.complex128).reshape(b**j, cnt)
-            weights(g + j, i * b**j, xi)
+            weights(g + j, i * b**j, c0, xi)
             xi *= v[:rows]
             rows = b**(j - 1)
             _group_sum(xi, b, v[:rows])
         return v[0]
 
-    return subtree(0, 0, n, 0)
+    for c0 in range(0, count, _PASS_VALUES // b):
+        cnt = min(_PASS_VALUES // b, count - c0)
+        s = max(j for j in range(1, n + 2) if b**j * cnt <= _PASS_VALUES)
+        z[c0:c0 + cnt] = subtree(0, 0, n, 0)
+    return z
 
 
-def _batch_weights(spec, seed: int, b: int, r0: int, cnt: int):
-    """_column_z weights of BatchStream(seed) replicas r0 .. r0+cnt-1, one
-    draw call per node and one transform call per _SLAB_DRAWS draws."""
+def _batch_weights(spec, seed: int, b: int, r0: int):
+    """_column_z weights of BatchStream(seed) replica r0 + c in column c,
+    one draw call per node and pass and one transform call per _SLAB_DRAWS
+    draws."""
     bs = BatchStream(seed)
-    per = max(1, _SLAB_DRAWS // cnt)
 
-    def weights(g: int, i0: int, out: np.ndarray) -> None:
+    def weights(g: int, i0: int, c0: int, out: np.ndarray) -> None:
         ws = _workspace()
-        for c0 in range(0, len(out), per):
-            m = min(per, len(out) - c0)
+        k, cnt = out.shape
+        per = max(1, _SLAB_DRAWS // cnt)
+        for j0 in range(0, k, per):
+            m = min(per, k - j0)
             raw = ws.take("raw", 4 * m * cnt, np.uint64).reshape(m, cnt, 4)
-            for c in range(m):
-                raw[c] = bs.node_block(b, g, i0 + c0 + c, r0, cnt)
+            for j in range(m):
+                raw[j] = bs.node_block(b, g, i0 + j0 + j, r0 + c0, cnt)
             _draw(ws, spec, raw.reshape(m * cnt, 4),
-                  out[c0:c0 + m].reshape(-1))
+                  out[j0:j0 + m].reshape(-1))
 
     return weights
 
@@ -541,8 +545,8 @@ def one_step_identity_check(spec: EnvironmentSpec, b: int, n: int,
     compare the empirical conditional mean of Z_{n+1} with b m1 Z_n and the
     conditional second moment with b^2|m1|^2 |Z_n|^2 + b sigma^2 Z_n(|xi|^2).
     Resample s is batch-stream replica ((replica + 1) << 32) + s of the
-    tree's seed; a pass of up to _PASS_VALUES // b resamples is one
-    _column_z walk, the frozen weights repeated across its columns."""
+    tree's seed; one _column_z walk takes them all, the frozen weights
+    repeated across its columns."""
     if n < 1:
         raise DomainError("need n >= 1")
     if resamples < 2:
@@ -550,21 +554,17 @@ def one_step_identity_check(spec: EnvironmentSpec, b: int, n: int,
     _check_budget(b, n + 1, node_budget)
     fs = dfs_evaluate(spec, b, n, stream, node_budget=node_budget,
                       include_w=False)
-    first = (stream.replica + 1) << 32
-    z_next = np.empty(resamples, dtype=np.complex128)
-    for s0 in range(0, resamples, _PASS_VALUES // b):
-        cnt = min(_PASS_VALUES // b, resamples - s0)
-        fresh = _batch_weights(spec, stream.seed, b, first + s0, cnt)
+    fresh = _batch_weights(spec, stream.seed, b, (stream.replica + 1) << 32)
 
-        def weights(g: int, i0: int, out: np.ndarray) -> None:
-            if g > n:
-                fresh(g, i0, out)
-            else:
-                xi = _draw(_workspace(), spec,
-                           stream.node_block(b, g, i0, len(out)))[1]
-                out[...] = xi[:, None]
+    def weights(g: int, i0: int, c0: int, out: np.ndarray) -> None:
+        if g > n:
+            fresh(g, i0, c0, out)
+        else:
+            xi = _draw(_workspace(), spec,
+                       stream.node_block(b, g, i0, len(out)))[1]
+            out[...] = xi[:, None]
 
-        z_next[s0:s0 + cnt] = _column_z(b, n + 1, cnt, weights)
+    z_next = _column_z(b, n + 1, resamples, weights)
 
     m1 = spec.mean_xi()
     sigma2 = max(spec.sigma2(), 0.0)

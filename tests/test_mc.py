@@ -163,9 +163,11 @@ def test_batch_values_draw_each_node_once_per_pass(monkeypatch):
 
 
 def test_nested_subtree_walks_keep_every_bit(monkeypatch):
-    # a pass bound of 4 values nests every walk below in subtrees of depth
-    # at most 2; at the real bound ratio4 never nests, and no other test
-    # nests the one-step check
+    # a pass bound of 4 values cuts every walk below into passes of two
+    # columns, nested in depth-1 subtrees, and 4096 slab draws cut ratio4's
+    # resamples into slabs of 292 columns, so its weights read each slab
+    # from column c0 of many passes; at the real bounds this ratio4 neither
+    # nests nor cuts, and no other test nests the one-step check
     law = GaussianIndep(0.5, 0.7)
 
     def run() -> str:
@@ -177,8 +179,8 @@ def test_nested_subtree_walks_keep_every_bit(monkeypatch):
         return repr((zs.tolist(), est.values, est.value_ses, step))
 
     wide = run()
-    monkeypatch.setattr(mc, "_PASS_VALUES", 4)   # batch and ratio4 passes
-    monkeypatch.setattr(sim, "_PASS_VALUES", 4)  # walks, one-step passes
+    monkeypatch.setattr(sim, "_PASS_VALUES", 4)
+    monkeypatch.setattr(mc, "_SLAB_DRAWS", 1 << 12)
     assert run() == wide
 
 
@@ -209,6 +211,8 @@ def test_batch_paths_refuse_a_bad_shape_as_a_domain_error(call):
 def test_batch_values_budget_guard():
     with pytest.raises(BudgetExceeded):
         batch_z_values(GaussianIndep(0.5, 0.5), 2, 19, seed=0, replicas=1)
+    with pytest.raises(BudgetExceeded):    # no pass holds one node's children
+        batch_z_values(GaussianIndep(0.5, 0.5), 2**20, 0, seed=1, replicas=5)
 
 
 def test_verify_mean_is_exact_for_constants():
