@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -44,8 +45,6 @@ _REGION_COLORS = {
 
 def _fmt(x) -> str:
     """Stable cell formatting: shortest round-trip repr for floats."""
-    if type(x) is float:
-        return repr(x)
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -232,15 +231,12 @@ def _axis(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def _ppm(width: int, height: int, comments: list[str],
-         pixels: list[tuple[int, int, int]]) -> bytes:
-    head = "P6\n" + "".join(f"# {c}\n" for c in comments) \
-        + f"{width} {height}\n255\n"
-    return head.encode("ascii") + bytes(v for px in pixels for v in px)
-
-
 # The laws a diagram can map, by model name; each is built from (beta, gamma)
-# and puts beta on the radius alone: ln E|xi|^a = (a beta)^2 / 2.
+# and puts beta on the radius alone: ln E|xi|^a = (a beta)^2 / 2.  Each also
+# splits ln|E xi| bit for bit: law(beta, gamma).log_mean_abs() equals
+# law(beta, 0).log_mean_abs() + law(0, gamma).log_mean_abs(), one IEEE
+# addition either way (-inf on both sides where E xi = 0), so a diagram
+# builds one law per axis value, not one per cell.
 _SCALE_FAMILIES = {"gaussian": GaussianIndep,
                    "uniform": LogNormalUniformPhase}
 
@@ -263,62 +259,63 @@ def cmd_diagram(cfg: dict) -> int:
     if cfg["model"] == "uniform" and ghi > 1.0:
         raise ConfigError("uniform-phase scale is limited to gamma <= 1")
 
-    crit = phase.critical_set(law(1.0, 1.0), b)
+    unit = law(1.0, 1.0)
+    crit = phase.critical_set(unit, b)
     eps = 1e-3
     replicas = 0 if cfg.get("replicas") is None \
         else _int(cfg, "replicas", lo=1)
     if replicas and cfg.get("n") is None:
         raise ConfigError("per-cell estimates need --n")
 
-    header = ["beta", "gamma", "region", "f"]
-    if replicas:
-        header += ["mc_mean", "mc_ci_lo", "mc_ci_hi"]
-    # The radius part of classify depends on beta alone: one per column.
-    radius = [phase._radius_part(law(beta, gammas[0]), b) for beta in betas]
-    rows = []
-    labels = []
-    counts: dict[str, int] = {}
-    for gamma in gammas:
-        for beta, rad in zip(betas, radius):
-            spec = law(beta, gamma)
-            region, f, _ = phase._decide(spec, b, eps, rad)
-            counts[region] = counts.get(region, 0) + 1
-            labels.append(region)
-            row = [beta, gamma, region, f]
-            if replicas:
-                plan = mc.ExperimentPlan(
-                    spec=spec, b=b, n=_int(cfg, "n", lo=1),
-                    replicas=replicas, seed=cfg["seed"],
-                    node_budget=cfg["budget_nodes"], keep_values=False)
-                est = mc.estimate_free_energy(plan)
-                row += [est.mean, est.ci95[0], est.ci95[1]]
-            rows.append(row)
-
-    crit_comment = ("beta_0=%s beta_c=%s gamma_0=%s gamma_c=%s"
+    # Per beta: its CSV text, ln|E xi| at gamma = 0 and the radius part of
+    # classify; per gamma: its CSV text and ln|E xi| at beta = 0.
+    columns = []
+    for beta in betas:
+        spec = law(beta, 0.0)
+        columns.append((beta, repr(beta) + ",", spec.log_mean_abs(),
+                        phase._radius_part(spec, b)))
+    rows = [(gamma, repr(gamma) + ",", law(0.0, gamma).log_mean_abs())
+            for gamma in gammas]
+    n = _int(cfg, "n", lo=1) if replicas else None
+    lnb = math.log(b)
+    crit_comment = ("critical beta_0=%s beta_c=%s gamma_0=%s gamma_c=%s"
                     % (_fmt(crit.beta_0), _fmt(crit.beta_c),
                        _fmt(crit.gamma_0), _fmt(crit.gamma_c)))
-    csv_text = "# critical " + crit_comment + "\n" + rows_to_csv(header, rows)
+    lines = ["# " + crit_comment, "beta,gamma,region,f"
+             + (",mc_mean,mc_ci_lo,mc_ci_hi" if replicas else "")]
+    labels = []
+    for gamma, gamma_text, lg in rows:
+        for beta, beta_text, lb, rad in columns:
+            region, f, _ = phase._decide(lnb + (lb + lg), unit.independent,
+                                         eps, rad)
+            labels.append(region)
+            lines.append(beta_text + gamma_text + region + "," + repr(f))
+            if replicas:
+                est = mc.estimate_free_energy(mc.ExperimentPlan(
+                    spec=law(beta, gamma), b=b, n=n, replicas=replicas,
+                    seed=cfg["seed"], node_budget=cfg["budget_nodes"],
+                    keep_values=False))
+                lines[-1] += "," + ",".join(map(_fmt, (est.mean, *est.ci95)))
     out = cfg["out"]
-    _write(out + ".csv", csv_text)
+    _write(out + ".csv", "\n".join(lines) + "\n")
+    color = {k: bytes(v) for k, v in _REGION_COLORS.items()}
+    pixels = b"".join(color[region]                 # top row = largest gamma
+                      for gi in range(gsteps - 1, -1, -1)
+                      for region in labels[gi * bsteps:(gi + 1) * bsteps])
+    _write(out + ".ppm", f"P6\n# {crit_comment}\n{bsteps} {gsteps}\n255\n"
+           .encode("ascii") + pixels)
 
-    pixels = []
-    for gi in range(gsteps - 1, -1, -1):          # top row = largest gamma
-        for bi in range(bsteps):
-            pixels.append(_REGION_COLORS[labels[gi * bsteps + bi]])
-    _write(out + ".ppm", _ppm(bsteps, gsteps, ["critical " + crit_comment],
-                              pixels))
-
-    summary = {
+    counts = dict(sorted(Counter(labels).items()))
+    _emit_json({
         "b": b, "model": cfg["model"],
         "grid": {"beta": [blo, bhi, bsteps], "gamma": [glo, ghi, gsteps]},
         "critical": crit.to_dict(),
-        "region_counts": dict(sorted(counts.items())),
+        "region_counts": counts,
         "csv": out + ".csv", "ppm": out + ".ppm",
-    }
-    _emit_json(summary)
+    })
     _say(f"diagram {bsteps}x{gsteps}: " +
-         ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
-    _say("critical " + crit_comment)
+         ", ".join(f"{k}={v}" for k, v in counts.items()))
+    _say(crit_comment)
     return EXIT_OK
 
 

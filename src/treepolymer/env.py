@@ -15,7 +15,8 @@ frozen-radius phase resample only has to swap the stream feeding
 through ``out`` and allocates only when given none, so the tree kernels
 reuse one set of work arrays per thread.  The built-in random laws share
 one log-normal radius (``_LogNormalRadius``) and differ only in their
-phase.
+phase.  Their scales beta (and the Gaussian gamma) are refused above
+``_MAX_SCALE`` = 1e150, past which the moment surface would overflow.
 """
 
 from __future__ import annotations
@@ -31,13 +32,8 @@ from .rng import _box_muller, normal_pair, to_uniform
 
 
 def _real(name: str, value) -> float:
-    """A law parameter as a finite float; anything else is a DomainError.
-
-    Plain floats skip the abstract-class check, which costs more than the
-    rest of a law's construction (the diagram builds one law per cell).
-    """
-    if type(value) is not float and (isinstance(value, bool)
-                                     or not isinstance(value, numbers.Real)):
+    """A law parameter as a finite float; anything else is a DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
@@ -45,10 +41,22 @@ def _real(name: str, value) -> float:
     return x
 
 
-def _nonnegative(name: str, value) -> float:
+# Largest beta, or Gaussian gamma, a law takes.  The phase module searches
+# ln E|xi|^a = (a x)^2 / 2 over a <= 64 (G) and a = 2u <= 128
+# (positive_weight_free_energy), and forms u L'(u) - L(u), at most
+# 4 * 64^2 x^2 there.  At x = 1e150 each stays below 1.7e304; Python's
+# float ** raises OverflowError from about x = 1e152 on.
+_MAX_SCALE = 1e150
+
+
+def _scale(name: str, value) -> float:
+    """A scale parameter (beta, or the Gaussian gamma) in [0, _MAX_SCALE]."""
     x = _real(name, value)
     if x < 0:
         raise DomainError(f"{name} must be >= 0")
+    if x > _MAX_SCALE:
+        raise DomainError(f"{name} must be <= {_MAX_SCALE!r} so that the "
+                          f"moments stay finite, got {value!r}")
     return x
 
 
@@ -189,8 +197,8 @@ class GaussianIndep(_LogNormalRadius):
     model = "gaussian"
 
     def __init__(self, beta: float, gamma: float):
-        self.beta = self.beta_scale = _nonnegative("beta", beta)
-        self.gamma = self.gamma_scale = _nonnegative("gamma", gamma)
+        self.beta = self.beta_scale = _scale("beta", beta)
+        self.gamma = self.gamma_scale = _scale("gamma", gamma)
 
     def phase_from_raw(self, raw, out=None):
         phi, rho = _fresh(len(raw), out, 2)
@@ -229,7 +237,7 @@ class LogNormalUniformPhase(_LogNormalRadius):
     model = "uniform"
 
     def __init__(self, beta: float, gamma: float):
-        self.beta = self.beta_scale = _nonnegative("beta", beta)
+        self.beta = self.beta_scale = _scale("beta", beta)
         gamma = _real("gamma", gamma)
         if not 0.0 <= gamma <= 1.0:
             raise DomainError("gamma must be in [0, 1]")
@@ -279,7 +287,7 @@ class RademacherPhase(_LogNormalRadius):
         if not 0.0 <= t <= 1.0:
             raise DomainError("t must be in [0, 1]")
         self.t = t
-        self.beta = self.beta_scale = _nonnegative("beta", beta)
+        self.beta = self.beta_scale = _scale("beta", beta)
         self._theta = math.acos(t)
 
     def phase_from_raw(self, raw, out=None):

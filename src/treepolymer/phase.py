@@ -117,11 +117,12 @@ def _radius_part(spec: EnvironmentSpec, b: int) -> tuple[float, float, float, fl
             g_of_alpha(spec, b, 2.0))
 
 
-def _decide(spec: EnvironmentSpec, b: int, eps: float,
+def _decide(target: float, independent: bool, eps: float,
             radius: tuple) -> tuple[str, float, tuple | None]:
-    """`classify`'s region, predicted f and, when Boundary, the adjacent
-    formula values, from `radius` = `_radius_part(spec, b)`."""
-    target = math.log(b) + spec.log_mean_abs()   # ln(b |E xi|)
+    """The one region rule, called by `classify` and `cli.cmd_diagram`:
+    region, predicted f and, when Boundary, the adjacent formula values,
+    from target = ln(b |E xi|), the law's independence and `radius` =
+    `_radius_part(spec, b)`."""
     amin, g_amin, g_clamp, g2 = radius
     # f = target in R1, G(a_min) in R2 and G(2) in R3
     if g_clamp < target - eps:
@@ -135,7 +136,7 @@ def _decide(spec: EnvironmentSpec, b: int, eps: float,
         return "Boundary", 0.5 * (target + g2), (target, g2)
     if amin < 2.0 - eps and g_amin > target + eps:
         # 1 <= a_min < 2 region: deciding inequality G(a_min) vs target
-        if spec.independent:
+        if independent:
             return "R2b", g_amin, None
         return "Undetermined", math.nan, None
     # G(a_min) within the band of target, a_min within the band of 1 or 2,
@@ -149,7 +150,8 @@ def classify(spec: EnvironmentSpec, b: int,
     with the trace of every condition `_decide` reads."""
     target = math.log(b) + spec.log_mean_abs()   # ln(b |E xi|)
     amin, g_amin, g_clamp, g2 = radius = _radius_part(spec, b)
-    region, f, boundary_values = _decide(spec, b, eps_boundary, radius)
+    region, f, boundary_values = _decide(target, spec.independent,
+                                         eps_boundary, radius)
     trace = [
         {"name": "min_G_on_(1,2]_vs_ln_b_mean", "lhs": g_clamp, "rhs": target,
          "fired": g_clamp < target - eps_boundary},

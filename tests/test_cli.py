@@ -208,11 +208,22 @@ def test_diagram_refuses_zero_replicas_from_flag_and_config(tmp_path,
         assert not stem.with_suffix(".csv").exists()
 
 
-@pytest.mark.parametrize("model, b, grid", [
+# (model, b, grid): round axes; offset, non-round axes shaped like the
+# benchmark's; gamma axes ending at exactly 1.0 (E xi = 0 for uniform);
+# 1 x N and N x 1 grids; b = 3
+DIAGRAM_GRIDS = [
     ("gaussian", 2, "0:2:9,0:2:7"),
     ("uniform", 2, "0:2:9,0:1:7"),
     ("gaussian", 3, "0:2:6,0:2:5"),
-])
+    ("gaussian", 2, "0.0137:2.0137:23,0.0213:2.0213:19"),
+    ("uniform", 2, "0.0137:2.0137:23,0.0213:0.9713:19"),
+    ("uniform", 3, "0.0137:2.0137:23,0.0441:1.0:19"),
+    ("gaussian", 3, "0.7:0.7:1,0:2:9"),
+    ("uniform", 2, "0:2:9,0.4:0.4:1"),
+]
+
+
+@pytest.mark.parametrize("model, b, grid", DIAGRAM_GRIDS)
 def test_diagram_rows_match_per_cell_classify(model, b, grid, tmp_path,
                                               capsys):
     stem = tmp_path / "cells"
@@ -231,6 +242,36 @@ def test_diagram_rows_match_per_cell_classify(model, b, grid, tmp_path,
         assert region == rep.region
         assert struct.pack("<d", float(f)) == \
             struct.pack("<d", rep.predicted_f)
+
+
+@pytest.mark.parametrize("model, b, grid", DIAGRAM_GRIDS)
+def test_scale_families_split_the_log_mean_bit_for_bit(model, b, grid):
+    # the diagram forms ln|E xi| of a cell from one part per axis value
+    law = cli._SCALE_FAMILIES[model]
+    (blo, bhi, bn), (glo, ghi, gn) = _parse_grid(grid)
+    for beta in cli._axis(blo, bhi, bn):
+        for gamma in cli._axis(glo, ghi, gn):
+            split = law(beta, 0.0).log_mean_abs() \
+                + law(0.0, gamma).log_mean_abs()
+            assert struct.pack("<d", split) == \
+                struct.pack("<d", law(beta, gamma).log_mean_abs())
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--grid=-1:1:3"], "beta must be >= 0"),
+    (["--model", "uniform", "--grid", "0:1:3,0:1.5:3"],
+     "uniform-phase scale is limited to gamma <= 1"),
+    (["--model", "uniform", "--grid", "0:1:3,-0.5:1:3"],
+     "gamma must be in [0, 1]"),
+    (["--grid", "0:1e200:3,0:1:2"],
+     "beta must be <= 1e+150 so that the moments stay finite, got 5e+199"),
+])
+def test_diagram_refusals_write_nothing(flags, message, tmp_path, capsys):
+    code, out, err = run(["diagram", *flags, "--out", str(tmp_path / "x")],
+                         capsys)
+    assert code == EXIT_CONFIG and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_diagram_cell_count_is_capped_by_the_budget(tmp_path, capsys):
@@ -511,6 +552,23 @@ def test_non_finite_law_parameters_exit_as_config_errors(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == EXIT_CONFIG and "beta must be finite" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (["phase-point", "--beta", "1e200", "--gamma", "0.5"], "beta", "1e+200"),
+    (["phase-point", "--model", "rademacher", "--t", "0.5", "--beta", "1e300"],
+     "beta", "1e+300"),
+    (["phase-point", "--beta", "0.5", "--gamma", "1e200"], "gamma", "1e+200"),
+    (["simulate", "--n", "3", "--replicas", "2", "--beta", "1e300",
+      "--gamma", "0"], "beta", "1e+300"),
+])
+def test_law_scales_whose_moments_overflow_exit_as_config_errors(
+        argv, name, value, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_CONFIG and out == ""
+    assert err.splitlines() == [
+        f"error: {name} must be <= 1e+150 so that the moments stay finite, "
+        f"got {value}"]
 
 
 def test_non_numeric_config_parameter_exits_as_config_error(tmp_path, capsys):

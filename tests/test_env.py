@@ -14,6 +14,7 @@ from treepolymer import (
     LogNormalUniformPhase,
     RademacherPhase,
     TreeStream,
+    phase,
     spec_from_config,
 )
 
@@ -229,6 +230,25 @@ def test_spec_from_config_refuses_fields_the_model_does_not_take(record):
 def test_laws_refuse_non_finite_or_non_numeric_parameters(record):
     with pytest.raises(DomainError):
         spec_from_config(record)
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: GaussianIndep(x, 0.5),
+    lambda x: GaussianIndep(0.5, x),
+    lambda x: LogNormalUniformPhase(x, 0.5),
+    lambda x: RademacherPhase(t=0.5, beta=x),
+])
+def test_laws_refuse_scales_whose_moments_overflow(make):
+    # at the bound every moment the phase module evaluates is finite (a up
+    # to 128); one float past it the constructor refuses
+    law = make(1e150)
+    for value in (law.log_moment_abs(128.0), law.log_moment_abs_prime(128.0),
+                  law.log_mean_abs(), law.lambda_c(law.gamma_scale),
+                  phase.classify(law, 2).predicted_f,
+                  phase.positive_weight_free_energy(law, 2, 2)):
+        assert math.isfinite(value)
+    with pytest.raises(DomainError, match="moments stay finite"):
+        make(math.nextafter(1e150, math.inf))
 
 
 @pytest.mark.parametrize("law", [
