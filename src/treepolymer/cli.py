@@ -226,9 +226,11 @@ def _parse_grid(text: str) -> tuple[tuple[float, float, int], ...]:
 
 
 def _axis(lo: float, hi: float, steps: int) -> list[float]:
+    """steps evenly spaced values from lo to exactly hi (the formula's last
+    point can land one ulp above hi, outside a range hi was checked for)."""
     if steps == 1:
         return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps - 1)] + [hi]
 
 
 # The laws a diagram can map, by model name; each is built from (beta, gamma)

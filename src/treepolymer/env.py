@@ -28,7 +28,7 @@ import numbers
 import numpy as np
 
 from .errors import DomainError
-from .rng import _box_muller, normal_pair, to_uniform
+from .rng import normal_pair, to_uniform
 
 
 def _real(name: str, value) -> float:
@@ -60,9 +60,20 @@ def _scale(name: str, value) -> float:
     return x
 
 
+_WORK = 6   # work rows: normal_pair's 4, its unused normal and a phase
+
+
+def _exp(x: float) -> float:
+    """math.exp(x), inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _fresh(n: int, out: tuple | None, count: int) -> tuple:
-    """out, or `count` fresh float64 arrays of length n."""
-    return out if out is not None else tuple(np.empty(n) for _ in range(count))
+    """out, or `count` fresh float64 arrays of length n and a work array."""
+    return out or (*(np.empty(n) for _ in range(count)), np.empty((_WORK, n)))
 
 
 class EnvironmentSpec:
@@ -74,12 +85,12 @@ class EnvironmentSpec:
 
     The sampling methods map raw words, shape (n, 4), to length-n arrays.
     Their optional ``out`` lends the arrays to write: the results (float64,
-    and complex128 for xi), then one float64 work array, all of length n.
-    Given ``out``, the built-in laws allocate nothing.  A law of one's own
-    may ignore ``out`` in ``radius_from_raw``, ``phase_from_raw`` and
-    ``polar_from_raw`` and return arrays of its own, of any real dtype;
-    ``radius_weight_from_raw``, which the tree kernels call, writes into
-    ``out`` in any case."""
+    and complex128 for xi) of length n, then a float64 work array of shape
+    (``_WORK``, n).  Given ``out``, the built-in laws allocate nothing.  A
+    law of one's own may ignore ``out`` in ``radius_from_raw``,
+    ``phase_from_raw`` and ``polar_from_raw`` and return arrays of its own,
+    of any real dtype; ``radius_weight_from_raw``, which the tree kernels
+    call, writes into ``out`` in any case."""
 
     model = "abstract"
     independent = True
@@ -100,7 +111,7 @@ class EnvironmentSpec:
     def polar_from_raw(self, raw: np.ndarray, out: tuple | None = None) \
             -> tuple[np.ndarray, np.ndarray]:
         """(|xi|, phase); out = (r, phi, work)."""
-        r, phi, work = _fresh(len(raw), out, 3)
+        r, phi, work = _fresh(len(raw), out, 2)
         return (self.radius_from_raw(raw, (r, work)),
                 self.phase_from_raw(raw, (phi, work)))
 
@@ -109,15 +120,15 @@ class EnvironmentSpec:
             -> tuple[np.ndarray, np.ndarray]:
         """(|xi|, xi) pairs, out = (r, xi, work); by default xi is rebuilt
         from the polar sample as r * (cos phi + i sin phi), the bits of
-        r * exp(i*phi), and the polar sample works in xi's memory.
+        r * exp(i*phi).
 
         Laws whose complex value is known exactly override this to avoid
         the roundoff of the polar reconstruction.
         """
         n = len(raw)
-        r, xi, work = out if out is not None else \
-            (np.empty(n), np.empty(n, dtype=np.complex128), np.empty(n))
-        rr, phi = self.polar_from_raw(raw, (r, work, xi.view(np.float64)[:n]))
+        r, xi, work = out or (np.empty(n), np.empty(n, dtype=np.complex128),
+                              np.empty((_WORK, n)))
+        rr, phi = self.polar_from_raw(raw, (r, work[0], work[1:]))
         if rr is not r:
             r[...] = rr
         np.cos(phi, out=xi.real)
@@ -132,10 +143,7 @@ class EnvironmentSpec:
     def moment_abs(self, a: float) -> float:
         if a < 0:
             raise DomainError("moment_abs requires a >= 0")
-        try:
-            return math.exp(self.log_moment_abs(a))
-        except OverflowError:
-            return math.inf
+        return _exp(self.log_moment_abs(a))
 
     def log_moment_abs_prime(self, a: float) -> float:
         """d/da ln E|xi|^a."""
@@ -150,7 +158,9 @@ class EnvironmentSpec:
         return -math.inf if m == 0.0 else math.log(m)
 
     def sigma2(self) -> float:
-        return self.moment_abs(2.0) - abs(self.mean_xi()) ** 2
+        """E|xi|^2 (1 - |E xi|^2 / E|xi|^2), inf where it overflows."""
+        spread = -math.expm1(2 * self.log_mean_abs() - self.log_moment_abs(2))
+        return _exp(self.log_moment_abs(2)) * spread if spread > 0 else 0.0
 
     def lambda_r(self, x: float) -> float:
         raise NotImplementedError
@@ -168,21 +178,26 @@ class EnvironmentSpec:
 
 class _LogNormalRadius(EnvironmentSpec):
     """Radius e^{beta*omega} with standard normal omega, the first
-    Box-Muller normal of each word pair: ln E|xi|^a = (a*beta)^2 / 2.
+    Box-Muller normal of each word pair: ln E|xi|^a = (a*beta)^2 / 2, and
+    E xi = e^{beta^2/2} q for the phase damping q >= 0 (0 where q is 0).
     Subclasses set ``beta`` and ``beta_scale`` and define the phase."""
 
     def radius_from_raw(self, raw, out=None):
-        # the second normal of the pair, unused here, is not computed; the
-        # angle is turned into the radius where it lies
-        r, rho = _fresh(len(raw), out, 2)
-        _box_muller(raw[:, 0], raw[:, 1], (rho, r))
-        np.cos(r, out=r)
-        r *= rho
+        r, work = _fresh(len(raw), out, 1)
+        normal_pair(raw[:, 0], raw[:, 1], (r, work[0], work[1:]))
         r *= self.beta
         return np.exp(r, out=r)
 
     def log_moment_abs(self, a):
         return 0.5 * (a * self.beta) ** 2
+
+    def mean_xi(self):
+        q = self.phase_damping()
+        return complex(_exp(0.5 * self.beta**2) * q if q else 0.0)
+
+    def log_mean_abs(self):
+        q = self.phase_damping()
+        return -math.inf if q == 0.0 else 0.5 * self.beta**2 + math.log(q)
 
     def lambda_r(self, x):
         return 0.5 * x * x
@@ -201,22 +216,20 @@ class GaussianIndep(_LogNormalRadius):
         self.gamma = self.gamma_scale = _scale("gamma", gamma)
 
     def phase_from_raw(self, raw, out=None):
-        phi, rho = _fresh(len(raw), out, 2)
-        _box_muller(raw[:, 0], raw[:, 1], (rho, phi))
-        np.sin(phi, out=phi)
-        phi *= rho
+        phi, work = _fresh(len(raw), out, 1)
+        normal_pair(raw[:, 0], raw[:, 1], (work[0], phi, work[1:]))
         phi *= self.gamma
         return phi
 
     def polar_from_raw(self, raw, out=None):
-        r, phi = normal_pair(raw[:, 0], raw[:, 1], _fresh(len(raw), out, 3))
+        r, phi = normal_pair(raw[:, 0], raw[:, 1], _fresh(len(raw), out, 2))
         r *= self.beta
         np.exp(r, out=r)
         phi *= self.gamma
         return r, phi
 
     def mean_xi(self):
-        return complex(math.exp(0.5 * self.beta**2 - 0.5 * self.gamma**2))
+        return complex(_exp(0.5 * self.beta**2 - 0.5 * self.gamma**2))
 
     def log_mean_abs(self):
         return 0.5 * self.beta**2 - 0.5 * self.gamma**2
@@ -249,13 +262,6 @@ class LogNormalUniformPhase(_LogNormalRadius):
         u -= 1.0
         u *= self.gamma * math.pi
         return u
-
-    def mean_xi(self):
-        return complex(math.exp(0.5 * self.beta**2) * _sinc(self.gamma))
-
-    def log_mean_abs(self):
-        s = abs(_sinc(self.gamma))
-        return -math.inf if s == 0.0 else 0.5 * self.beta**2 + math.log(s)
 
     def lambda_c(self, g):
         s = abs(_sinc(g))
@@ -296,14 +302,6 @@ class RademacherPhase(_LogNormalRadius):
         u.fill(-self._theta)
         u[heads] = self._theta
         return u
-
-    def mean_xi(self):
-        return complex(math.exp(0.5 * self.beta**2) * self.t)
-
-    def log_mean_abs(self):
-        if self.t == 0.0:
-            return -math.inf
-        return 0.5 * self.beta**2 + math.log(self.t)
 
     def lambda_c(self, g):
         c = abs(math.cos(g * self._theta))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EnvironmentSpec
+from .env import _WORK, EnvironmentSpec
 from .errors import BudgetExceeded, CoupledLaw, DomainError
 from .rng import TreeStream, node_offset
 from .sim import (_SLAB_DRAWS, DEFAULT_NODE_BUDGET, _batch_weights,
@@ -247,7 +247,8 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
                 raw[j] = TreeStream(seed, first + j).node_block(b, 1, 0, nodes)
             phases = spec.phase_from_raw(
                 raw.reshape(k * nodes, 4),
-                out=(ws.take("r", k * nodes), ws.take("work", k * nodes)))
+                out=(ws.take("r", k * nodes), ws.take(
+                    "work", _WORK * k * nodes).reshape(_WORK, k * nodes)))
             phi = ws.take("phi", nodes * k).reshape(nodes, k)
             phi[...] = phases.reshape(k, nodes).T
 

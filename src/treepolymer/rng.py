@@ -30,6 +30,7 @@ from numpy.random import Philox
 _MASK63 = (1 << 63) - 1
 _MASK64 = (1 << 64) - 1
 _U53 = float(2.0**-53)
+_TURNS = 1 << 12   # table entries per turn of the Box-Muller angle
 
 # Sequential draws (plain i.i.d. sampling detached from any tree) live in
 # counter region >= 2^64; node indices stay far below under any budget.
@@ -99,41 +100,62 @@ class BatchStream:
 
 def to_uniform(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Map uint64 words to uniforms in [0, 1) with 53-bit resolution, into
-    out if given.  The shifted words are cast to float64 on their way into
-    out, exactly, since they are below 2^53."""
-    if out is None:
-        out = np.empty(raw.shape)
+    out if given (the shifted words, below 2^53, cast to float64 exactly)."""
+    out = np.empty(raw.shape) if out is None else out
     np.right_shift(raw, np.uint64(11), out=out)
     out *= _U53
     return out
 
 
-def _box_muller(raw0: np.ndarray, raw1: np.ndarray,
-                out: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Box-Muller radius and angle per word pair: the two standard normals
-    are rho * cos(angle) and rho * sin(angle).  They are written into
-    out = (rho, angle), which callers may transform in place."""
-    rho, ang = out
-    to_uniform(raw0, rho)
-    np.negative(rho, out=rho)
-    np.log1p(rho, out=rho)
-    rho *= -2.0
-    np.sqrt(rho, out=rho)
-    to_uniform(raw1, ang)
-    ang *= 2.0 * np.pi
-    return rho, ang
+# normal_pair's table: rows cos, sin of _H j, j = 0 .. _TURNS; numpy's on the
+# first octant, its exact reflections elsewhere (a quarter turn is 0 or +-1).
+_H = 2.0 * np.pi / _TURNS
+_C2, _C4, _S1, _S3 = -_H**2 / 2, _H**4 / 24, _H, -_H**3 / 6
+_c, _s = np.cos(np.arange(_TURNS // 8 + 1) * _H), \
+    np.sin(np.arange(_TURNS // 8 + 1) * _H)
+_c, _s = np.r_[_c, _s[-2::-1]], np.r_[_s, _c[-2::-1]]     # a quarter turn
+_CS = np.array([np.r_[_c, -_s[1:], -_c[1:], _s[1:]],
+                np.r_[_s, _c[1:], -_s[1:], -_c[1:]]])
 
 
 def normal_pair(raw0: np.ndarray, raw1: np.ndarray,
                 out: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Two standard normals per word pair via Box-Muller, written into
-    out = (z1, z2, work) if given, else into fresh arrays."""
+    """Box-Muller normals rho cos(2 pi u), rho sin(2 pi u), rho = sqrt(-2
+    ln(1 - u0)), of the uniforms u0, u of each word pair, into out = (z1,
+    z2, work) if given, work of at least 4 rows of n floats.  The angle takes
+    no cos or sin (Tang's table method): j = rint(_TURNS u) leaves f =
+    _TURNS u - j in [-1/2, 1/2] exactly, and with C, S = cos, sin(_H j),
+    cm = cos(_H f) - 1 (degree 4) and sf = sin(_H f) (degree 3),
+    cos 2 pi u = C + (C cm - S sf) and sin 2 pi u = S + (S cm + C sf)."""
     n = len(raw0)
-    z1, z2, rho = out if out is not None else \
-        (np.empty(n), np.empty(n), np.empty(n))
-    _box_muller(raw0, raw1, (rho, z2))
-    np.cos(z2, out=z1)
-    z1 *= rho
-    np.sin(z2, out=z2)
-    z2 *= rho
+    z1, z2, work = out or (np.empty(n), np.empty(n), np.empty((4, n)))
+    w, t, c, s = work[0], work[1], work[2], work[3]
+    np.right_shift(raw1, np.uint64(11), out=z2)
+    z2 *= _TURNS * _U53
+    np.rint(z2, out=w)
+    np.copyto(t.view(np.intp), w, casting="unsafe")  # j
+    z2 -= w                                      # f
+    np.take(_CS, t.view(np.intp), axis=1, out=work[2:4], mode="clip")  # C, S
+    np.multiply(z2, z2, out=z1)                  # q = f^2
+    np.multiply(z1, _S3, out=w)
+    w += _S1
+    z2 *= w                                      # sf
+    np.multiply(z1, _C4, out=w)
+    w += _C2
+    z1 *= w                                      # cm
+    np.multiply(c, z1, out=w)
+    z1 *= s
+    np.multiply(s, z2, out=t)
+    w -= t                                       # C cm - S sf
+    z2 *= c
+    z2 += z1                                     # S cm + C sf
+    np.add(c, w, out=z1)
+    z2 += s
+    np.right_shift(raw0, np.uint64(11), out=w)   # rho
+    w *= -_U53
+    np.log1p(w, out=w)
+    w *= -2.0
+    np.sqrt(w, out=w)
+    z1 *= w
+    z2 *= w
     return z1, z2

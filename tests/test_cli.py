@@ -274,6 +274,25 @@ def test_diagram_refusals_write_nothing(flags, message, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_diagram_axes_end_at_exactly_their_upper_bounds(tmp_path, capsys):
+    # 0.0213 + (1.0 - 0.0213) rounds to 1.0000000000000002, which the
+    # uniform law refuses as a gamma; the axis ends at 1.0 itself
+    stem = tmp_path / "edge"
+    code, _, err = run(["diagram", "--model", "uniform", "--grid",
+                        "0.0137:2.0137:23,0.0213:1.0:19", "--out", str(stem)],
+                       capsys)
+    assert code == EXIT_OK, err
+    rows = [line.split(",") for line in
+            stem.with_suffix(".csv").read_text().splitlines()[2:]]
+    assert len(rows) == 23 * 19
+    assert max(float(r[0]) for r in rows) == 2.0137
+    assert max(float(r[1]) for r in rows) == 1.0
+    for lo, hi, steps in [(0.0213, 1.0, 19), (0.2, 1.8, 4), (0.0, 2.0, 100)]:
+        axis = cli._axis(lo, hi, steps)
+        assert axis[0] == lo and axis[-1] == hi and len(axis) == steps
+        assert all(a < b for a, b in zip(axis, axis[1:]))
+
+
 def test_diagram_cell_count_is_capped_by_the_budget(tmp_path, capsys):
     stem = tmp_path / "big"
     code, out, err = run(["diagram", "--grid", "0:2:20", "--budget-nodes",

@@ -8,7 +8,8 @@ compensate its sums or on trees deeper than its bottom blocks, or of the
 CSV, pixmap, stdout and stderr of one ``diagram`` run.  A change to these
 functions that moves any output by one bit fails here.  To list the
 current digests, run ``PYTHONPATH=src python tests/test_digests.py``; each
-line whose digest differs from ``DIGESTS`` ends in ``# was <old digest>``.
+line whose digest differs from ``DIGESTS`` ends in ``# was <old digest>``,
+and when any differs the script says how many on stderr and exits 1.
 
 History.  The ``batch`` and ``ratio4`` digests were recorded before the
 draw paths were rewritten to draw and transform whole counter ranges, the
@@ -25,7 +26,19 @@ again when Z_{n+1} became the bottom-up sum of ``sim._column_z`` instead of
 path products and Z_n came from ``dfs_evaluate``.  ``onestep-constant-b2``
 and ``onestep-constant-b3`` were re-recorded when a gap within roundoff of
 the target (1e-12 relative) began to score 0 whatever the SE: their
-residuals went from noise (44.7 and 20, 10) to 0, their SEs held.
+residuals went from noise (44.7 and 20, 10) to 0, their SEs held.  Every
+digest of a log-normal law (43 of 57: the ``batch``, ``ratio4``, ``dfs``
+and ``onestep`` cases of the gaussian, gaussian0, uniform and rademacher
+laws but ``ratio4-gaussian0``, whose ratios are exactly 1, and every
+``batch-deep``, ``ratio4-slabs``, ``dfs-blocks``, ``dfs-compensated`` and
+``dfs-top`` case, and ``diagram-estimates``) was re-recorded when
+``rng.normal_pair`` began to take the Box-Muller angle from a table of turn
+fractions instead of numpy's cos and sin, which moves most normals in their
+last bits.  Two of them moved for a second reason too: the beta axis of
+``diagram-estimates`` now ends at exactly 1.8, not at 1.8000000000000003,
+and ``onestep-gaussian-b2``'s target reads sigma^2, now formed as
+E|xi|^2 (1 - |E xi|^2 / E|xi|^2).  The constant-law and the other four
+diagram digests held.
 
 Z from ``dfs_evaluate`` takes numpy's complex array product, which uses
 fused multiply-adds where the CPU has them (see ``treepolymer.sim``), so
@@ -37,6 +50,7 @@ import contextlib
 import hashlib
 import io
 import struct
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -73,8 +87,8 @@ BATCH_SIZES = {2: (10, 1100), 3: (6, 1100)}
 BATCH_DEEP = {2: (12, 1000), 3: (8, 1000)}
 # (b, n, omega replicas, phase resamples)
 RATIO4_SIZES = {2: (5, 2, 1000), 3: (3, 2, 1000)}
-# (b, n, resamples): one pass, whose generation n+1 is transformed in four
-# slabs of nodes, the last one partial
+# (b, n, resamples): one pass, whose generation n+1 is transformed in
+# several slabs of nodes (13 and 14), the last one partial
 ONESTEP_SIZES = {2: (10, 100), 3: (6, 100)}
 # n = 15 at b = 2 goes past the vectorized bottom blocks
 DFS_DEPTHS = {2: (6, 15), 3: (5,)}
@@ -235,61 +249,61 @@ for _name, _flags in DIAGRAMS.items():
 DIGESTS = {
     "batch-constant-b2": "251fe8336a06c933666537fd",
     "batch-constant-b3": "c6db489c389b6c3d13ea2300",
-    "batch-deep-gaussian-b2": "990d057ad383c541cf060f37",
-    "batch-deep-gaussian-b3": "ca19fd6ed65c3e07b9fdcec8",
-    "batch-gaussian-b2": "3ce6bbc7b13937253e774709",
-    "batch-gaussian-b3": "5913462b4dee00844ef9cd84",
-    "batch-gaussian0-b2": "29d47de4fe6e592bd9603cd2",
-    "batch-gaussian0-b3": "e6b35fa06bd60614c18f497e",
-    "batch-rademacher-b2": "7724e8b23cdc8653cb661b10",
-    "batch-rademacher-b3": "270981951793fa0df93a5377",
-    "batch-uniform-b2": "ea4a3d4ce173258cf32bd643",
-    "batch-uniform-b3": "bbfa7b4dbe9d1aecca5fc16a",
-    "dfs-blocks-b2-n20": "a02338d0a9488844a0ea2139",
-    "dfs-compensated-n17-w": "720cdd6916b7b4515ed13f09",
-    "dfs-compensated-n17-z": "bb70e45dec8127a6f1454101",
-    "dfs-compensated-n6-w": "9097400c3b925745ec6d0ddf",
-    "dfs-compensated-n6-z": "9fe6c3832d8d4ff2cba2994b",
+    "batch-deep-gaussian-b2": "321661837ee57aa336ab70c4",
+    "batch-deep-gaussian-b3": "946a8f4269b44c0c822fd164",
+    "batch-gaussian-b2": "01f7d6e27803e52a5c721bd4",
+    "batch-gaussian-b3": "5fe6320fe87c4934c449344c",
+    "batch-gaussian0-b2": "69b3d0d22e39b51d1d7a968c",
+    "batch-gaussian0-b3": "158c3efb8d27d7462bc22e92",
+    "batch-rademacher-b2": "cfdbfb0a3d5806355dead2a8",
+    "batch-rademacher-b3": "2e2e4cc1cc083842783d7305",
+    "batch-uniform-b2": "ff8a84c76b34816949d71390",
+    "batch-uniform-b3": "0ddc5fa5379465f1999e908b",
+    "dfs-blocks-b2-n20": "3fe0bed6a36368d3c0176f8d",
+    "dfs-compensated-n17-w": "6f01e2d93cc4c1a0b07ad5df",
+    "dfs-compensated-n17-z": "bcdc059711bd6026707184b3",
+    "dfs-compensated-n6-w": "e8cc5d77a9321e7693dbb561",
+    "dfs-compensated-n6-z": "5dab655af2a3dcde13379257",
     "dfs-constant-b2": "a2959a8a5b9b14f4eb4db593",
     "dfs-constant-b3": "eee254fa9f9ba6ffb928d1ea",
-    "dfs-gaussian-b2": "0f91b3ff57a5801e1c360a83",
-    "dfs-gaussian-b3": "4870b928bff562f8e2b462e1",
-    "dfs-gaussian0-b2": "6e7cac2a862aa9975131d16b",
-    "dfs-gaussian0-b3": "e3b191e14d761d015070e9a7",
-    "dfs-rademacher-b2": "0fd5ccf107e7607344ecdace",
-    "dfs-rademacher-b3": "d90308420f528b03c57ab2c2",
-    "dfs-uniform-b2": "018685b4d888e2f2aeab59db",
-    "dfs-top-b2-n15": "d3ad1e90244d3651b1765df0",
-    "dfs-top-b2-n9-block4": "3fd898722e9310c75e114ec6",
-    "dfs-top-b3-n10": "1a3ed6a0186327552c8ebd58",
-    "dfs-top-b3-n6-block4": "0185d825186c2b899a548013",
-    "dfs-uniform-b3": "402a15edd0ec74715b26fad2",
+    "dfs-gaussian-b2": "77f782e9defac6d80d9c251f",
+    "dfs-gaussian-b3": "85f96cf0193083eab35bcd2a",
+    "dfs-gaussian0-b2": "cee9f4d97e1664702bbd1936",
+    "dfs-gaussian0-b3": "ab4c5f8d5eb19b143f093b0e",
+    "dfs-rademacher-b2": "efba27436e13c5b99e77dc26",
+    "dfs-rademacher-b3": "4450d1250bdb8d99240a3971",
+    "dfs-top-b2-n15": "b8220b1876e45e23acaa33e3",
+    "dfs-top-b2-n9-block4": "e228e2df47ceb15734bdc997",
+    "dfs-top-b3-n10": "532023a669e5c4ee0d92cc2a",
+    "dfs-top-b3-n6-block4": "1fb73cc1d70e2d01b9c249a2",
+    "dfs-uniform-b2": "edfbdb8b35f5f176aae25182",
+    "dfs-uniform-b3": "03a513263c1cf4fb3dc098c8",
     "diagram-b3": "46f38d231bd0f5af8334c093",
-    "diagram-estimates": "5057fbde978e0ca19ad0a414",
+    "diagram-estimates": "849461a9b384e1b48bdd259c",
     "diagram-gaussian": "6dcbb41714cc5014e3ac6ab7",
     "diagram-slice": "e23676fe1a8d52f2bdea3e95",
     "diagram-uniform": "b32d6f96d5e9bf2fdfac0128",
     "onestep-constant-b2": "c4971c8ee8aa3330f6a40262",
     "onestep-constant-b3": "407ed97dab01f4586c8942b0",
-    "onestep-gaussian-b2": "e2b520839e17a6a8e5c4dc71",
-    "onestep-gaussian-b3": "fb4fb576bce04477381b83dd",
-    "onestep-gaussian0-b2": "17d8f0bcc5337b731af6d602",
-    "onestep-gaussian0-b3": "401ce49d0def581b7ec99be9",
-    "onestep-rademacher-b2": "86c52cab8a5d83c5c79de0cf",
-    "onestep-rademacher-b3": "f93a13a7f1ca969f45242633",
-    "onestep-uniform-b2": "bb2f8eaff3731631fed14f68",
-    "onestep-uniform-b3": "3fb2968302f453d465af8a50",
+    "onestep-gaussian-b2": "625daf34cd904e7e70de6041",
+    "onestep-gaussian-b3": "3ef9e12662193b49f8d40a8c",
+    "onestep-gaussian0-b2": "5c6f977427111b6b69447ffd",
+    "onestep-gaussian0-b3": "bc4fffdc3c09ad0eaa4e291c",
+    "onestep-rademacher-b2": "0efd0149393af785d740dd89",
+    "onestep-rademacher-b3": "b2b11b85377e01ace8914508",
+    "onestep-uniform-b2": "f3f272282f50abc367aa8bc1",
+    "onestep-uniform-b3": "1be3ec453c9f6aa0035194b9",
     "ratio4-constant-b2": "145869cd3d319d75381d9026",
     "ratio4-constant-b3": "2f4a273cc86fc42180d576d0",
-    "ratio4-gaussian-b2": "495cd5cd41931683e1035ec2",
-    "ratio4-gaussian-b3": "37be6dcfee151948dfa49c3c",
+    "ratio4-gaussian-b2": "005a64143a3b4f5e8a09cbe2",
+    "ratio4-gaussian-b3": "feadbe5c5d43974eb8a14e0c",
     "ratio4-gaussian0-b2": "a48dc79296efa5b1258caf79",
     "ratio4-gaussian0-b3": "2b61c8683720d5ede37ecfc9",
-    "ratio4-rademacher-b2": "8cdfb5aef93e04efbcdcd5a9",
-    "ratio4-rademacher-b3": "db712d1450da8c85ab27cee7",
-    "ratio4-slabs-gaussian-b2": "005d44c3281b879bd56994ac",
-    "ratio4-uniform-b2": "ec031e5fb754447dff2c696c",
-    "ratio4-uniform-b3": "17e9e6fbfb767cead27f67b5",
+    "ratio4-rademacher-b2": "fd7db71a97c8f6e76be6bb92",
+    "ratio4-rademacher-b3": "f545beaab4837bfefa5a2293",
+    "ratio4-slabs-gaussian-b2": "e8aea18fb68173982c56f035",
+    "ratio4-uniform-b2": "f6591011f66ad4470af64e97",
+    "ratio4-uniform-b3": "c9c14a31d22e0f2d8fd6adf8",
 }
 
 
@@ -303,7 +317,12 @@ def test_output_bits_match_the_recorded_digest(name):
 
 
 if __name__ == "__main__":
+    differ = 0
     for name in sorted(CASES):
         new, old = CASES[name](), DIGESTS.get(name, "absent")
+        differ += new != old
         was = "" if new == old else f"  # was {old}"
         print(f'    "{name}": "{new}",{was}')
+    if differ:
+        print(f"{differ} of {len(CASES)} digests differ", file=sys.stderr)
+        sys.exit(1)

@@ -17,6 +17,8 @@ from treepolymer import (
     phase,
     spec_from_config,
 )
+from treepolymer.env import _WORK
+from treepolymer.rng import normal_pair
 
 from laws import SamplerLaw
 
@@ -279,13 +281,15 @@ def test_lent_arrays_get_the_bits_of_fresh_ones(law):
     raw = TreeStream(5, 0).seq_block(3000)
 
     def lent(*dtypes):
-        return tuple(np.full(len(raw), 7.0, dtype=d) for d in dtypes)
+        # the results, then the work array of _WORK rows
+        return (*(np.full(len(raw), 7.0, dtype=d) for d in dtypes),
+                np.full((_WORK, len(raw)), 7.0))
 
     calls = [
-        (law.radius_from_raw, lent(float, float), 1),
-        (law.phase_from_raw, lent(float, float), 1),
-        (law.polar_from_raw, lent(float, float, float), 2),
-        (law.radius_weight_from_raw, lent(float, complex, float), 2),
+        (law.radius_from_raw, lent(float), 1),
+        (law.phase_from_raw, lent(float), 1),
+        (law.polar_from_raw, lent(float, float), 2),
+        (law.radius_weight_from_raw, lent(float, complex), 2),
     ]
     for transform, out, results in calls:
         fresh = transform(raw)
@@ -295,6 +299,38 @@ def test_lent_arrays_get_the_bits_of_fresh_ones(law):
         for a, b, target in zip(fresh, into, out):
             assert b is target, transform
             assert a.tobytes() == b.tobytes(), transform
+
+
+@pytest.mark.parametrize("law", [
+    GaussianIndep(0.8, 0.3),
+    GaussianIndep(0.8, 0.0),
+    LogNormalUniformPhase(0.5, 0.5),
+    RademacherPhase(t=0.6, beta=0.2),
+])
+def test_every_transform_takes_one_box_muller_pair(law):
+    # ratio4 freezes radii from radius_from_raw while the tree kernels draw
+    # through radius_weight_from_raw, so every transform must read the
+    # same normals, bit for bit
+    raw = TreeStream(6, 0).seq_block(5000)
+    r, phi = law.polar_from_raw(raw)
+    z1, z2 = normal_pair(raw[:, 0], raw[:, 1])
+    assert r.tobytes() == np.exp(law.beta * z1).tobytes()
+    assert law.radius_from_raw(raw).tobytes() == r.tobytes()
+    assert law.radius_weight_from_raw(raw)[0].tobytes() == r.tobytes()
+    assert law.phase_from_raw(raw).tobytes() == phi.tobytes()
+    if law.model == "gaussian":
+        assert phi.tobytes() == (law.gamma * z2).tobytes()
+
+
+def test_moments_past_float_range_read_inf_and_a_zero_mean_stays_zero():
+    law = GaussianIndep(40.0, 0.0)     # E xi = e^800, E|xi|^2 = e^3200
+    assert law.mean_xi() == math.inf and law.sigma2() == math.inf
+    assert RademacherPhase(t=0.5, beta=40.0).mean_xi() == math.inf
+    # a phase factor of exactly 0 keeps the mean 0, not inf * 0 = nan
+    assert LogNormalUniformPhase(40.0, 1.0).mean_xi() == 0.0
+    assert RademacherPhase(t=0.0, beta=40.0).mean_xi() == 0.0
+    # no spread reads 0, even where E|xi|^2 = 1e310 overflows
+    assert DeterministicConstant(1e155).sigma2() == 0.0
 
 
 # -------------------------------------------------------------- properties

@@ -1,7 +1,9 @@
 """Counter-based streams: node addressing, determinism, family separation."""
 
+import math
 import sys
 import threading
+from decimal import Decimal, localcontext
 
 import numpy as np
 from numpy.random import Philox
@@ -162,3 +164,58 @@ def test_normal_pair_is_finite_even_at_word_extremes():
             z1, z2 = normal_pair(a, b)
             assert np.isfinite(z1).all()
             assert np.isfinite(z2).all()
+
+
+# 45 digits of pi, for the 40-digit Box-Muller reference below
+_PI = Decimal("3.14159265358979323846264338327950288419716940")
+
+
+def _reference_normals(w0: int, w1: int) -> tuple[Decimal, Decimal]:
+    """The Box-Muller pair of two words to 40 digits: u0 and u are the
+    words' top 53 bits over 2^53, the angle 2 pi u is reduced exactly (u is
+    dyadic) to the nearest quarter turn and its cos and sin summed as
+    Taylor series."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        u0 = Decimal(w0 >> 11) / 2**53
+        rho = (-2 * (1 - u0).ln()).sqrt()
+        k = w1 >> 11                           # u = k / 2^53
+        quarter = (k + (1 << 50)) >> 51        # rint(4u)
+        x = 2 * _PI * (k - (quarter << 51)) / 2**53
+        cos, sin, term, i = Decimal(0), Decimal(0), Decimal(1), 0
+        while abs(term) > Decimal("1e-45"):
+            if i % 2 == 0:
+                cos += term if i % 4 == 0 else -term
+            else:
+                sin += term if i % 4 == 1 else -term
+            i += 1
+            term = term * x / i
+        for _ in range(quarter % 4):
+            cos, sin = -sin, cos
+        return rho * cos, rho * sin
+
+
+def test_normals_match_a_40_digit_reference():
+    # a few thousand stream draws, and every pairing of the word extremes
+    raw = TreeStream(2024, 0).seq_block(3000)
+    ends = np.array([0, 1 << 11, (1 << 63) - 1, 1 << 63, (1 << 64) - 1],
+                    dtype=np.uint64)
+    w0 = np.concatenate([raw[:, 0], np.repeat(ends, len(ends))])
+    w1 = np.concatenate([raw[:, 1], np.tile(ends, len(ends))])
+    z1, z2 = normal_pair(w0, w1)
+    worst = 0.0
+    for i in range(len(w0)):
+        ref1, ref2 = _reference_normals(int(w0[i]), int(w1[i]))
+        worst = max(worst, abs(float(Decimal(float(z1[i])) - ref1)),
+                    abs(float(Decimal(float(z2[i])) - ref2)))
+    assert worst < 1e-15, worst
+
+
+def test_quarter_turns_give_exact_zeros():
+    # u = 1/4, 1/2 and 3/4: cos, sin and cos of the angle are exactly 0
+    rho = np.full(3, 1 << 63, dtype=np.uint64)
+    z1, z2 = normal_pair(rho, np.array([1 << 62, 1 << 63, 3 << 62],
+                                       dtype=np.uint64))
+    assert z1[0] == 0.0 and z2[1] == 0.0 and z1[2] == 0.0
+    assert np.array_equal(np.abs([z2[0], z1[1], z2[2]]), np.full(3, z2[0]))
+    assert z2[0] == math.sqrt(2.0 * math.log(2.0))

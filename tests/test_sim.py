@@ -552,6 +552,15 @@ def test_second_moment_examples_and_growth_labels():
     assert crit.value == pytest.approx(64.0 * 2.5, rel=1e-12)  # 4^n (1 + n/2)
 
 
+def test_second_moment_stays_finite_in_log_space_past_float_range():
+    # m2 = e^3200 and |m1|^2 = e^1600 overflow; sigma^2 / m2 = 1 - e^-1600,
+    # so ln E|Z_3|^2 = 3 ln 2 + 3 * 3200 up to a term of e^-1600
+    report = closed_form_second_moment(GaussianIndep(40.0, 0.0), 2, 3)
+    assert report.value == math.inf
+    assert report.ln_value == pytest.approx(3 * math.log(2.0) + 9600.0,
+                                            rel=1e-15)
+
+
 def test_second_moment_rejects_depth_zero():
     with pytest.raises(DomainError):
         closed_form_second_moment(GaussianIndep(0.5, 0.5), 2, 0)
