@@ -99,13 +99,38 @@ def _write(path: str, data) -> None:
 
 # --- config plumbing -------------------------------------------------------
 
-_CONFIG_KEYS = ("model", "beta", "gamma", "b", "n", "replicas", "seed",
-                "grid", "out", "budget_nodes", "strict", "only", "t", "c")
+def _whole(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _real(val) -> bool:
+    return _whole(val) or isinstance(val, float)
+
+
+_KINDS = {
+    "a string": lambda val: isinstance(val, str),
+    "an integer": _whole,
+    "a real number": _real,
+    "true or false": lambda val: isinstance(val, bool),
+    "[re, im]": lambda val: isinstance(val, list) and len(val) == 2
+    and all(map(_real, val)),
+}
+
+# Each config key with the kind of value its flag parses to; a file value
+# of another kind is refused, and null leaves the key unset.
+_CONFIG_KEYS = {
+    "model": "a string", "grid": "a string", "out": "a string",
+    "only": "a string", "beta": "a real number", "gamma": "a real number",
+    "t": "a real number", "c": "[re, im]", "b": "an integer",
+    "n": "an integer", "replicas": "an integer", "seed": "an integer",
+    "budget_nodes": "an integer", "strict": "true or false",
+}
 
 
 def merge_config(args: argparse.Namespace) -> dict:
-    """File values fill flags left unset; explicit flags win; the budget
-    environment variable supplies only the default budget."""
+    """File values, each of its flag's type, fill flags left unset;
+    explicit flags win; the budget environment variable supplies only the
+    default budget."""
     cfg: dict = {}
     path = getattr(args, "config", None)
     if path:
@@ -119,6 +144,9 @@ def merge_config(args: argparse.Namespace) -> dict:
         for key, val in loaded.items():
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key: {key}")
+            kind = _CONFIG_KEYS[key]
+            if val is not None and not _KINDS[kind](val):
+                raise ConfigError(f"{key} must be {kind}, got {val!r}")
             cfg[key] = val
     for key in _CONFIG_KEYS:
         val = getattr(args, key, None)
@@ -155,9 +183,18 @@ def _law(cfg: dict) -> EnvironmentSpec:
 
 def _int(cfg: dict, key: str, lo: int = 0) -> int:
     val = cfg.get(key)
-    if not isinstance(val, int) or isinstance(val, bool) or val < lo:
+    if not _whole(val) or val < lo:
         raise ConfigError(f"{key} must be an integer >= {lo}, got {val!r}")
     return val
+
+
+def _seed(cfg: dict) -> int:
+    """The seed, below 2^64: it fills a 64-bit Philox key word, and a larger
+    one would alias a smaller one's streams."""
+    seed = _int(cfg, "seed")
+    if seed >= 1 << 64:
+        raise ConfigError(f"seed must be below 2^64, got {seed}")
+    return seed
 
 
 # --- phase-point -----------------------------------------------------------
@@ -279,6 +316,7 @@ def cmd_diagram(cfg: dict) -> int:
     rows = [(gamma, repr(gamma) + ",", law(0.0, gamma).log_mean_abs())
             for gamma in gammas]
     n = _int(cfg, "n", lo=1) if replicas else None
+    seed = _seed(cfg) if replicas else None
     lnb = math.log(b)
     crit_comment = ("critical beta_0=%s beta_c=%s gamma_0=%s gamma_c=%s"
                     % (_fmt(crit.beta_0), _fmt(crit.beta_c),
@@ -295,7 +333,7 @@ def cmd_diagram(cfg: dict) -> int:
             if replicas:
                 est = mc.estimate_free_energy(mc.ExperimentPlan(
                     spec=law(beta, gamma), b=b, n=n, replicas=replicas,
-                    seed=cfg["seed"], node_budget=cfg["budget_nodes"],
+                    seed=seed, node_budget=budget,
                     keep_values=False))
                 lines[-1] += "," + ",".join(map(_fmt, (est.mean, *est.ci95)))
     out = cfg["out"]
@@ -345,7 +383,8 @@ def cmd_simulate(cfg: dict) -> int:
     _require(cfg, "n", "replicas")
     n = _int(cfg, "n", lo=1)
     replicas = _int(cfg, "replicas", lo=1)
-    seed = _int(cfg, "seed")
+    seed = _seed(cfg)
+    budget = _int(cfg, "budget_nodes", lo=1)
     spec = _law(cfg)
     what = cfg.get("only") or "free_energy"
     if what not in ("free_energy", "w_free_energy", "both", "trace"):
@@ -354,7 +393,7 @@ def cmd_simulate(cfg: dict) -> int:
     if what == "trace":
         from .rng import TreeStream
         trace = sim.trace_depths(spec, b, n, TreeStream(seed, 0),
-                                 node_budget=cfg["budget_nodes"],
+                                 node_budget=budget,
                                  include_w=spec.independent)
         rows = [[row[c] for c in TRACE_HEADER] for row in trace]
         csv_text = rows_to_csv(TRACE_HEADER, rows)
@@ -371,7 +410,7 @@ def cmd_simulate(cfg: dict) -> int:
     wanted = ["free_energy", "w_free_energy"] if what == "both" else [what]
     for functional in wanted:
         plan = mc.ExperimentPlan(spec=spec, b=b, n=n, replicas=replicas,
-                                 seed=seed, node_budget=cfg["budget_nodes"])
+                                 seed=seed, node_budget=budget)
         if functional == "free_energy":
             est = mc.estimate_free_energy(plan)
             predicted = rep.predicted_f
@@ -496,8 +535,8 @@ def check_tau(seed: int) -> dict:
 
 
 def cmd_verify(cfg: dict) -> int:
-    seed = _int(cfg, "seed")
-    budget = cfg["budget_nodes"]
+    seed = _seed(cfg)
+    budget = _int(cfg, "budget_nodes", lo=1)
     only = cfg.get("only")
     corrupt = bool(cfg.get("inject_defect"))
     replicas = 20000 if cfg.get("replicas") is None \

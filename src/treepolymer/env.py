@@ -1,7 +1,8 @@
 """Environment laws for the complex random weights xi = e^{beta*omega + i*gamma*theta}.
 
-Each law exposes the sampling transform (raw Philox words -> radius and
-phase arrays) and the analytic moment surface used by the phase module:
+Each law exposes one sampling transform, ``polar_from_raw`` (raw Philox
+words -> radius and phase arrays, drawn together so that a law may couple
+them), and the analytic moment surface used by the phase module:
 
 * ``log_moment_abs(a)``  -- ln E|xi|^a
 * ``mean_xi``            -- m1 = E[xi]
@@ -9,14 +10,14 @@ phase arrays) and the analytic moment surface used by the phase module:
 * ``lambda_c(g)``        -- -ln|E e^{i*g*theta}| for the standardized phase
 * ``phase_damping``      -- q = |E e^{i*theta_model}| at the law's own scale
 
-Radius and phase draw from disjoint parts of one node's word block, so a
-frozen-radius phase resample only has to swap the stream feeding
-``phase_from_raw``.  Each transform writes into arrays its caller lends
-through ``out`` and allocates only when given none, so the tree kernels
-reuse one set of work arrays per thread.  The built-in random laws share
-one log-normal radius (``_LogNormalRadius``) and differ only in their
-phase.  Their scales beta (and the Gaussian gamma) are refused above
-``_MAX_SCALE`` = 1e150, past which the moment surface would overflow.
+The weight xi = r (cos phi + i sin phi) is formed from the polar sample in
+one place, ``_weight``, for the tree kernels and for ``mc.ratio4`` alike.
+Each transform writes into arrays its caller lends through ``out`` and
+allocates only when given none, so the tree kernels reuse one set of work
+arrays per thread.  The built-in random laws share one log-normal radius
+(``_LogNormalRadius``) and differ only in their phase step.  Their scales
+beta (and the Gaussian gamma) are refused above ``_MAX_SCALE`` = 1e150,
+past which the moment surface would overflow.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _scale(name: str, value) -> float:
     return x
 
 
-_WORK = 6   # work rows: normal_pair's 4, its unused normal and a phase
+_WORK = 5   # work rows: normal_pair's 4 and a phase
 
 
 def _exp(x: float) -> float:
@@ -71,26 +72,36 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _fresh(n: int, out: tuple | None, count: int) -> tuple:
-    """out, or `count` fresh float64 arrays of length n and a work array."""
-    return out or (*(np.empty(n) for _ in range(count)), np.empty((_WORK, n)))
+def _fresh(n: int, out: tuple | None, dtype=np.float64) -> tuple:
+    """out, or fresh arrays of length n (float64, then of `dtype`) and a
+    work array."""
+    return out or (np.empty(n), np.empty(n, dtype), np.empty((_WORK, n)))
+
+
+def _weight(r: np.ndarray, phi: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """xi = r * (cos phi + i sin phi), the bits of r * exp(i*phi), into xi
+    (complex128, phi's shape); r broadcasts against phi."""
+    np.cos(phi, out=xi.real)
+    np.sin(phi, out=xi.imag)
+    xi *= r
+    return xi
 
 
 class EnvironmentSpec:
-    """Base law. Subclasses fill the sampling and moment surface; a law of
-    one's own subclasses it too.  The tree evaluators read only the
-    sampling methods (and ``phase_damping`` for W), the classifiers the
-    moment surface.  A law with coupled radius and phase sets
+    """Base law. Subclasses fill the sampler and moment surface; a law of
+    one's own subclasses it too and defines ``polar_from_raw``, the one
+    sampler.  The tree evaluators and Monte Carlo checks read only the
+    sampler (and ``phase_damping`` for W), the classifiers the moment
+    surface.  A law with coupled radius and phase sets
     ``independent = False``.
 
     The sampling methods map raw words, shape (n, 4), to length-n arrays.
     Their optional ``out`` lends the arrays to write: the results (float64,
     and complex128 for xi) of length n, then a float64 work array of shape
     (``_WORK``, n).  Given ``out``, the built-in laws allocate nothing.  A
-    law of one's own may ignore ``out`` in ``radius_from_raw``,
-    ``phase_from_raw`` and ``polar_from_raw`` and return arrays of its own,
-    of any real dtype; ``radius_weight_from_raw``, which the tree kernels
-    call, writes into ``out`` in any case."""
+    law of one's own may ignore ``out`` in ``polar_from_raw`` and return
+    arrays of its own, of any real dtype; ``radius_weight_from_raw``, which
+    the tree kernels call, writes into ``out`` in any case."""
 
     model = "abstract"
     independent = True
@@ -98,42 +109,25 @@ class EnvironmentSpec:
     gamma_scale = 1.0  # point on the lambda_c axis the law itself sits at
 
     # -- sampling ---------------------------------------------------------
-    def radius_from_raw(self, raw: np.ndarray,
-                        out: tuple | None = None) -> np.ndarray:
-        """|xi|; out = (r, work)."""
-        raise NotImplementedError
-
-    def phase_from_raw(self, raw: np.ndarray,
-                       out: tuple | None = None) -> np.ndarray:
-        """The phase angle; out = (phi, work)."""
-        raise NotImplementedError
-
     def polar_from_raw(self, raw: np.ndarray, out: tuple | None = None) \
             -> tuple[np.ndarray, np.ndarray]:
         """(|xi|, phase); out = (r, phi, work)."""
-        r, phi, work = _fresh(len(raw), out, 2)
-        return (self.radius_from_raw(raw, (r, work)),
-                self.phase_from_raw(raw, (phi, work)))
+        raise NotImplementedError
 
     def radius_weight_from_raw(self, raw: np.ndarray,
                                out: tuple | None = None) \
             -> tuple[np.ndarray, np.ndarray]:
         """(|xi|, xi) pairs, out = (r, xi, work); by default xi is rebuilt
-        from the polar sample as r * (cos phi + i sin phi), the bits of
-        r * exp(i*phi).
+        from the polar sample by ``_weight``.
 
         Laws whose complex value is known exactly override this to avoid
         the roundoff of the polar reconstruction.
         """
-        n = len(raw)
-        r, xi, work = out or (np.empty(n), np.empty(n, dtype=np.complex128),
-                              np.empty((_WORK, n)))
+        r, xi, work = _fresh(len(raw), out, np.complex128)
         rr, phi = self.polar_from_raw(raw, (r, work[0], work[1:]))
         if rr is not r:
             r[...] = rr
-        np.cos(phi, out=xi.real)
-        np.sin(phi, out=xi.imag)
-        xi *= r
+        _weight(r, phi, xi)
         return r, xi
 
     # -- moment surface ----------------------------------------------------
@@ -180,13 +174,14 @@ class _LogNormalRadius(EnvironmentSpec):
     """Radius e^{beta*omega} with standard normal omega, the first
     Box-Muller normal of each word pair: ln E|xi|^a = (a*beta)^2 / 2, and
     E xi = e^{beta^2/2} q for the phase damping q >= 0 (0 where q is 0).
-    Subclasses set ``beta`` and ``beta_scale`` and define the phase."""
+    Subclasses set ``beta`` and ``beta_scale`` and define ``_phase``, which
+    turns the pair's second normal, in the phase array, into the phase."""
 
-    def radius_from_raw(self, raw, out=None):
-        r, work = _fresh(len(raw), out, 1)
-        normal_pair(raw[:, 0], raw[:, 1], (r, work[0], work[1:]))
+    def polar_from_raw(self, raw, out=None):
+        r, phi = normal_pair(raw[:, 0], raw[:, 1], _fresh(len(raw), out))
         r *= self.beta
-        return np.exp(r, out=r)
+        np.exp(r, out=r)
+        return r, self._phase(raw, phi)
 
     def log_moment_abs(self, a):
         return 0.5 * (a * self.beta) ** 2
@@ -215,18 +210,9 @@ class GaussianIndep(_LogNormalRadius):
         self.beta = self.beta_scale = _scale("beta", beta)
         self.gamma = self.gamma_scale = _scale("gamma", gamma)
 
-    def phase_from_raw(self, raw, out=None):
-        phi, work = _fresh(len(raw), out, 1)
-        normal_pair(raw[:, 0], raw[:, 1], (work[0], phi, work[1:]))
-        phi *= self.gamma
-        return phi
-
-    def polar_from_raw(self, raw, out=None):
-        r, phi = normal_pair(raw[:, 0], raw[:, 1], _fresh(len(raw), out, 2))
-        r *= self.beta
-        np.exp(r, out=r)
-        phi *= self.gamma
-        return r, phi
+    def _phase(self, raw, z2):
+        z2 *= self.gamma
+        return z2
 
     def mean_xi(self):
         return complex(_exp(0.5 * self.beta**2 - 0.5 * self.gamma**2))
@@ -256,8 +242,8 @@ class LogNormalUniformPhase(_LogNormalRadius):
             raise DomainError("gamma must be in [0, 1]")
         self.gamma = self.gamma_scale = gamma
 
-    def phase_from_raw(self, raw, out=None):
-        u = to_uniform(raw[:, 2], out[0] if out else None)
+    def _phase(self, raw, z2):
+        u = to_uniform(raw[:, 2], z2)
         u *= 2.0
         u -= 1.0
         u *= self.gamma * math.pi
@@ -296,8 +282,8 @@ class RademacherPhase(_LogNormalRadius):
         self.beta = self.beta_scale = _scale("beta", beta)
         self._theta = math.acos(t)
 
-    def phase_from_raw(self, raw, out=None):
-        u = to_uniform(raw[:, 2], out[0] if out else None)
+    def _phase(self, raw, z2):
+        u = to_uniform(raw[:, 2], z2)
         heads = u < 0.5
         u.fill(-self._theta)
         u[heads] = self._theta
@@ -326,19 +312,14 @@ class DeterministicConstant(EnvironmentSpec):
             raise DomainError("c must be nonzero")
         self.c = c
 
-    def radius_from_raw(self, raw, out=None):
-        r = out[0] if out else np.empty(len(raw))
+    def polar_from_raw(self, raw, out=None):
+        r, phi, _ = _fresh(len(raw), out)
         r.fill(abs(self.c))
-        return r
-
-    def phase_from_raw(self, raw, out=None):
-        phi = out[0] if out else np.empty(len(raw))
         phi.fill(cmath.phase(self.c))
-        return phi
+        return r, phi
 
     def radius_weight_from_raw(self, raw, out=None):
-        r, xi = out[:2] if out else \
-            (np.empty(len(raw)), np.empty(len(raw), dtype=np.complex128))
+        r, xi, _ = _fresh(len(raw), out, np.complex128)
         r.fill(abs(self.c))
         xi.fill(self.c)
         return r, xi

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import _WORK, EnvironmentSpec
+from .env import _WORK, EnvironmentSpec, _weight
 from .errors import BudgetExceeded, CoupledLaw, DomainError
 from .rng import TreeStream, node_offset
 from .sim import (_SLAB_DRAWS, DEFAULT_NODE_BUDGET, _batch_weights,
@@ -210,10 +210,11 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
     """Conditional fourth-moment ratio E[|Z|^4|radii] / E[|Z|^2|radii]^2 per
     frozen radius tree, estimated from phase resamples, with jackknife SEs.
 
-    Phase resample j of radius tree o is the whole tree
+    Resample j of radius tree o takes its phases from the whole tree
     TreeStream(seed, 2^32 + o * phase_resamples + j).  A slab of
     _SLAB_DRAWS // nodes resamples (at least one) is transformed in one
-    call into the workspace and walked by one sim._column_z call.
+    polar_from_raw call, weighted by env._weight with the frozen radii
+    broadcast, and walked by one sim._column_z call.
 
     The returned estimate carries per-omega ratios in `values` and their
     jackknife standard errors in `value_ses`.
@@ -236,8 +237,8 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
     ratios: list[float] = []
     ses: list[float] = []
     for o in range(omega_replicas):
-        radii = spec.radius_from_raw(
-            TreeStream(seed, o).node_block(b, 1, 0, nodes))
+        radii = spec.polar_from_raw(
+            TreeStream(seed, o).node_block(b, 1, 0, nodes))[0]
         z2 = np.empty(m)
         for j0 in range(0, m, per):
             k = min(per, m - j0)
@@ -245,19 +246,15 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
             raw = ws.take("raw", 4 * k * nodes, np.uint64).reshape(k, nodes, 4)
             for j in range(k):
                 raw[j] = TreeStream(seed, first + j).node_block(b, 1, 0, nodes)
-            phases = spec.phase_from_raw(
-                raw.reshape(k * nodes, 4),
-                out=(ws.take("r", k * nodes), ws.take(
-                    "work", _WORK * k * nodes).reshape(_WORK, k * nodes)))
-            phi = ws.take("phi", nodes * k).reshape(nodes, k)
-            phi[...] = phases.reshape(k, nodes).T
+            phi = spec.polar_from_raw(raw.reshape(-1, 4), out=(
+                ws.take("r", k * nodes), ws.take("phi", k * nodes),
+                ws.take("work", _WORK * k * nodes).reshape(_WORK, -1)))[1]
+            xi = _weight(radii, phi.reshape(k, nodes), ws.take(
+                "xi", k * nodes, np.complex128).reshape(k, nodes))
 
             def weights(g: int, i0: int, c0: int, out: np.ndarray) -> None:
                 lo = node_offset(b, g) - 1 + i0
-                rows = slice(lo, lo + len(out))
-                np.multiply(1j, phi[rows, c0:c0 + out.shape[1]], out=out)
-                np.exp(out, out=out)
-                out *= radii[rows, None]
+                out[...] = xi[c0:c0 + out.shape[1], lo:lo + len(out)].T
 
             z2[j0:j0 + k] = np.abs(_column_z(b, n, k, weights)) ** 2
         z4 = z2 * z2
@@ -317,7 +314,7 @@ def tau_moment_check(spec: EnvironmentSpec, tau: float, samples: int,
     chunk = 1 << 16
     for i0 in range(0, samples, chunk):
         cnt = min(chunk, samples - i0)
-        r = spec.radius_from_raw(stream.seq_block(cnt))
+        r = spec.polar_from_raw(stream.seq_block(cnt))[0]
         vals[i0:i0 + cnt] = r ** (-tau)
     est = _estimate(vals.tolist(), 0)
     cum = np.cumsum(vals) / np.arange(1, samples + 1)

@@ -16,8 +16,11 @@ Two stream families share the Philox key space without collision:
   replicas of one node are contiguous.  Used by the moment verifiers where
   replicas are many and trees are small.
 
-The replica field of ``TreeStream`` is masked to 63 bits; ``BatchStream``
-sets bit 63 of the same key word, so the families never share a key.
+The replica field of ``TreeStream`` holds 63 bits; ``BatchStream`` sets
+bit 63 of the same key word, so the families never share a key.  A stream
+refuses, with ``DomainError``, a seed outside [0, 2^64) and a replica
+outside its field (``TreeStream``: [0, 2^63); ``BatchStream``: [0, 2^64)),
+which would otherwise alias another stream's words.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import threading
 import numpy as np
 from numpy.random import Philox
 
-_MASK63 = (1 << 63) - 1
+from .errors import DomainError
+
 _MASK64 = (1 << 64) - 1
 _U53 = float(2.0**-53)
 _TURNS = 1 << 12   # table entries per turn of the Box-Muller angle
@@ -40,6 +44,14 @@ _SEQ_BASE = 1 << 64
 def node_offset(b: int, g: int) -> int:
     """Global index of the first node at generation g (root = generation 0)."""
     return (b**g - 1) // (b - 1)
+
+
+def _field(name: str, value, bits: int) -> int:
+    """value as an int in [0, 2^bits), the key or counter field it fills."""
+    value = int(value)
+    if not 0 <= value < 1 << bits:
+        raise DomainError(f"{name} must be in [0, 2^{bits}), got {value}")
+    return value
 
 
 _local = threading.local()
@@ -69,9 +81,9 @@ class TreeStream:
     """Node-addressed stream for one (seed, replica) pair."""
 
     def __init__(self, seed: int, replica: int):
-        self.seed = int(seed)
-        self.replica = int(replica)
-        self._key = ((self.seed & _MASK64) << 64) | (self.replica & _MASK63)
+        self.seed = _field("seed", seed, 64)
+        self.replica = _field("replica", replica, 63)
+        self._key = (self.seed << 64) | self.replica
         self._cursor = _SEQ_BASE
 
     def node_block(self, b: int, g: int, i0: int, count: int) -> np.ndarray:
@@ -89,11 +101,14 @@ class BatchStream:
     """Node-addressed stream vectorized across replicas (counter-transposed)."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._key = ((self.seed & _MASK64) << 64) | (1 << 63)
+        self.seed = _field("seed", seed, 64)
+        self._key = (self.seed << 64) | (1 << 63)
 
     def node_block(self, b: int, g: int, i: int, r0: int, count: int) -> np.ndarray:
         """Raw words for node (g, i) in replicas r0 .. r0+count-1, shape (count, 4)."""
+        if r0 < 0 or r0 + count > 1 << 64:
+            raise DomainError(f"replicas {r0} .. {r0 + count - 1} must lie "
+                              "in [0, 2^64)")
         counter = ((node_offset(b, g) + i) << 64) | r0
         return _raw_blocks(self._key, counter, count)
 

@@ -597,6 +597,54 @@ def test_non_numeric_config_parameter_exits_as_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG and "beta must be a real number" in err
 
 
+_SIM = ["--beta", "0.5", "--gamma", "0.5", "--n", "4", "--replicas", "2"]
+
+
+@pytest.mark.parametrize("record, argv, message", [
+    ({"budget_nodes": "abc"}, ["simulate", *_SIM],
+     "budget_nodes must be an integer, got 'abc'"),
+    ({"budget_nodes": "abc"}, ["simulate", "--only", "trace", *_SIM],
+     "budget_nodes must be an integer, got 'abc'"),
+    ({"budget_nodes": "abc"}, ["verify", "--only", "oracle"],
+     "budget_nodes must be an integer, got 'abc'"),
+    ({"budget_nodes": 1.5}, ["simulate", *_SIM],
+     "budget_nodes must be an integer, got 1.5"),
+    ({"grid": 5}, ["diagram", "--out", "d"], "grid must be a string, got 5"),
+    ({"out": 5}, ["diagram"], "out must be a string, got 5"),
+    ({"out": 5}, ["simulate", *_SIM], "out must be a string, got 5"),
+    ({"out": 5}, ["phase-point", "--beta", "0.5", "--gamma", "0.5"],
+     "out must be a string, got 5"),
+    ({"only": ["oracle"]}, ["verify"],
+     "only must be a string, got ['oracle']"),
+    ({"c": 2.0}, ["phase-point", "--model", "constant"],
+     "c must be [re, im], got 2.0"),
+    ({"strict": 1}, ["phase-point", "--beta", "0.5", "--gamma", "0.5"],
+     "strict must be true or false, got 1"),
+])
+def test_config_values_of_the_wrong_type_exit_as_config_errors(
+        record, argv, message, tmp_path, monkeypatch, capsys):
+    # each would otherwise reach a traceback, or open(5, "w") on a file
+    # descriptor, or run with a fractional budget
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(record))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run([*argv, "--config", str(cfg)], capsys)
+    assert code == EXIT_CONFIG and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", str(2**64 + 1), f"seed must be below 2^64, got {2**64 + 1}"),
+    ("--budget-nodes", "0", "budget_nodes must be an integer >= 1, got 0"),
+])
+def test_seeds_past_64_bits_and_empty_budgets_exit_as_config_errors(
+        flag, value, message, capsys):
+    # seed 2^64 + 1 would otherwise draw seed 1's trees
+    code, out, err = run(["simulate", *_SIM, flag, value], capsys)
+    assert code == EXIT_CONFIG and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_non_integer_budget_variable_exits_as_config_error(monkeypatch, capsys):
     monkeypatch.setenv("TREEPOLYMER_BUDGET_NODES", "abc")
     code, _, err = run(["simulate", "--beta", "0.5", "--gamma", "0.5",

@@ -322,6 +322,20 @@ def test_ratio4_is_deterministic():
     assert a.value_ses == b.value_ses
 
 
+@pytest.mark.parametrize("base", [GaussianIndep(0.8, 0.8),
+                                  LogNormalUniformPhase(0.5, 1.0)])
+def test_a_law_given_only_by_its_polar_sampler_runs_every_sampler_consumer(base):
+    # a law of one's own defines polar_from_raw alone and may return arrays
+    # of its own; ratio4 and tau_moment_check read radii and phases from
+    # it, and get the bits of the built-in law it copies
+    law = SamplerLaw(base.polar_from_raw, damping=base.phase_damping())
+    got = ratio4(law, 2, 4, omega_replicas=2, phase_resamples=1000, seed=3)
+    want = ratio4(base, 2, 4, omega_replicas=2, phase_resamples=1000, seed=3)
+    assert (got.values, got.value_ses) == (want.values, want.value_ses)
+    got = tau_moment_check(law, tau=1.0, samples=500, seed=2)
+    assert got == tau_moment_check(base, tau=1.0, samples=500, seed=2)
+
+
 # ------------------------------------------------------------ tail bounds
 
 

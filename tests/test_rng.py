@@ -6,8 +6,10 @@ import threading
 from decimal import Decimal, localcontext
 
 import numpy as np
+import pytest
 from numpy.random import Philox
 
+from treepolymer import DomainError, GaussianIndep, one_step_identity_check
 from treepolymer.rng import (
     BatchStream,
     TreeStream,
@@ -36,7 +38,7 @@ def test_reused_generator_gives_the_words_of_a_fresh_one():
                           _fresh(3 << 64 | 1, 1 << 64, 5))
     # BatchStream packs (node << 64) | replica into the counter
     stream = BatchStream(9)
-    for g, i, r0 in [(1, 0, 0), (3, 5, 17), (7, 100, (1 << 64) - 3)]:
+    for g, i, r0 in [(1, 0, 0), (3, 5, 17), (7, 100, (1 << 64) - 6)]:
         counter = ((node_offset(2, g) + i) << 64) | r0
         assert np.array_equal(stream.node_block(2, g, i, r0, 6),
                               _fresh(9 << 64 | 1 << 63, counter, 6))
@@ -134,6 +136,30 @@ def test_batch_replica_slices_are_consistent():
     part = BatchStream(4).node_block(2, 3, 5, 3, 2)
     assert whole.shape == (8, 4)
     assert np.array_equal(whole[3:5], part)
+
+
+def test_streams_refuse_seeds_and_replicas_outside_their_fields():
+    # masked to the field, seed 2^64 + 1 would draw seed 1's words and
+    # batch replica 2^64 the next node's replica 0
+    for make in (lambda: TreeStream(1 << 64, 0),
+                 lambda: TreeStream(-1, 0),
+                 lambda: TreeStream(1, 1 << 63),
+                 lambda: TreeStream(1, -1),
+                 lambda: BatchStream(1 << 64),
+                 lambda: BatchStream(-1)):
+        with pytest.raises(DomainError, match="must be in"):
+            make()
+    TreeStream((1 << 64) - 1, (1 << 63) - 1).node_block(2, 1, 0, 2)
+    stream = BatchStream((1 << 64) - 1)
+    stream.node_block(2, 1, 0, (1 << 64) - 2, 2)
+    for r0, count in (((1 << 64) - 2, 3), (-1, 2)):
+        with pytest.raises(DomainError, match="must lie in"):
+            stream.node_block(2, 1, 0, r0, count)
+    # the one-step check's resamples are batch replicas (replica + 1) << 32
+    # of its tree's seed
+    with pytest.raises(DomainError, match="must lie in"):
+        one_step_identity_check(GaussianIndep(0.5, 0.5), 2, 2,
+                                TreeStream(1, (1 << 32) - 1), resamples=2)
 
 
 def test_to_uniform_range_and_endpoints():
