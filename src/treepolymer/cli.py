@@ -5,13 +5,21 @@ Machine-readable JSON goes to stdout; human summaries go to stderr; CSV and
 P6 pixmap files are written only under --out.  Output bytes are a pure
 function of the merged config, so repeated runs diff clean.
 
-Exit codes: 0 ok, 1 check failed, 2 config error, 3 undetermined region
-under --strict.
+Each run parameter is stated once, in ``_PARAMS``: its kind builds the
+flag and checks a config-file value, and ``merge_config`` checks each
+integer against its least value (``_LEAST``) for every command.  A law's
+fields are its constructor's arguments, and ``env.spec_from_config`` finds
+the law by its model name.  ``_sanitize`` is the one JSON encoder: a
+report dataclass becomes its fields and a complex number [re, im].
+
+Exit codes: 0 ok, 1 check failed, 2 config error (an unwritable --out
+included), 3 undetermined region under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -21,10 +29,10 @@ from collections import Counter
 import numpy as np
 
 from . import mc, phase, sim
-from .env import (EnvironmentSpec, GaussianIndep, LogNormalUniformPhase,
-                  spec_from_config)
-from .errors import (BudgetExceeded, ConfigError, CoupledLaw, DomainError,
-                     NoBracket)
+from .env import (_MODELS, EnvironmentSpec, GaussianIndep,
+                  LogNormalUniformPhase, _fields, spec_from_config)
+from .errors import BudgetExceeded, ConfigError, TreePolymerError
+from .rng import TreeStream
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -61,7 +69,12 @@ def rows_to_csv(header: list[str], rows: list[list]) -> str:
 
 
 def _sanitize(obj):
-    """Strict-JSON values: NaN becomes null, infinities become strings."""
+    """Strict-JSON values: a report dataclass becomes its fields, a complex
+    number [re, im], NaN null and infinities strings."""
+    if dataclasses.is_dataclass(obj):
+        obj = vars(obj)
+    if isinstance(obj, complex):
+        obj = [obj.real, obj.imag]
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -93,8 +106,12 @@ def _say(msg: str) -> None:
 
 def _write(path: str, data) -> None:
     mode = "wb" if isinstance(data, bytes) else "w"
-    with open(path, mode) as fh:
-        fh.write(data)
+    try:
+        with open(path, mode) as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") \
+            from None
 
 
 # --- config plumbing -------------------------------------------------------
@@ -107,49 +124,62 @@ def _real(val) -> bool:
     return _whole(val) or isinstance(val, float)
 
 
+# Each kind of value: the test a config-file value must pass, and the
+# argparse keywords of a flag that parses to it.
 _KINDS = {
-    "a string": lambda val: isinstance(val, str),
-    "an integer": _whole,
-    "a real number": _real,
-    "true or false": lambda val: isinstance(val, bool),
-    "[re, im]": lambda val: isinstance(val, list) and len(val) == 2
-    and all(map(_real, val)),
+    "a string": (lambda val: isinstance(val, str), {}),
+    "an integer": (_whole, {"type": int}),
+    "a real number": (_real, {"type": float}),
+    "true or false": (lambda val: isinstance(val, bool),
+                      {"action": "store_const", "const": True}),
+    "[re, im]": (lambda val: isinstance(val, list) and len(val) == 2
+                 and all(map(_real, val)),
+                 {"type": float, "nargs": 2, "metavar": ("RE", "IM")}),
 }
 
-# Each config key with the kind of value its flag parses to; a file value
-# of another kind is refused, and null leaves the key unset.
-_CONFIG_KEYS = {
-    "model": "a string", "grid": "a string", "out": "a string",
-    "only": "a string", "beta": "a real number", "gamma": "a real number",
+# Each run parameter with its kind: the flag --name (underscores as
+# dashes) and the config key name.  A law's fields are among them.
+_PARAMS = {
+    "model": "a string", "beta": "a real number", "gamma": "a real number",
     "t": "a real number", "c": "[re, im]", "b": "an integer",
     "n": "an integer", "replicas": "an integer", "seed": "an integer",
-    "budget_nodes": "an integer", "strict": "true or false",
+    "grid": "a string", "out": "a string", "budget_nodes": "an integer",
+    "strict": "true or false", "only": "a string",
 }
+
+# The least value of each integer parameter, checked for every command.
+_LEAST = {"b": 2, "n": 1, "replicas": 1, "seed": 0, "budget_nodes": 1}
+
+# The parameters any registered law takes, in table order.
+_LAW_FIELDS = [key for key in _PARAMS
+               if any(key in _fields(law) for law in _MODELS.values())]
 
 
 def merge_config(args: argparse.Namespace) -> dict:
-    """File values, each of its flag's type, fill flags left unset;
-    explicit flags win; the budget environment variable supplies only the
-    default budget."""
+    """File values, each of its parameter's kind, fill flags left unset
+    (null leaves a key unset); explicit flags win; the budget environment
+    variable supplies only the default budget.  Each integer is then
+    checked once against its least value, and the seed against 2^64: it
+    fills a 64-bit Philox key word, and a larger one would alias a smaller
+    one's streams."""
     cfg: dict = {}
-    path = getattr(args, "config", None)
-    if path:
+    if args.config:
         try:
-            with open(path) as fh:
+            with open(args.config) as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}")
+            raise ConfigError(f"cannot read config {args.config}: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, val in loaded.items():
-            if key not in _CONFIG_KEYS:
+            if key not in _PARAMS:
                 raise ConfigError(f"unknown config key: {key}")
-            kind = _CONFIG_KEYS[key]
-            if val is not None and not _KINDS[kind](val):
+            kind = _PARAMS[key]
+            if val is not None and not _KINDS[kind][0](val):
                 raise ConfigError(f"{key} must be {kind}, got {val!r}")
             cfg[key] = val
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
+    for key in _PARAMS:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     if cfg.get("budget_nodes") is None:
@@ -160,10 +190,18 @@ def merge_config(args: argparse.Namespace) -> dict:
         except ValueError:
             raise ConfigError(f"{_BUDGET_ENV} must be an integer, "
                               f"got {env_val!r}") from None
-    cfg.setdefault("model", "gaussian")
-    cfg.setdefault("b", 2)
-    cfg.setdefault("seed", 1)
-    cfg.setdefault("strict", False)
+    for key, val in (("model", "gaussian"), ("b", 2), ("seed", 1),
+                     ("strict", False)):
+        if cfg.get(key) is None:
+            cfg[key] = val
+    # verify's moment check needs two replicas for a sample variance
+    least = dict(_LEAST, replicas=2) if args.command == "verify" else _LEAST
+    for key, lo in least.items():
+        if cfg.get(key) is not None and cfg[key] < lo:
+            raise ConfigError(f"{key} must be an integer >= {lo}, "
+                              f"got {cfg[key]!r}")
+    if cfg["seed"] >= 1 << 64:
+        raise ConfigError(f"seed must be below 2^64, got {cfg['seed']}")
     return cfg
 
 
@@ -174,27 +212,8 @@ def _require(cfg: dict, *keys: str) -> None:
 
 
 def _law(cfg: dict) -> EnvironmentSpec:
-    record = {"model": cfg["model"]}
-    for key in ("beta", "gamma", "t", "c"):
-        if cfg.get(key) is not None:
-            record[key] = cfg[key]
-    return spec_from_config(record)
-
-
-def _int(cfg: dict, key: str, lo: int = 0) -> int:
-    val = cfg.get(key)
-    if not _whole(val) or val < lo:
-        raise ConfigError(f"{key} must be an integer >= {lo}, got {val!r}")
-    return val
-
-
-def _seed(cfg: dict) -> int:
-    """The seed, below 2^64: it fills a 64-bit Philox key word, and a larger
-    one would alias a smaller one's streams."""
-    seed = _int(cfg, "seed")
-    if seed >= 1 << 64:
-        raise ConfigError(f"seed must be below 2^64, got {seed}")
-    return seed
+    return spec_from_config({key: cfg[key] for key in ("model", *_LAW_FIELDS)
+                             if cfg.get(key) is not None})
 
 
 # --- phase-point -----------------------------------------------------------
@@ -213,7 +232,7 @@ def _closed_form_report(spec: EnvironmentSpec, b: int, eps: float):
 
 
 def cmd_phase_point(cfg: dict) -> int:
-    b = _int(cfg, "b", lo=2)
+    b = cfg["b"]
     spec = _law(cfg)
     generic = phase.classify(spec, b)
     closed, crit = _closed_form_report(spec, b, eps=1e-9)
@@ -221,19 +240,17 @@ def cmd_phase_point(cfg: dict) -> int:
     out = {
         "model": cfg["model"], "b": b,
         "beta": spec.beta_scale, "gamma": spec.gamma_scale,
-        "generic": generic.to_dict(),
-        "closed_form": None if closed is None else closed.to_dict(),
-        "critical": None if crit is None else crit.to_dict(),
+        "generic": generic, "closed_form": closed, "critical": crit,
         "agree": agree,
     }
+    if cfg.get("out"):
+        _write(cfg["out"], _dumps(out) + "\n")
     _emit_json(out)
     family = generic.region.rstrip("ab")
     tag = "" if agree is None else \
         ("  [classifiers agree]" if agree else "  [CLASSIFIERS DISAGREE]")
     _say(f"region {family} ({generic.region})  f = {generic.predicted_f:.6f}"
          f"{tag}")
-    if cfg.get("out"):
-        _write(cfg["out"], _dumps(out) + "\n")
     if cfg["strict"] and generic.region == "Undetermined":
         return EXIT_UNDETERMINED
     return EXIT_OK
@@ -281,7 +298,7 @@ _SCALE_FAMILIES = {"gaussian": GaussianIndep,
 
 
 def cmd_diagram(cfg: dict) -> int:
-    b = _int(cfg, "b", lo=2)
+    b = cfg["b"]
     _require(cfg, "out")
     law = _SCALE_FAMILIES.get(cfg["model"])
     if law is None:
@@ -289,7 +306,7 @@ def cmd_diagram(cfg: dict) -> int:
                           "(gaussian, uniform)")
     (blo, bhi, bsteps), (glo, ghi, gsteps) = \
         _parse_grid(cfg.get("grid") or "0:2:200")
-    budget = _int(cfg, "budget_nodes", lo=1)
+    budget = cfg["budget_nodes"]
     if bsteps * gsteps > budget:
         raise BudgetExceeded(f"grid of {bsteps}x{gsteps} = {bsteps * gsteps} "
                              f"cells exceeds budget {budget}")
@@ -301,8 +318,7 @@ def cmd_diagram(cfg: dict) -> int:
     unit = law(1.0, 1.0)
     crit = phase.critical_set(unit, b)
     eps = 1e-3
-    replicas = 0 if cfg.get("replicas") is None \
-        else _int(cfg, "replicas", lo=1)
+    replicas = cfg.get("replicas") or 0
     if replicas and cfg.get("n") is None:
         raise ConfigError("per-cell estimates need --n")
 
@@ -315,8 +331,6 @@ def cmd_diagram(cfg: dict) -> int:
                         phase._radius_part(spec, b)))
     rows = [(gamma, repr(gamma) + ",", law(0.0, gamma).log_mean_abs())
             for gamma in gammas]
-    n = _int(cfg, "n", lo=1) if replicas else None
-    seed = _seed(cfg) if replicas else None
     lnb = math.log(b)
     crit_comment = ("critical beta_0=%s beta_c=%s gamma_0=%s gamma_c=%s"
                     % (_fmt(crit.beta_0), _fmt(crit.beta_c),
@@ -332,8 +346,8 @@ def cmd_diagram(cfg: dict) -> int:
             lines.append(beta_text + gamma_text + region + "," + repr(f))
             if replicas:
                 est = mc.estimate_free_energy(mc.ExperimentPlan(
-                    spec=law(beta, gamma), b=b, n=n, replicas=replicas,
-                    seed=seed, node_budget=budget,
+                    spec=law(beta, gamma), b=b, n=cfg["n"],
+                    replicas=replicas, seed=cfg["seed"], node_budget=budget,
                     keep_values=False))
                 lines[-1] += "," + ",".join(map(_fmt, (est.mean, *est.ci95)))
     out = cfg["out"]
@@ -349,7 +363,7 @@ def cmd_diagram(cfg: dict) -> int:
     _emit_json({
         "b": b, "model": cfg["model"],
         "grid": {"beta": [blo, bhi, bsteps], "gamma": [glo, ghi, gsteps]},
-        "critical": crit.to_dict(),
+        "critical": crit,
         "region_counts": counts,
         "csv": out + ".csv", "ppm": out + ".ppm",
     })
@@ -379,19 +393,15 @@ TRACE_HEADER = ["n", "ln_abs_z_over_n", "ln_z_abs_over_n",
 
 
 def cmd_simulate(cfg: dict) -> int:
-    b = _int(cfg, "b", lo=2)
     _require(cfg, "n", "replicas")
-    n = _int(cfg, "n", lo=1)
-    replicas = _int(cfg, "replicas", lo=1)
-    seed = _seed(cfg)
-    budget = _int(cfg, "budget_nodes", lo=1)
+    b, n, replicas, seed, budget = (cfg[key] for key in (
+        "b", "n", "replicas", "seed", "budget_nodes"))
     spec = _law(cfg)
     what = cfg.get("only") or "free_energy"
     if what not in ("free_energy", "w_free_energy", "both", "trace"):
         raise ConfigError(f"unknown simulate selector: {what!r}")
 
     if what == "trace":
-        from .rng import TreeStream
         trace = sim.trace_depths(spec, b, n, TreeStream(seed, 0),
                                  node_budget=budget,
                                  include_w=spec.independent)
@@ -435,7 +445,6 @@ def cmd_simulate(cfg: dict) -> int:
 # --- verify ----------------------------------------------------------------
 
 def check_oracle(seed: int, budget: int, corrupt: bool) -> dict:
-    from .rng import TreeStream
     worst = 0.0
     worst_at = ""
     laws = [GaussianIndep(0.8, 0.8), LogNormalUniformPhase(0.5, 0.5)]
@@ -471,7 +480,7 @@ def check_moments(seed: int, replicas: int) -> dict:
         plan = mc.ExperimentPlan(spec=spec, b=2, n=6, replicas=replicas,
                                  seed=seed)
         for rep in mc.verify_moments(plan):
-            results.append({"case": label, **rep.to_dict()})
+            results.append({"case": label, **vars(rep)})
             ok = ok and rep.passed
     return {"name": "moments", "passed": ok, "results": results}
 
@@ -513,7 +522,6 @@ def check_ratio4(seed: int, budget: int) -> dict:
 
 
 def check_onestep(seed: int, budget: int) -> dict:
-    from .rng import TreeStream
     spec = GaussianIndep(0.5, 0.5)
     rep = sim.one_step_identity_check(spec, 2, 4, TreeStream(seed, 0),
                                       resamples=4000, node_budget=budget)
@@ -535,12 +543,9 @@ def check_tau(seed: int) -> dict:
 
 
 def cmd_verify(cfg: dict) -> int:
-    seed = _seed(cfg)
-    budget = _int(cfg, "budget_nodes", lo=1)
-    only = cfg.get("only")
+    seed, budget, only = cfg["seed"], cfg["budget_nodes"], cfg.get("only")
     corrupt = bool(cfg.get("inject_defect"))
-    replicas = 20000 if cfg.get("replicas") is None \
-        else _int(cfg, "replicas", lo=2)
+    replicas = cfg.get("replicas") or 20000
     all_checks = {
         "oracle": lambda: check_oracle(seed, budget, corrupt),
         "moments": lambda: check_moments(seed, replicas),
@@ -571,24 +576,9 @@ def cmd_verify(cfg: dict) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file mirroring the flags")
-    sub.add_argument("--model",
-                     choices=("gaussian", "uniform", "rademacher",
-                              "constant"))
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--t", type=float, help="rademacher phase parameter")
-    sub.add_argument("--c", type=float, nargs=2, metavar=("RE", "IM"),
-                     help="constant weight value")
-    sub.add_argument("--b", type=int)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--replicas", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--grid")
-    sub.add_argument("--out")
-    sub.add_argument("--budget-nodes", dest="budget_nodes", type=int)
-    sub.add_argument("--strict", action="store_const", const=True,
-                     default=None)
-    sub.add_argument("--only")
+    for key, kind in _PARAMS.items():
+        sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                         **_KINDS[kind][1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -617,8 +607,7 @@ def main(argv=None) -> int:
         if getattr(args, "inject_defect", False):
             cfg["inject_defect"] = True
         return args.fn(cfg)
-    except (ConfigError, DomainError, CoupledLaw, NoBracket,
-            BudgetExceeded) as exc:
+    except TreePolymerError as exc:
         _say(f"error: {exc}")
         return EXIT_CONFIG
 

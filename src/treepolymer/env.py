@@ -134,11 +134,6 @@ class EnvironmentSpec:
     def log_moment_abs(self, a: float) -> float:
         raise NotImplementedError
 
-    def moment_abs(self, a: float) -> float:
-        if a < 0:
-            raise DomainError("moment_abs requires a >= 0")
-        return _exp(self.log_moment_abs(a))
-
     def log_moment_abs_prime(self, a: float) -> float:
         """d/da ln E|xi|^a."""
         return self.beta_scale * self.lambda_r_prime(a * self.beta_scale)
@@ -298,11 +293,16 @@ class RademacherPhase(_LogNormalRadius):
 
 
 class DeterministicConstant(EnvironmentSpec):
-    """xi identically equal to a nonzero complex constant c."""
+    """xi identically equal to a nonzero complex constant c, given as a
+    number or as [re, im]."""
 
     model = "constant"
 
     def __init__(self, c: complex):
+        if isinstance(c, (list, tuple)):
+            if len(c) != 2:
+                raise DomainError(f"c must be [re, im], got {c!r}")
+            c = complex(_real("c", c[0]), _real("c", c[1]))
         if isinstance(c, bool) or not isinstance(c, numbers.Complex):
             raise DomainError(f"c must be a complex number, got {c!r}")
         c = complex(c)
@@ -340,32 +340,31 @@ class DeterministicConstant(EnvironmentSpec):
         return 0.0
 
 
+_MODELS = {cls.model: cls for cls in (GaussianIndep, LogNormalUniformPhase,
+                                     RademacherPhase, DeterministicConstant)}
+
+
+def _fields(law: type) -> tuple[str, ...]:
+    """A law's config fields: its constructor's arguments, in order."""
+    code = law.__init__.__code__
+    return code.co_varnames[1:code.co_argcount]
+
+
 def spec_from_config(record: dict) -> EnvironmentSpec:
     """Build a law from a tagged config record, e.g. {"model": "gaussian", ...}.
-    A field the model does not take is refused, not ignored."""
+    The fields are the law's constructor arguments; a field the model does
+    not take is refused, not ignored."""
     rec = dict(record)
     model = rec.pop("model", None)
     rec.pop("b", None)  # branching factor belongs to the run, tolerated here
-    try:
-        if model == "gaussian":
-            law = GaussianIndep(beta=rec.pop("beta"), gamma=rec.pop("gamma"))
-        elif model == "uniform":
-            law = LogNormalUniformPhase(beta=rec.pop("beta"), gamma=rec.pop("gamma"))
-        elif model == "rademacher":
-            law = RademacherPhase(t=rec.pop("t"), beta=rec.pop("beta", 0.0))
-        elif model == "constant":
-            c = rec.pop("c")
-            if isinstance(c, (list, tuple)):
-                if len(c) != 2:
-                    raise DomainError(f"c must be [re, im], got {c!r}")
-                c = complex(_real("c", c[0]), _real("c", c[1]))
-            law = DeterministicConstant(c)
-        else:
-            raise DomainError(f"unknown model {model!r}")
-    except KeyError as exc:
-        raise DomainError(f"model {model!r} is missing field {exc}") from exc
-    if rec:
-        raise DomainError(f"model {model!r} does not take "
-                          f"{', '.join(map(str, rec))}")
-    return law
-
+    law = _MODELS.get(model) if isinstance(model, str) else None
+    if law is None:
+        raise DomainError(f"unknown model {model!r}")
+    fields = _fields(law)
+    for name in fields[:len(fields) - len(law.__init__.__defaults__ or ())]:
+        if name not in rec:
+            raise DomainError(f"model {model!r} is missing field {name!r}")
+    extra = [str(key) for key in rec if key not in fields]
+    if extra:
+        raise DomainError(f"model {model!r} does not take {', '.join(extra)}")
+    return law(**rec)

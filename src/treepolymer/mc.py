@@ -159,19 +159,6 @@ class VerifyReport:
     std_errors: tuple[float, ...]
     passed: bool
 
-    def to_dict(self) -> dict:
-        emp = self.empirical
-        theo = self.theoretical
-        return {
-            "name": self.name,
-            "replicas": self.replicas,
-            "empirical": [emp.real, emp.imag] if isinstance(emp, complex) else emp,
-            "theoretical": [theo.real, theo.imag] if isinstance(theo, complex) else theo,
-            "z_scores": list(self.z_scores),
-            "std_errors": list(self.std_errors),
-            "passed": self.passed,
-        }
-
 
 def verify_moments(plan: ExperimentPlan) -> tuple[VerifyReport, VerifyReport]:
     """One batch of Z_n, checked twice: the complex mean against

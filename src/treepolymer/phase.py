@@ -37,18 +37,6 @@ class PhaseReport:
     boundary_values: tuple | None = None   # adjacent formula values when Boundary
     boundary_width: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "region": self.region,
-            "alpha_min": self.alpha_min,
-            "g_at_alpha_min": self.g_at_alpha_min,
-            "predicted_f": self.predicted_f,
-            "l2_region": self.l2_region,
-            "condition_trace": self.condition_trace,
-            "boundary_values": list(self.boundary_values) if self.boundary_values else None,
-            "boundary_width": self.boundary_width,
-        }
-
 
 @dataclass
 class CriticalSet:
@@ -57,15 +45,6 @@ class CriticalSet:
     gamma_c: float
     gamma_0: float
     gamma_0_bracket: tuple | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "beta_c": self.beta_c,
-            "beta_0": self.beta_0,
-            "gamma_c": self.gamma_c,
-            "gamma_0": self.gamma_0,
-            "gamma_0_bracket": list(self.gamma_0_bracket) if self.gamma_0_bracket else None,
-        }
 
 
 def g_of_alpha(spec: EnvironmentSpec, b: int, a: float) -> float:

@@ -645,6 +645,114 @@ def test_seeds_past_64_bits_and_empty_budgets_exit_as_config_errors(
     assert err.splitlines() == [f"error: {message}"]
 
 
+# (command, record): a config record and the flags that say the same
+RUNS = [
+    ("phase-point", {"model": "uniform", "beta": 0.8, "gamma": 0.6, "b": 3,
+                     "strict": True, "out": "point.json"}),
+    ("diagram", {"grid": "0.2:1:3,0.2:0.8:2", "n": 3, "replicas": 2,
+                 "seed": 5, "budget_nodes": 4096, "out": "map"}),
+    ("simulate", {"model": "constant", "c": [1.0, 0.5], "n": 3,
+                  "replicas": 2, "only": "both", "out": "run.csv"}),
+    ("simulate", {"model": "rademacher", "t": 0.5, "beta": 0.3, "n": 3,
+                  "replicas": 2, "only": "trace", "out": "trace.csv"}),
+    ("verify", {"only": "pz", "seed": 3, "out": "verify.csv"}),
+]
+
+
+def _flags(record):
+    argv = []
+    for key, val in record.items():
+        argv.append("--" + key.replace("_", "-"))
+        if isinstance(val, list):
+            argv.extend(map(str, val))
+        elif val is not True:
+            argv.append(str(val))
+    return argv
+
+
+def _run_in(directory, argv, capsys, monkeypatch):
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    code, out, err = run(argv, capsys)
+    files = {path.name: path.read_bytes() for path in directory.iterdir()
+             if path.name != "cfg.json"}
+    return code, out, err, files
+
+
+@pytest.mark.parametrize("command, record", RUNS)
+def test_flags_and_an_equivalent_config_file_give_the_same_bytes(
+        command, record, tmp_path, capsys, monkeypatch):
+    by_flags = _run_in(tmp_path / "flags", [command, *_flags(record)],
+                       capsys, monkeypatch)
+    directory = tmp_path / "config"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(record))
+    by_file = _run_in(directory, [command, "--config", str(cfg)], capsys,
+                      monkeypatch)
+    assert by_flags[0] == EXIT_OK and by_flags[3]
+    assert by_file == by_flags
+
+
+def test_config_nulls_leave_their_parameters_unset(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": None, "b": None, "seed": None,
+                               "strict": None, "budget_nodes": None}))
+    argv = ["phase-point", "--beta", "0.5", "--gamma", "0.5"]
+    assert run([*argv, "--config", str(cfg)], capsys) == run(argv, capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["phase-point", "--seed", "-3", "--beta", "0.5", "--gamma", "0.5"],
+     "seed must be an integer >= 0, got -3"),
+    (["verify", "--only", "pz", "--b", "1"],
+     "b must be an integer >= 2, got 1"),
+    (["diagram", "--grid", "0:2:3", "--n", "0"],
+     "n must be an integer >= 1, got 0"),
+    (["verify", "--only", "pz", "--seed", str(2**64)],
+     f"seed must be below 2^64, got {2**64}"),
+])
+def test_every_command_refuses_an_integer_below_its_least_value(
+        argv, message, tmp_path, capsys, monkeypatch):
+    # each command checks every integer, including one it does not read
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run([*argv, "--out", "x"], capsys)
+    assert code == EXIT_CONFIG and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["phase-point", "simulate"])
+def test_an_unknown_model_gets_one_error_line_from_flag_or_file(
+        command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "foo"}))
+    sized = ["--n", "3", "--replicas", "2"] if command == "simulate" else []
+    for source in (["--model", "foo"], ["--config", str(cfg)]):
+        code, out, err = run([command, *source, *sized], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.splitlines() == ["error: unknown model 'foo'"]
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["phase-point", "--beta", "0.5", "--gamma", "0.5"], "missing/out"),
+    (["diagram", "--grid", "0:2:3"], "missing/out"),
+    (["simulate", *_SIM], "missing/out"),
+    (["verify", "--only", "pz"], "missing/out"),
+    (["simulate", *_SIM], "."),
+])
+def test_an_unwritable_out_exits_as_a_config_error(argv, target, tmp_path,
+                                                   capsys, monkeypatch):
+    # a directory that does not exist, or a directory where a file goes;
+    # stdout stays empty (phase-point writes its file before printing), and
+    # the error is stderr's one error line, after any summaries
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run([*argv, "--out", target], capsys)
+    assert code == EXIT_CONFIG and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == err.splitlines()[-1:]
+    assert errors[0].startswith(f"error: cannot write {target}")
+
+
 def test_non_integer_budget_variable_exits_as_config_error(monkeypatch, capsys):
     monkeypatch.setenv("TREEPOLYMER_BUDGET_NODES", "abc")
     code, _, err = run(["simulate", "--beta", "0.5", "--gamma", "0.5",

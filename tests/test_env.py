@@ -40,7 +40,7 @@ def draws(law, stream, count):
 def test_gaussian_moment_surface_closed_forms():
     law = GaussianIndep(1.0, 1.0)
     assert close(law.log_moment_abs(2.0), 2.0)
-    assert close(law.moment_abs(2.0), math.e**2)
+    assert close(math.exp(law.log_moment_abs(2.0)), math.e**2)
     assert close(law.lambda_r(0.7), 0.245)
     assert law.lambda_r_prime(0.7) == 0.7
     assert close(law.lambda_c(0.5), 0.125)
@@ -198,7 +198,7 @@ def test_custom_law_needs_two_table_nodes_and_is_not_config_serializable():
     with pytest.raises(NotImplementedError):
         law.log_moment_abs(1.0)
     with pytest.raises(NotImplementedError):
-        law.moment_abs(2.0)
+        math.exp(law.log_moment_abs(2.0))
     with pytest.raises(DomainError, match="unknown model 'custom'"):
         spec_from_config({"model": "custom", "log_moments": {0.0: 0.0}})
 

@@ -27,7 +27,7 @@ from treepolymer import (
     tau_moment_check,
     verify_moments,
 )
-from treepolymer import mc, rng, sim
+from treepolymer import cli, mc, rng, sim
 from treepolymer.mc import _zscore
 from treepolymer.rng import to_uniform
 
@@ -221,7 +221,7 @@ def test_verify_mean_is_exact_for_constants():
     assert report.empirical == report.theoretical == complex(-16.0)
     assert report.z_scores == (0.0, 0.0)
     assert report.passed
-    payload = report.to_dict()
+    payload = cli._sanitize(report)
     assert payload["empirical"] == [-16.0, 0.0]
     assert payload["passed"] is True
     assert (second.name, second.empirical) == ("second_moment", 256.0)

@@ -519,7 +519,7 @@ def test_a_warm_tree_allocates_little_beyond_its_words():
 
 def _meet_sum_second_moment(law, b, n):
     """Independent route: sum over ordered leaf pairs by their meet depth."""
-    m2 = law.moment_abs(2.0)
+    m2 = math.exp(law.log_moment_abs(2.0))
     m1sq = abs(law.mean_xi()) ** 2
     total = (b**n) * m2**n  # diagonal pairs
     for m in range(n):
