@@ -452,7 +452,7 @@ def check_oracle(seed: int, budget: int, corrupt: bool) -> dict:
         for n in range(1, n_max + 1):
             for k in range(3):
                 spec = laws[k % len(laws)]
-                stream = TreeStream(seed + k, 0)
+                stream = TreeStream(seed, k)
                 fast = sim.dfs_evaluate(spec, b, n, stream,
                                         node_budget=budget,
                                         _corrupt_w_pair=corrupt)

@@ -708,8 +708,6 @@ def test_config_nulls_leave_their_parameters_unset(tmp_path, capsys):
      "b must be an integer >= 2, got 1"),
     (["diagram", "--grid", "0:2:3", "--n", "0"],
      "n must be an integer >= 1, got 0"),
-    (["verify", "--only", "pz", "--seed", str(2**64)],
-     f"seed must be below 2^64, got {2**64}"),
 ])
 def test_every_command_refuses_an_integer_below_its_least_value(
         argv, message, tmp_path, capsys, monkeypatch):
@@ -751,6 +749,15 @@ def test_an_unwritable_out_exits_as_a_config_error(argv, target, tmp_path,
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == err.splitlines()[-1:]
     assert errors[0].startswith(f"error: cannot write {target}")
+
+
+def test_the_oracle_check_runs_at_the_largest_seed(capsys):
+    # its three trees are replicas 0, 1, 2 of the one seed, so no seed
+    # passes 2^64 - 1
+    code, out, err = run(["verify", "--only", "oracle", "--seed",
+                          str(2**64 - 1)], capsys)
+    assert code == EXIT_OK, err
+    assert strict_loads(out)["checks"][0]["worst_rel_err"] <= 1e-12
 
 
 def test_non_integer_budget_variable_exits_as_config_error(monkeypatch, capsys):
