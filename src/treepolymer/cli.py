@@ -150,7 +150,8 @@ _PARAMS = {
 # The least value of each integer parameter, checked for every command.
 _LEAST = {"b": 2, "n": 1, "replicas": 1, "seed": 0, "budget_nodes": 1}
 
-# The parameters any registered law takes, in table order.
+# The parameters any registered law takes, in table order; `_law` hands
+# each one that is set to the law, which refuses those it does not take.
 _LAW_FIELDS = [key for key in _PARAMS
                if any(key in _fields(law) for law in _MODELS.values())]
 
