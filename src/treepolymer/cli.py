@@ -536,8 +536,8 @@ def check_tau(seed: int) -> dict:
     spec = GaussianIndep(1.0, 0.5)
     rep = mc.tau_moment_check(spec, tau=1.0, samples=50000, seed=seed)
     exact = math.exp(0.5)
-    se = rep.estimate.std_error
-    z = abs(rep.estimate.mean - exact) / se if se > 0 else 0.0
+    z = sim._zscore(abs(rep.estimate.mean - exact), rep.estimate.std_error,
+                    exact)
     return {"name": "tau", "passed": (not rep.diverging) and z <= 5.0,
             "mean": rep.estimate.mean, "exact": exact, "z_score": z,
             "tail_slope": rep.tail_slope}

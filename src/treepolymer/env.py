@@ -42,11 +42,10 @@ def _real(name: str, value) -> float:
     return x
 
 
-# Largest beta, or Gaussian gamma, a law takes.  The phase module searches
-# ln E|xi|^a = (a x)^2 / 2 over a <= 64 (G) and a = 2u <= 128
-# (positive_weight_free_energy), and forms u L'(u) - L(u), at most
-# 4 * 64^2 x^2 there.  At x = 1e150 each stays below 1.7e304; Python's
-# float ** raises OverflowError from about x = 1e152 on.
+# Largest beta, or Gaussian gamma, a law takes.  The phase module reads
+# G(a) = (ln b + ln E|xi|^a) / a with ln E|xi|^a = (a x)^2 / 2 for a <= 64,
+# so (a x)^2 <= 64^2 x^2.  At x = 1e150 that stays below 4.1e303; Python's
+# float ** raises OverflowError from about x = 2.1e152 on.
 _MAX_SCALE = 1e150
 
 
@@ -133,10 +132,6 @@ class EnvironmentSpec:
     # -- moment surface ----------------------------------------------------
     def log_moment_abs(self, a: float) -> float:
         raise NotImplementedError
-
-    def log_moment_abs_prime(self, a: float) -> float:
-        """d/da ln E|xi|^a."""
-        return self.beta_scale * self.lambda_r_prime(a * self.beta_scale)
 
     def mean_xi(self) -> complex:
         raise NotImplementedError

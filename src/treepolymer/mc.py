@@ -82,32 +82,12 @@ def _estimate(values: list[float], excluded: int) -> McEstimate:
         excluded_count=excluded)
 
 
-def _replica_map(plan: ExperimentPlan, fn) -> list:
-    replicas = range(plan.replicas)
-    if plan.threads <= 1:
-        return [fn(r) for r in replicas]
-    with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-        return list(pool.map(fn, replicas))
-
-
-def _replica_estimate(plan: ExperimentPlan, one, functional: str) -> McEstimate:
-    """Estimate from one value per replica.  A value of -inf (a sum that is
-    exactly 0) is excluded and counted; nan or +inf, from float64 overflow
-    or a refused underflow loss (see sim.FunctionalSet), is refused.
-    `values`, if kept, holds every replica's value in order."""
-    raw = _replica_map(plan, one)
-    for r, v in enumerate(raw):
-        if math.isnan(v) or v == math.inf:
-            raise DomainError(f"{functional} is {v} in replica {r}: "
-                              "float64 overflow or underflow")
-    kept = [v for v in raw if v != -math.inf]
-    est = _estimate(kept, len(raw) - len(kept))
-    if plan.keep_values:
-        est.values = raw
-    return est
-
-
 def _free_energy(plan: ExperimentPlan, include_w: bool) -> McEstimate:
+    """Estimate from one value per replica, mapped serially or on
+    ``plan.threads`` threads.  A value of -inf (a sum that is exactly 0) is
+    excluded and counted; nan or +inf, from float64 overflow or a refused
+    underflow loss (see sim.FunctionalSet), is refused.  `values`, if kept,
+    holds every replica's value in order."""
     plan.check()
     if plan.n < 1:
         raise DomainError("free energy needs n >= 1")
@@ -120,8 +100,22 @@ def _free_energy(plan: ExperimentPlan, include_w: bool) -> McEstimate:
         return fs.ln_w_cond / (2.0 * plan.n) if include_w \
             else fs.ln_abs_z / plan.n
 
-    return _replica_estimate(
-        plan, one, "w_free_energy" if include_w else "free_energy")
+    replicas = range(plan.replicas)
+    if plan.threads <= 1:
+        raw = [one(r) for r in replicas]
+    else:
+        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
+            raw = list(pool.map(one, replicas))
+    functional = "w_free_energy" if include_w else "free_energy"
+    for r, v in enumerate(raw):
+        if math.isnan(v) or v == math.inf:
+            raise DomainError(f"{functional} is {v} in replica {r}: "
+                              "float64 overflow or underflow")
+    kept = [v for v in raw if v != -math.inf]
+    est = _estimate(kept, len(raw) - len(kept))
+    if plan.keep_values:
+        est.values = raw
+    return est
 
 
 def estimate_free_energy(plan: ExperimentPlan) -> McEstimate:

@@ -23,7 +23,11 @@ from .env import EnvironmentSpec
 from .errors import DomainError, NoBracket
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
-_CAP = 64.0  # search limit for a_min, the critical parameters and u_c
+_CAP = 64.0          # search limit for a_min and the critical parameters
+_A_LO = 1e-300       # least a the a_min search reaches: a_min = beta_c / beta
+_SEARCH_TOL = 1e-8   # golden-section width in ln a, a relative width in a
+_ROOT_TOL = 1e-12    # bisection width of a critical parameter
+_SCAN_STEPS = 4096   # grid on which a critical parameter's root is bracketed
 
 
 @dataclass
@@ -54,12 +58,13 @@ def g_of_alpha(spec: EnvironmentSpec, b: int, a: float) -> float:
     return (math.log(b) + spec.log_moment_abs(a)) / a
 
 
-def golden_section_min(f, lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Minimizer of a unimodal f on [lo, hi] to absolute tolerance tol."""
+def golden_section_min(f, lo: float, hi: float) -> float:
+    """Minimizer of a unimodal f on [lo, hi] to absolute tolerance
+    _SEARCH_TOL."""
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
+    while hi - lo > _SEARCH_TOL:
         if f1 < f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_GOLDEN * (hi - lo)
@@ -72,13 +77,15 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-8) -> float:
 
 
 def alpha_min(spec: EnvironmentSpec, b: int) -> float:
-    """Unique minimizer of G on (0, _CAP], or +inf if G is still strictly
-    decreasing at the cap (slope test)."""
+    """Unique minimizer of G on [_A_LO, _CAP], searched over ln a to one
+    relative tolerance, or +inf if G is still strictly decreasing at the cap
+    (slope test)."""
     h = 1e-6 * _CAP
     if g_of_alpha(spec, b, _CAP) < g_of_alpha(spec, b, _CAP - h):
         return math.inf
-    return golden_section_min(lambda a: g_of_alpha(spec, b, a), 1e-6, _CAP,
-                              tol=1e-8)
+    return math.exp(golden_section_min(
+        lambda x: g_of_alpha(spec, b, math.exp(x)),
+        math.log(_A_LO), math.log(_CAP)))
 
 
 def l2_check(spec: EnvironmentSpec, b: int) -> bool:
@@ -152,11 +159,12 @@ def classify(spec: EnvironmentSpec, b: int,
         boundary_width=eps_boundary if boundary_values else None)
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Plain bracketing bisection; f(lo) and f(hi) must differ in sign."""
+def _bisect(f, lo: float, hi: float) -> float:
+    """Plain bracketing bisection to width _ROOT_TOL; f(lo) and f(hi) must
+    differ in sign."""
     flo = f(lo)
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= _ROOT_TOL:
             break
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -169,13 +177,14 @@ def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def _first_bracket(f, lo: float, hi: float, steps: int) -> tuple[float, float]:
-    """Smallest bracket [x0, x1] in [lo, hi] where f changes sign from f(lo).
+def _first_bracket(f, lo: float) -> tuple[float, float]:
+    """Smallest bracket [x0, x1] in [lo, _CAP] where f changes sign from
+    f(lo), on a grid of _SCAN_STEPS steps.
 
     Scans left to right so the returned bracket contains the smallest root.
     Raises NoBracket if f keeps the sign of f(lo) on the whole grid.
     """
-    xs = [lo + (hi - lo) * k / steps for k in range(steps + 1)]
+    xs = [lo + (_CAP - lo) * k / _SCAN_STEPS for k in range(_SCAN_STEPS + 1)]
     f0 = f(xs[0])
     neg = f0 < 0
     prev = xs[0]
@@ -184,11 +193,12 @@ def _first_bracket(f, lo: float, hi: float, steps: int) -> tuple[float, float]:
         if (fx < 0) != neg or fx == 0.0:
             return prev, x
         prev = x
-    raise NoBracket(f"no sign change in [{lo}, {hi}]")
+    raise NoBracket(f"no sign change in [{lo}, {_CAP}]")
 
 
 def critical_set(spec: EnvironmentSpec, b: int) -> CriticalSet:
-    """Solve the four critical-parameter equations by bracketing bisection.
+    """Solve the four critical-parameter equations: beta_0's root is
+    beta_c / 2, the others are bracketed and bisected.
 
     beta_c:  x L'(x) - L(x) = ln b           with L = lambda_r
     beta_0:  2x L'(2x) - L(2x) = ln b
@@ -202,16 +212,13 @@ def critical_set(spec: EnvironmentSpec, b: int) -> CriticalSet:
     def legendre_gap(x):
         return x * spec.lambda_r_prime(x) - spec.lambda_r(x) - lnb
 
-    def legendre_gap2(x):
-        return legendre_gap(2.0 * x)
-
-    beta_c = _solve_or_inf(legendre_gap, _CAP)
-    beta_0 = _solve_or_inf(legendre_gap2, 0.5 * _CAP)
+    beta_c = _solve_or_inf(legendre_gap)
+    beta_0 = 0.5 * beta_c
 
     def phase_gap(g):
         return 2.0 * spec.lambda_c(g) - lnb
 
-    gamma_c = _solve_or_inf(phase_gap, _CAP)
+    gamma_c = _solve_or_inf(phase_gap)
 
     gamma_0 = math.inf
     g0_bracket = None
@@ -222,21 +229,19 @@ def critical_set(spec: EnvironmentSpec, b: int) -> CriticalSet:
             return spec.lambda_c(g) - rhs
 
         try:
-            g_lo, g_hi = _first_bracket(mixed_gap, 0.0, _CAP, steps=4096)
-            gamma_0 = _bisect(mixed_gap, g_lo, g_hi, tol=1e-12)
-            g0_bracket = (g_lo, g_hi)
+            g0_bracket = _first_bracket(mixed_gap, 0.0)
+            gamma_0 = _bisect(mixed_gap, *g0_bracket)
         except NoBracket:
             pass
 
     return CriticalSet(beta_c, beta_0, gamma_c, gamma_0, g0_bracket)
 
 
-def _solve_or_inf(f, cap: float) -> float:
+def _solve_or_inf(f) -> float:
     try:
-        lo, hi = _first_bracket(f, 1e-9, cap, steps=4096)
+        return _bisect(f, *_first_bracket(f, 1e-9))
     except NoBracket:
         return math.inf
-    return _bisect(f, lo, hi, tol=1e-12)
 
 
 def classify_indep_closed_form(beta: float, gamma: float, crit: CriticalSet,
@@ -304,26 +309,12 @@ def classify_indep_closed_form(beta: float, gamma: float, crit: CriticalSet,
 
 def positive_weight_free_energy(spec: EnvironmentSpec, exponent: int, b: int) -> float:
     """Almost-sure free energy of the positive-weight polymer with weights
-    |xi|^exponent: ln b + L(1) in weak disorder (u_c >= 1), else L'(u_c),
-    where L(u) = ln E|xi|^(exponent*u) and u_c solves u L'(u) - L(u) = ln b.
-    """
+    |xi|^exponent: exponent * G(min(a_min, exponent)) (Derrida-Spohn), that
+    is ln b + ln E|xi|^exponent in weak disorder and exponent * G(a_min)
+    when a_min < exponent."""
     if exponent not in (1, 2):
         raise DomainError("exponent must be 1 or 2")
-    lnb = math.log(b)
-
-    def big_l(u):
-        return spec.log_moment_abs(exponent * u)
-
-    def big_l_prime(u):
-        return exponent * spec.log_moment_abs_prime(exponent * u)
-
-    def gap(u):
-        return u * big_l_prime(u) - big_l(u) - lnb
-
-    u_c = _solve_or_inf(gap, _CAP)
-    if u_c >= 1.0:
-        return lnb + big_l(1.0)
-    return big_l_prime(u_c)
+    return exponent * g_of_alpha(spec, b, min(alpha_min(spec, b), exponent))
 
 
 def predicted_w_rate(spec: EnvironmentSpec, b: int) -> float:

@@ -39,12 +39,12 @@ has one array per role (draw words, radii and weights, the transforms'
 work rows, each field over a sweep's generations, a level's products and
 parent-wide sums, ``_column_z``'s columns and one array per nesting
 depth), grown to the largest size the role has needed and used through
-slices: 3.1 MiB for the level sweep at b = 2, 10.6 MiB for 10^4 batch
-replicas at n = 9.  Every level forms its products, sibling sums and
-rescalings in place, and the transforms write into the workspace, so a
-warm evaluation allocates only Philox output and the root values, which
-it copies out as Python numbers; ``_column_z`` returns its columns' Z_n
-in a new array.
+slices: 2.9 MiB for the level sweep of a depth-20 tree with W at b = 2,
+10.5 MiB for 10^4 batch replicas at n = 9.  Every level forms its
+products, sibling sums and rescalings in place, and the transforms write
+into the workspace, so a warm evaluation allocates only Philox output and
+the root values, which it copies out as Python numbers; ``_column_z``
+returns its columns' Z_n in a new array.
 
 Every sweep forms xi * Z with numpy's complex array product and scales Z by
 its modulus, so the block size moves no bit of Z while no value turns

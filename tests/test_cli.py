@@ -96,6 +96,15 @@ def test_phase_point_strong_disorder_example(capsys):
         1.5 * math.sqrt(2 * LN2), abs=1e-6)
 
 
+def test_phase_point_at_a_huge_beta_agrees_with_the_closed_form(capsys):
+    code, out, _ = run(["phase-point", "--beta", "1e7", "--gamma", "0"], capsys)
+    assert code == EXIT_OK
+    payload = strict_loads(out)
+    assert payload["generic"]["region"] == "R2a"
+    assert payload["generic"]["predicted_f"] == pytest.approx(
+        payload["closed_form"]["predicted_f"], rel=1e-12)
+
+
 def test_phase_point_writes_json_artifact(tmp_path, capsys):
     out_file = tmp_path / "point.json"
     code, out, _ = run(["phase-point", "--beta", "0.8", "--gamma", "0.8",

@@ -38,7 +38,11 @@ last bits.  Two of them moved for a second reason too: the beta axis of
 ``diagram-estimates`` now ends at exactly 1.8, not at 1.8000000000000003,
 and ``onestep-gaussian-b2``'s target reads sigma^2, now formed as
 E|xi|^2 (1 - |E xi|^2 / E|xi|^2).  The constant-law and the other four
-diagram digests held.
+diagram digests held.  The five diagram digests were re-recorded when
+``phase.alpha_min`` began to search ln a down to a = 1e-300 and
+``critical_set`` to set beta_0 = beta_c / 2: about 40% of the R2 cells' f
+moved by roundoff (at most 4.4e-16 relative), the critical comment's
+beta_0 moved by 1.7e-13 relative at b = 2, and no region changed.
 
 Z from ``dfs_evaluate`` takes numpy's complex array product, which uses
 fused multiply-adds where the CPU has them (see ``treepolymer.sim``), so
@@ -278,11 +282,11 @@ DIGESTS = {
     "dfs-top-b3-n6-block4": "1fb73cc1d70e2d01b9c249a2",
     "dfs-uniform-b2": "edfbdb8b35f5f176aae25182",
     "dfs-uniform-b3": "03a513263c1cf4fb3dc098c8",
-    "diagram-b3": "46f38d231bd0f5af8334c093",
-    "diagram-estimates": "849461a9b384e1b48bdd259c",
-    "diagram-gaussian": "6dcbb41714cc5014e3ac6ab7",
-    "diagram-slice": "e23676fe1a8d52f2bdea3e95",
-    "diagram-uniform": "b32d6f96d5e9bf2fdfac0128",
+    "diagram-b3": "4629d8cd12c27225a15291e6",
+    "diagram-estimates": "2a2e280cdb5ddfef0a9b6ea1",
+    "diagram-gaussian": "c3f55f723357738a43d5181a",
+    "diagram-slice": "0bd1c4668c968cad996b073d",
+    "diagram-uniform": "326d41d16e0217ce66d73139",
     "onestep-constant-b2": "c4971c8ee8aa3330f6a40262",
     "onestep-constant-b3": "407ed97dab01f4586c8942b0",
     "onestep-gaussian-b2": "625daf34cd904e7e70de6041",

@@ -53,7 +53,6 @@ def test_gaussian_scaled_moment_surface():
     law = GaussianIndep(0.5, 0.8)
     assert close(law.log_moment_abs(3.0), 0.5 * (3.0 * 0.5) ** 2)
     assert close(law.log_mean_abs(), 0.5 * 0.25 - 0.5 * 0.64)
-    assert close(law.log_moment_abs_prime(2.0), 2.0 * 0.25)
 
 
 def test_gaussian_rejects_negative_parameters():
@@ -244,8 +243,8 @@ def test_laws_refuse_scales_whose_moments_overflow(make):
     # at the bound every moment the phase module evaluates is finite (a up
     # to 128); one float past it the constructor refuses
     law = make(1e150)
-    for value in (law.log_moment_abs(128.0), law.log_moment_abs_prime(128.0),
-                  law.log_mean_abs(), law.lambda_c(law.gamma_scale),
+    for value in (law.log_moment_abs(128.0), law.log_mean_abs(),
+                  law.lambda_c(law.gamma_scale),
                   phase.classify(law, 2).predicted_f,
                   phase.positive_weight_free_energy(law, 2, 2)):
         assert math.isfinite(value)

@@ -21,6 +21,7 @@ from treepolymer import (
     l2_check,
     positive_weight_free_energy,
 )
+from treepolymer.phase import predicted_w_rate
 
 from laws import CoupledGaussian
 
@@ -265,6 +266,46 @@ def test_dual_classifiers_agree_off_boundary(beta, gamma):
     assume(generic.region != "Boundary" and closed.region != "Boundary")
     assert generic.region == closed.region
     assert generic.predicted_f == pytest.approx(closed.predicted_f, abs=1e-6)
+
+
+# ------------------------------------------- one a_min over every scale
+
+SCALE_LAWS = {
+    "gaussian": lambda beta: GaussianIndep(beta, 0.3),
+    "uniform": lambda beta: LogNormalUniformPhase(beta, 0.5),
+    "rademacher": lambda beta: RademacherPhase(t=0.5, beta=beta),
+}
+# G carries a relative roundoff of a few units u = 2^-53, say 4u, and rises
+# by d^2 / 2 at a relative distance d from a_min (in ln a, G'' = G there).
+# Two values of G compare reliably only where that rise exceeds twice the
+# roundoff, d > sqrt(16 u) = 4.2e-8, so no search on G places a_min closer.
+AMIN_REL = 5e-8
+
+
+@pytest.mark.parametrize("model", sorted(SCALE_LAWS))
+@pytest.mark.parametrize("b", [2, 3, 1000])
+@pytest.mark.parametrize("beta", [0.01, 0.3, 1.5, 5.0, 1e3, 1e5, 2e6, 1e9, 1e150])
+def test_every_rate_reads_one_alpha_min_at_every_scale(model, b, beta):
+    law = SCALE_LAWS[model](beta)
+    beta_c = math.sqrt(2.0 * math.log(b))
+    amin = alpha_min(law, b)
+    if beta_c / beta > 64.0:
+        assert amin == math.inf
+    else:
+        assert amin * beta == pytest.approx(beta_c, rel=AMIN_REL)
+    rep = classify(law, b)
+    if rep.region.startswith("R2"):
+        assert rep.predicted_f == pytest.approx(beta * beta_c, rel=1e-12)
+    # Derrida-Spohn: weights |xi| and |xi|^2, frozen above beta_c and beta_c/2
+    p1 = math.log(b) + 0.5 * beta**2 if beta <= beta_c else beta * beta_c
+    p2 = math.log(b) + 2.0 * beta**2 if beta <= 0.5 * beta_c \
+        else 2.0 * beta * beta_c
+    assert positive_weight_free_energy(law, 1, b) == pytest.approx(p1, rel=1e-12)
+    assert positive_weight_free_energy(law, 2, b) == pytest.approx(p2, rel=1e-12)
+    w = max(p1 - law.lambda_c(law.gamma_scale), 0.5 * p2)
+    assert predicted_w_rate(law, b) == pytest.approx(w, rel=1e-12)
+    crit = critical_set(law, b)
+    assert crit.beta_0 == 0.5 * crit.beta_c
 
 
 # ------------------------------------------------- positive-weight polymer
