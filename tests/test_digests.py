@@ -40,9 +40,9 @@ and ``onestep-gaussian-b2``'s target reads sigma^2, now formed as
 E|xi|^2 (1 - |E xi|^2 / E|xi|^2).  The constant-law and the other four
 diagram digests held.  The five diagram digests were re-recorded when
 ``phase.alpha_min`` began to search ln a down to a = 1e-300 and
-``critical_set`` to set beta_0 = beta_c / 2: about 40% of the R2 cells' f
-moved by roundoff (at most 4.4e-16 relative), the critical comment's
-beta_0 moved by 1.7e-13 relative at b = 2, and no region changed.
+``critical_set`` to set beta_0 = beta_c / 2: f moved by roundoff in about
+4 of every 10 cells, all in R2 (at most 4.3e-16 relative), the critical
+comment's beta_0 moved by 1.7e-13 relative at b = 2, and no region changed.
 
 Z from ``dfs_evaluate`` takes numpy's complex array product, which uses
 fused multiply-adds where the CPU has them (see ``treepolymer.sim``), so
