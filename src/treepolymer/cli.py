@@ -225,11 +225,7 @@ def _closed_form_report(spec: EnvironmentSpec, b: int, eps: float):
     if not spec.independent:
         return None, None
     crit = phase.critical_set(spec, b)
-    rep = phase.classify_indep_closed_form(
-        spec.beta_scale, spec.gamma_scale, crit,
-        spec.lambda_r, spec.lambda_c, b,
-        lam_r_prime=spec.lambda_r_prime, eps_boundary=eps)
-    return rep, crit
+    return phase.classify_indep_closed_form(spec, b, crit, eps), crit
 
 
 def cmd_phase_point(cfg: dict) -> int:
@@ -323,13 +319,17 @@ def cmd_diagram(cfg: dict) -> int:
     if replicas and cfg.get("n") is None:
         raise ConfigError("per-cell estimates need --n")
 
-    # Per beta: its CSV text, ln|E xi| at gamma = 0 and the radius part of
-    # classify; per gamma: its CSV text and ln|E xi| at beta = 0.
+    # Per beta: its CSV text, ln|E xi| at gamma = 0, the radius part of
+    # classify and the region,f text of the regions whose f is that part's
+    # G(a_min) or G(2); per gamma: its CSV text and ln|E xi| at beta = 0.
     columns = []
     for beta in betas:
         spec = law(beta, 0.0)
-        columns.append((beta, repr(beta) + ",", spec.log_mean_abs(),
-                        phase._radius_part(spec, b)))
+        rad = phase._radius_part(spec, b)
+        g_amin, g2 = repr(rad[1]), repr(rad[3])
+        columns.append((beta, repr(beta) + ",", spec.log_mean_abs(), rad,
+                        {"R2a": "R2a," + g_amin, "R2b": "R2b," + g_amin,
+                         "R3": "R3," + g2}))
     rows = [(gamma, repr(gamma) + ",", law(0.0, gamma).log_mean_abs())
             for gamma in gammas]
     lnb = math.log(b)
@@ -340,11 +340,12 @@ def cmd_diagram(cfg: dict) -> int:
              + (",mc_mean,mc_ci_lo,mc_ci_hi" if replicas else "")]
     labels = []
     for gamma, gamma_text, lg in rows:
-        for beta, beta_text, lb, rad in columns:
+        for beta, beta_text, lb, rad, texts in columns:
             region, f, _ = phase._decide(lnb + (lb + lg), unit.independent,
                                          eps, rad)
             labels.append(region)
-            lines.append(beta_text + gamma_text + region + "," + repr(f))
+            lines.append(beta_text + gamma_text
+                         + (texts.get(region) or region + "," + repr(f)))
             if replicas:
                 est = mc.estimate_free_energy(mc.ExperimentPlan(
                     spec=law(beta, gamma), b=b, n=cfg["n"],

@@ -58,34 +58,32 @@ def g_of_alpha(spec: EnvironmentSpec, b: int, a: float) -> float:
     return (math.log(b) + spec.log_moment_abs(a)) / a
 
 
-def golden_section_min(f, lo: float, hi: float) -> float:
-    """Minimizer of a unimodal f on [lo, hi] to absolute tolerance
-    _SEARCH_TOL."""
+def alpha_min(spec: EnvironmentSpec, b: int) -> float:
+    """Unique minimizer of G on [_A_LO, _CAP], found by golden-section
+    search over x = ln a to width _SEARCH_TOL (one relative tolerance in a),
+    or +inf if G is still strictly decreasing at the cap (slope test)."""
+    if g_of_alpha(spec, b, _CAP) < g_of_alpha(spec, b, _CAP - 1e-6 * _CAP):
+        return math.inf
+    lnb = math.log(b)
+
+    def g(x):   # G(e^x), by g_of_alpha's operations
+        a = math.exp(x)
+        return (lnb + spec.log_moment_abs(a)) / a
+
+    lo, hi = math.log(_A_LO), math.log(_CAP)
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = g(x1), g(x2)
     while hi - lo > _SEARCH_TOL:
         if f1 < f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
+            f1 = g(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
-
-
-def alpha_min(spec: EnvironmentSpec, b: int) -> float:
-    """Unique minimizer of G on [_A_LO, _CAP], searched over ln a to one
-    relative tolerance, or +inf if G is still strictly decreasing at the cap
-    (slope test)."""
-    h = 1e-6 * _CAP
-    if g_of_alpha(spec, b, _CAP) < g_of_alpha(spec, b, _CAP - h):
-        return math.inf
-    return math.exp(golden_section_min(
-        lambda x: g_of_alpha(spec, b, math.exp(x)),
-        math.log(_A_LO), math.log(_CAP)))
+            f2 = g(x2)
+    return math.exp(0.5 * (lo + hi))
 
 
 def l2_check(spec: EnvironmentSpec, b: int) -> bool:
@@ -181,14 +179,14 @@ def _first_bracket(f, lo: float) -> tuple[float, float]:
     """Smallest bracket [x0, x1] in [lo, _CAP] where f changes sign from
     f(lo), on a grid of _SCAN_STEPS steps.
 
-    Scans left to right so the returned bracket contains the smallest root.
-    Raises NoBracket if f keeps the sign of f(lo) on the whole grid.
+    Scans left to right, computing each grid point only when it is reached,
+    so the returned bracket contains the smallest root.  Raises NoBracket if
+    f keeps the sign of f(lo) on the whole grid.
     """
-    xs = [lo + (_CAP - lo) * k / _SCAN_STEPS for k in range(_SCAN_STEPS + 1)]
-    f0 = f(xs[0])
-    neg = f0 < 0
-    prev = xs[0]
-    for x in xs[1:]:
+    neg = f(lo) < 0
+    prev = lo
+    for k in range(1, _SCAN_STEPS + 1):
+        x = lo + (_CAP - lo) * k / _SCAN_STEPS
         fx = f(x)
         if (fx < 0) != neg or fx == 0.0:
             return prev, x
@@ -244,26 +242,27 @@ def _solve_or_inf(f) -> float:
         return math.inf
 
 
-def classify_indep_closed_form(beta: float, gamma: float, crit: CriticalSet,
-                               lam_r, lam_c, b: int, lam_r_prime,
+def classify_indep_closed_form(spec: EnvironmentSpec, b: int,
+                               crit: CriticalSet,
                                eps_boundary: float = 1e-9) -> PhaseReport:
     """Region by the explicit independent-case inequalities.
 
-    Independent of `classify`: uses only lambda_r, its derivative
-    `lam_r_prime`, lambda_c, their critical parameters, and the model's
-    (beta, gamma) coordinates.
+    Independent of `classify`: uses only the law's lambda_r, its derivative
+    lambda_r_prime, lambda_c, their critical parameters `crit`, and the
+    law's (beta_scale, gamma_scale) coordinates.
     """
+    beta = spec.beta_scale
     lnb = math.log(b)
-    lc = lam_c(gamma)
+    lc = spec.lambda_c(spec.gamma_scale)
 
     def f_weak():
-        return lnb + lam_r(beta) - lc
+        return lnb + spec.lambda_r(beta) - lc
 
     def f_strong():
-        return beta * lam_r_prime(crit.beta_c)
+        return beta * spec.lambda_r_prime(crit.beta_c)
 
     def f_second():
-        return 0.5 * (lnb + lam_r(2.0 * beta))
+        return 0.5 * (lnb + spec.lambda_r(2.0 * beta))
 
     def report(region, f, trace, boundary_values=None):
         return PhaseReport(
@@ -285,7 +284,7 @@ def classify_indep_closed_form(beta: float, gamma: float, crit: CriticalSet,
 
     if math.isfinite(crit.beta_0) and beta >= crit.beta_0:
         # beta in [beta_0, beta_c): R1 vs R2 decided by the tilted inequality
-        lhs = beta * lam_r_prime(crit.beta_c) - lam_r(beta) + lc
+        lhs = f_strong() - spec.lambda_r(beta) + lc
         trace = [{"name": "tilted_mean_vs_ln_b", "lhs": lhs, "rhs": lnb,
                   "fired": lhs < lnb - eps_boundary}]
         if lhs < lnb - eps_boundary:
@@ -296,7 +295,7 @@ def classify_indep_closed_form(beta: float, gamma: float, crit: CriticalSet,
                       trace, (f_weak(), f_strong()))
 
     # beta below beta_0 (or beta_0 infinite): R1 vs R3 by the L2-type inequality
-    lhs = lam_r(2.0 * beta) - 2.0 * lam_r(beta) + 2.0 * lc
+    lhs = spec.lambda_r(2.0 * beta) - 2.0 * spec.lambda_r(beta) + 2.0 * lc
     trace = [{"name": "second_moment_gap_vs_ln_b", "lhs": lhs, "rhs": lnb,
               "fired": lhs < lnb - eps_boundary}]
     if lhs < lnb - eps_boundary:

@@ -158,18 +158,16 @@ def test_criterion_03_critical_set_reproduction():
 
 
 def _criterion4_rows():
-    law0 = GaussianIndep(1.0, 1.0)
-    crit = critical_set(law0, 2)
+    crit = critical_set(GaussianIndep(1.0, 1.0), 2)
     axis = [2.0 * i / 199 for i in range(200)]
     rows = []
     disagreements = []
     agree = 0
     for gamma in axis:
         for beta in axis:
-            generic = classify(GaussianIndep(beta, gamma), 2)
-            closed = classify_indep_closed_form(
-                beta, gamma, crit, law0.lambda_r, law0.lambda_c, 2,
-                lam_r_prime=law0.lambda_r_prime)
+            law = GaussianIndep(beta, gamma)
+            generic = classify(law, 2)
+            closed = classify_indep_closed_form(law, 2, crit)
             same = generic.region == closed.region
             agree += same
             rows.append([beta, gamma, generic.region, closed.region, same])

@@ -12,6 +12,7 @@ from treepolymer import (
     DomainError,
     GaussianIndep,
     LogNormalUniformPhase,
+    NoBracket,
     RademacherPhase,
     alpha_min,
     classify,
@@ -21,7 +22,7 @@ from treepolymer import (
     l2_check,
     positive_weight_free_energy,
 )
-from treepolymer.phase import predicted_w_rate
+from treepolymer.phase import _CAP, _SCAN_STEPS, _first_bracket, predicted_w_rate
 
 from laws import CoupledGaussian
 
@@ -217,10 +218,8 @@ def test_exactly_one_region_condition_fires_away_from_boundaries():
 
 
 @pytest.fixture(scope="module")
-def gaussian_tools():
-    law = GaussianIndep(1.0, 1.0)
-    crit = critical_set(law, 2)
-    return crit, law.lambda_r, law.lambda_c, law.lambda_r_prime
+def gaussian_crit():
+    return critical_set(GaussianIndep(1.0, 1.0), 2)
 
 
 @pytest.mark.parametrize(
@@ -233,25 +232,24 @@ def gaussian_tools():
         (0.0, 0.0, "R1"),
     ],
 )
-def test_closed_form_classifier_examples(beta, gamma, region, gaussian_tools):
-    crit, lam_r, lam_c, lam_r_prime = gaussian_tools
-    report = classify_indep_closed_form(beta, gamma, crit, lam_r, lam_c, 2,
-                                        lam_r_prime=lam_r_prime)
+def test_closed_form_classifier_examples(beta, gamma, region, gaussian_crit):
+    report = classify_indep_closed_form(GaussianIndep(beta, gamma), 2,
+                                        gaussian_crit)
     assert report.region == region
 
 
-def test_closed_form_classifier_boundary_band(gaussian_tools):
-    crit, lam_r, lam_c, lam_r_prime = gaussian_tools
+def test_closed_form_classifier_boundary_band(gaussian_crit):
+    crit = gaussian_crit
 
     def region_at(beta):
-        return classify_indep_closed_form(beta, 0.1, crit, lam_r, lam_c, 2,
-                                          lam_r_prime=lam_r_prime).region
+        return classify_indep_closed_form(GaussianIndep(beta, 0.1), 2,
+                                          crit).region
 
     assert region_at(crit.beta_c) == "Boundary"
     assert region_at(crit.beta_c + 5e-10) == "Boundary"
     assert region_at(crit.beta_c + 1e-8) == "R2a"
-    report = classify_indep_closed_form(crit.beta_c, 0.1, crit, lam_r, lam_c, 2,
-                                        lam_r_prime=lam_r_prime)
+    report = classify_indep_closed_form(GaussianIndep(crit.beta_c, 0.1), 2,
+                                        crit)
     assert report.boundary_values is not None
 
 
@@ -260,9 +258,7 @@ def test_dual_classifiers_agree_off_boundary(beta, gamma):
     law = GaussianIndep(beta, gamma)
     generic = classify(law, 2)
     crit = critical_set(law, 2)
-    closed = classify_indep_closed_form(beta, gamma, crit, law.lambda_r,
-                                        law.lambda_c, 2,
-                                        lam_r_prime=law.lambda_r_prime)
+    closed = classify_indep_closed_form(law, 2, crit)
     assume(generic.region != "Boundary" and closed.region != "Boundary")
     assert generic.region == closed.region
     assert generic.predicted_f == pytest.approx(closed.predicted_f, abs=1e-6)
@@ -328,3 +324,107 @@ def test_positive_weight_free_energy_square_weights():
     assert val == pytest.approx(LN2 + 0.5 * (2.0 * 0.4) ** 2, abs=1e-9)
     strong = positive_weight_free_energy(GaussianIndep(1.2, 0.0), 2, 2)
     assert strong == pytest.approx(2.4 * BETA_C, abs=1e-7)
+
+
+# ------------------------------------------------------------- bit pins
+# The hex digits of alpha_min and of the critical set, recorded before the
+# golden-section search was folded into `alpha_min` and the bracket scan made
+# lazy; both rewrites keep every float operation, so every bit holds.
+
+# alpha_min reads the radius alone, so the three scale laws share one pin
+AMIN_BITS = {
+    (0.3, 2): "0x1.f65c92a8f99ffp+1", (0.3, 3): "0x1.3c398d9e4e71dp+2",
+    (0.3, 1000): "0x1.8c78c1819a681p+3",
+    (1.5, 2): "0x1.91e3a8852d0dfp-1", (1.5, 3): "0x1.f9f5aefe34c21p-1",
+    (1.5, 1000): "0x1.3d2d67994d05bp+1",
+    (1e3, 2): "0x1.34a6a6605e6e5p-10", (1e3, 3): "0x1.8493b9c364af3p-10",
+    (1e3, 1000): "0x1.e72f36d1f53a8p-9",
+    (1e150, 2): "0x1.ed53e6b5335c3p-499", (1e150, 3): "0x1.3689c7afb826ap-498",
+    (1e150, 1000): "0x1.85578efef4eb7p-497",
+}
+
+
+@pytest.mark.parametrize("model", sorted(SCALE_LAWS))
+@pytest.mark.parametrize("b", [2, 3, 1000])
+@pytest.mark.parametrize("beta", [0.01, 0.3, 1.5, 1e3, 1e150])
+def test_alpha_min_keeps_its_bits(model, b, beta):
+    assert alpha_min(SCALE_LAWS[model](beta), b).hex() == \
+        AMIN_BITS.get((beta, b), "inf")
+
+
+@pytest.mark.parametrize("b", [2, 3, 1000])
+def test_alpha_min_of_a_constant_keeps_its_bits(b):
+    assert alpha_min(DeterministicConstant(0.7 + 0.3j), b).hex() == "inf"
+
+
+# beta_c, beta_0, gamma_c, gamma_0 and gamma_0's bracket
+CRIT_BITS = {
+    ("gaussian", 2): ("0x1.2d6abe44afc8cp+0", "0x1.2d6abe44afc8cp-1",
+                      "0x1.aa4499161d6acp-1", "0x1.2d6abe44af000p-1",
+                      ("0x1.2800000000000p-1", "0x1.3000000000000p-1")),
+    ("gaussian", 3): ("0x1.7b784327618bcp+0", "0x1.7b784327618bcp-1",
+                      "0x1.0c535ddc17012p+0", "0x1.7b78432761000p-1",
+                      ("0x1.7800000000000p-1", "0x1.8000000000000p-1")),
+    ("gaussian", 1000): ("0x1.dbc41b3571940p+1", "0x1.dbc41b3571940p+0",
+                         "0x1.506ada48f46e0p+1", "0x1.dbc41b3571800p+0",
+                         ("0x1.d800000000000p+0", "0x1.dc00000000000p+0")),
+    ("uniform", 2): ("0x1.2d6abe44afc8cp+0", "0x1.2d6abe44afc8cp-1",
+                     "0x1.c593c275f59b8p-2", "0x1.4692195c02000p-2",
+                     ("0x1.4000000000000p-2", "0x1.5000000000000p-2")),
+    ("uniform", 3): ("0x1.7b784327618bcp+0", "0x1.7b784327618bcp-1",
+                     "0x1.17616b9e63462p-1", "0x1.96d77007a2000p-2",
+                     ("0x1.9000000000000p-2", "0x1.a000000000000p-2")),
+    ("uniform", 1000): ("0x1.dbc41b3571940p+1", "0x1.dbc41b3571940p+0",
+                        "0x1.f04826473cb7ep-1", "0x1.b000faa745000p-1",
+                        ("0x1.b000000000000p-1", "0x1.b800000000000p-1")),
+    ("rademacher", 2): ("0x1.2d6abe44afc8cp+0", "0x1.2d6abe44afc8cp-1",
+                        "0x1.800000000040ep-1", "0x1.179873da67000p-1",
+                        ("0x1.1000000000000p-1", "0x1.1800000000000p-1")),
+    ("rademacher", 3): ("0x1.7b784327618bcp+0", "0x1.7b784327618bcp-1",
+                        "0x1.d313c3e7f8adap-1", "0x1.5a077352cd000p-1",
+                        ("0x1.5800000000000p-1", "0x1.6000000000000p-1")),
+    ("rademacher", 1000): ("0x1.dbc41b3571940p+1", "0x1.dbc41b3571940p+0",
+                           "0x1.7844a51605c2cp+0", "0x1.544b9e6402800p+0",
+                           ("0x1.5400000000000p+0", "0x1.5800000000000p+0")),
+}
+CRIT_LAWS = {"gaussian": GaussianIndep(1.0, 1.0),
+             "uniform": LogNormalUniformPhase(1.0, 1.0),
+             "rademacher": RademacherPhase(0.5, 1.0)}
+
+
+@pytest.mark.parametrize("model, b", sorted(CRIT_BITS))
+def test_critical_set_keeps_its_bits(model, b):
+    crit = critical_set(CRIT_LAWS[model], b)
+    assert (crit.beta_c.hex(), crit.beta_0.hex(), crit.gamma_c.hex(),
+            crit.gamma_0.hex(), tuple(x.hex() for x in crit.gamma_0_bracket)) \
+        == CRIT_BITS[model, b]
+
+
+@pytest.mark.parametrize("lo", [0.0, 1e-9])
+@pytest.mark.parametrize("k", [1, 75, _SCAN_STEPS])
+@pytest.mark.parametrize("at_root", [False, True])
+def test_first_bracket_evaluates_the_grid_only_up_to_the_sign_change(
+        lo, k, at_root):
+    grid = [lo + (_CAP - lo) * j / _SCAN_STEPS for j in range(_SCAN_STEPS + 1)]
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if at_root and x == grid[k]:
+            return 0.0
+        return -1.0 if x < grid[k] else 1.0
+
+    assert _first_bracket(f, lo) == (grid[k - 1], grid[k])
+    assert calls == grid[:k + 1]
+
+
+def test_first_bracket_raises_after_the_whole_grid():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0
+
+    with pytest.raises(NoBracket):
+        _first_bracket(f, 1e-9)
+    assert len(calls) == _SCAN_STEPS + 1
