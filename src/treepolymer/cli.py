@@ -346,12 +346,13 @@ def cmd_diagram(cfg: dict) -> int:
             labels.append(region)
             lines.append(beta_text + gamma_text
                          + (texts.get(region) or region + "," + repr(f)))
-            if replicas:
-                est = mc.estimate_free_energy(mc.ExperimentPlan(
-                    spec=law(beta, gamma), b=b, n=cfg["n"],
-                    replicas=replicas, seed=cfg["seed"], node_budget=budget,
-                    keep_values=False))
-                lines[-1] += "," + ",".join(map(_fmt, (est.mean, *est.ci95)))
+    if replicas:
+        specs = [law(beta, gamma) for gamma in gammas for beta in betas]
+        ests = mc.estimate_free_energy_cells(mc.ExperimentPlan(
+            spec=specs[0], b=b, n=cfg["n"], replicas=replicas,
+            seed=cfg["seed"], node_budget=budget), specs)
+        for i, est in enumerate(ests, start=2):
+            lines[i] += "," + ",".join(map(_fmt, (est.mean, *est.ci95)))
     out = cfg["out"]
     _write(out + ".csv", "\n".join(lines) + "\n")
     color = {k: bytes(v) for k, v in _REGION_COLORS.items()}
@@ -431,7 +432,9 @@ def cmd_simulate(cfg: dict) -> int:
             predicted = phase.predicted_w_rate(spec, b)
         rows.append(experiment_row(cfg["model"], b, spec, n, replicas, seed,
                                    functional, est, predicted, rep.region))
-        results[functional] = {**est.to_dict(), "predicted": predicted,
+        summary = {k: v for k, v in vars(est).items()
+                   if k not in ("values", "value_ses")}
+        results[functional] = {**summary, "predicted": predicted,
                                "region": rep.region}
         _say(f"{functional}: mean {est.mean:.6f} +- {est.std_error:.6f}  "
              f"predicted {predicted:.6f} [{rep.region}]  "

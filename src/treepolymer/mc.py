@@ -20,8 +20,8 @@ from .env import _WORK, EnvironmentSpec, _weight
 from .errors import BudgetExceeded, CoupledLaw, DomainError
 from .rng import TreeStream, node_offset
 from .sim import (_SLAB_DRAWS, DEFAULT_NODE_BUDGET, _batch_weights,
-                  _column_z, _workspace, _zscore, closed_form_second_moment,
-                  dfs_evaluate)
+                  _column_z, _evaluate_cells, _workspace, _zscore,
+                  closed_form_second_moment, dfs_evaluate)
 
 # Phase-resample streams live in a replica range far above any omega index.
 _PHASE_REPLICA_BASE = 1 << 32
@@ -37,16 +37,6 @@ class McEstimate:
     excluded_count: int = 0
     values: list | None = None         # per replica in order, -inf if excluded
     value_ses: list | None = None      # filled by ratio4
-
-    def to_dict(self) -> dict:
-        return {
-            "replicas": self.replicas,
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "ci95": list(self.ci95),
-            "median": self.median,
-            "excluded_count": self.excluded_count,
-        }
 
 
 @dataclass
@@ -82,12 +72,23 @@ def _estimate(values: list[float], excluded: int) -> McEstimate:
         excluded_count=excluded)
 
 
+def _replica_estimate(raw: list[float], functional: str) -> McEstimate:
+    """The estimate from one value per replica, in replica order.  A value
+    of -inf (a sum that is exactly 0) is excluded and counted; nan or +inf,
+    from float64 overflow or a refused underflow loss (see
+    sim.FunctionalSet), is refused."""
+    for r, v in enumerate(raw):
+        if math.isnan(v) or v == math.inf:
+            raise DomainError(f"{functional} is {v} in replica {r}: "
+                              "float64 overflow or underflow")
+    kept = [v for v in raw if v != -math.inf]
+    return _estimate(kept, len(raw) - len(kept))
+
+
 def _free_energy(plan: ExperimentPlan, include_w: bool) -> McEstimate:
     """Estimate from one value per replica, mapped serially or on
-    ``plan.threads`` threads.  A value of -inf (a sum that is exactly 0) is
-    excluded and counted; nan or +inf, from float64 overflow or a refused
-    underflow loss (see sim.FunctionalSet), is refused.  `values`, if kept,
-    holds every replica's value in order."""
+    ``plan.threads`` threads, under _replica_estimate's rules.  `values`,
+    if kept, holds every replica's value in order."""
     plan.check()
     if plan.n < 1:
         raise DomainError("free energy needs n >= 1")
@@ -106,13 +107,8 @@ def _free_energy(plan: ExperimentPlan, include_w: bool) -> McEstimate:
     else:
         with ThreadPoolExecutor(max_workers=plan.threads) as pool:
             raw = list(pool.map(one, replicas))
-    functional = "w_free_energy" if include_w else "free_energy"
-    for r, v in enumerate(raw):
-        if math.isnan(v) or v == math.inf:
-            raise DomainError(f"{functional} is {v} in replica {r}: "
-                              "float64 overflow or underflow")
-    kept = [v for v in raw if v != -math.inf]
-    est = _estimate(kept, len(raw) - len(kept))
+    est = _replica_estimate(
+        raw, "w_free_energy" if include_w else "free_energy")
     if plan.keep_values:
         est.values = raw
     return est
@@ -127,6 +123,22 @@ def estimate_free_energy(plan: ExperimentPlan) -> McEstimate:
 def estimate_w_free_energy(plan: ExperimentPlan) -> McEstimate:
     """Mean of (1/2n) ln W_n over independent radius environments."""
     return _free_energy(plan, True)
+
+
+def estimate_free_energy_cells(plan: ExperimentPlan,
+                               specs: list) -> list[McEstimate]:
+    """estimate_free_energy(plan) with each law of specs in place of
+    plan.spec, serially and without values, bit for bit: each replica's tree
+    is walked once for a block of laws (sim._evaluate_cells)."""
+    plan.check()
+    if plan.n < 1:
+        raise DomainError("free energy needs n >= 1")
+    raw = [[fs.ln_abs_z / plan.n for fs in _evaluate_cells(
+                specs, plan.b, plan.n, TreeStream(plan.seed, r),
+                node_budget=plan.node_budget, include_w=False)]
+           for r in range(plan.replicas)]
+    return [_replica_estimate([row[c] for row in raw], "free_energy")
+            for c in range(len(specs))]
 
 
 def batch_z_values(spec: EnvironmentSpec, b: int, n: int, seed: int,

@@ -29,22 +29,35 @@ that negative zeros sum to -0.0, not +0.0): first over each of the b^k
 bottom subtrees of at most ``_BLOCK_LEAVES`` leaves, in index order, then
 once over the top k generations, from the block roots aligned on each
 field's largest exponent.  Each sweep transforms its widest generation's
-draws in one call and all the generations above it in a second, so a tree
-within one block makes at most two Philox and two transform calls.
+draws in one call per law and all the generations above it in a second, so
+a tree within one block makes at most two Philox and two transform calls
+per law.
 
-Memory is O(b^d + b^k) for blocks of depth d and k = n - d, in one
-workspace per thread (``_Workspace``, held in a ``threading.local`` as
-``rng`` holds its Philox generator) that lives as long as its thread.  It
-has one array per role (draw words, radii and weights, the transforms'
-work rows, each field over a sweep's generations, a level's products and
-parent-wide sums, ``_column_z``'s columns and one array per nesting
-depth), grown to the largest size the role has needed and used through
-slices: 2.9 MiB for the level sweep of a depth-20 tree with W at b = 2,
-10.5 MiB for 10^4 batch replicas at n = 9.  Every level forms its
-products, sibling sums and rescalings in place, and the transforms write
-into the workspace, so a warm evaluation allocates only Philox output and
-the root values, which it copies out as Python numbers; ``_column_z``
-returns its columns' Z_n in a new array.
+The sweep has a cell axis: ``_evaluate_cells`` walks one tree for a list
+of laws, such as a diagram's cells, which all read the same Philox words:
+one column per law, max(1, _BLOCK_LEAVES // b^n) per sweep, each node
+range drawn once and transformed by each law into its own contiguous row
+of cell-major fields, so exp, cos and sin run numpy's contiguous loops.
+The recursions read the fields through (nodes, columns) transposes, whose
+element-wise loops still run along the rows.  Exponents are per field,
+generation and column: Python ints for one column (``dfs_evaluate``), so a
+small tree's bookkeeping stays scalar-cheap, and (1, C) int arrays for C.
+A column runs its law's float operations in the same order as alone, so
+every cell keeps its bits and depends on no other column.
+
+Memory is O(C (b^d + b^k)) for C columns and blocks of depth d and
+k = n - d, in one workspace per thread (``_Workspace``, held in a
+``threading.local`` as ``rng`` holds its Philox generator) that lives as
+long as its thread.  It has one array per role (draw words, radii and
+weights, the transforms' work rows, each field over a sweep's generations,
+a level's products and parent-wide sums, ``_column_z``'s columns and one
+array per nesting depth), grown to the largest size the role has needed
+and used through slices: 2.9 MiB for the level sweep of a depth-20 tree
+with W at b = 2, 10.5 MiB for 10^4 batch replicas at n = 9.  Every level
+forms its products, sibling sums and rescalings in place, and the
+transforms write into the workspace, so a warm evaluation allocates only
+Philox output and the root values, which it copies out as Python numbers;
+``_column_z`` returns its columns' Z_n in a new array.
 
 Every sweep forms xi * Z with numpy's complex array product and scales Z by
 its modulus, so the block size moves no bit of Z while no value turns
@@ -113,14 +126,15 @@ class FunctionalSet:
 
 class _Workspace(dict):
     """One thread's work arrays by role, each grown to the largest size its
-    role has needed and handed out as a leading slice.  A role has one use
-    live at a time."""
+    role has needed and handed out as a leading slice, shaped (rows, size)
+    for more than one row.  A role has one use live at a time."""
 
-    def take(self, role: str, size: int, dtype=np.float64) -> np.ndarray:
+    def take(self, role: str, size: int, dtype=np.float64,
+             rows: int = 1) -> np.ndarray:
         a = self.get(role)
-        if a is None or len(a) < size:
-            a = self[role] = np.empty(size, dtype=dtype)
-        return a[:size]
+        if a is None or len(a) < rows * size:
+            a = self[role] = np.empty(rows * size, dtype=dtype)
+        return a[:size] if rows == 1 else a[:rows * size].reshape(rows, size)
 
 
 _local = threading.local()
@@ -146,16 +160,24 @@ def _draw(ws: _Workspace, spec, raw: np.ndarray,
                   ws.take("work", _WORK * n).reshape(_WORK, n)))
 
 
-def _renorm(x: np.ndarray, e: int, size: np.ndarray, top: int = 0) -> int:
-    """Rescale x in place by the power of two that brings max(size) into
-    [2^(top-1), 2^top); return the exponent e of x's new scale."""
-    mx = float(size.max())
-    if mx <= 0.0 or not math.isfinite(mx):
-        return e
-    k = math.frexp(mx)[1] - top
-    if k:
-        v = x.view(np.float64) if x.dtype.kind == "c" else x
-        np.ldexp(v, -k, out=v)   # part by part for complex x: exact
+def _renorm(x: np.ndarray, e, size: np.ndarray, top: int = 0):
+    """Rescale each column of x in place by the power of two that brings the
+    max of size's column into [2^(top-1), 2^top); return the columns' new
+    exponents e.  One column is a 1-D x and a Python int e; C columns are a
+    (nodes, C) x and a (1, C) int array e."""
+    if x.ndim == 1:
+        mx = float(np.maximum.reduce(size))
+        if mx <= 0.0 or not math.isfinite(mx):
+            return e
+        k = math.frexp(mx)[1] - top
+        if k:
+            v = x.view(np.float64) if x.dtype.kind == "c" else x
+            np.ldexp(v, -k, out=v)   # part by part for complex x: exact
+        return e + k
+    mx = np.maximum.reduce(size, axis=0, keepdims=True)
+    k = np.where((mx > 0.0) & (mx < math.inf), np.frexp(mx)[1] - top, 0)
+    for v in (x.real, x.imag) if x.dtype.kind == "c" else (x,):
+        np.ldexp(v, -k, out=v)
     return e + k
 
 
@@ -197,44 +219,72 @@ def _block_depth(b: int, n: int) -> int:
     return d
 
 
+def _draw_rows(ws: _Workspace, specs: list, raw: np.ndarray):
+    """_draw for each law of specs, into one contiguous row per law, as
+    (words, laws) views; 1-D for one law."""
+    if len(specs) == 1:
+        return _draw(ws, specs[0], raw)
+    n = len(raw)
+    r, xi = ws.take("r", n, rows=len(specs)), ws.take(
+        "xi", n, np.complex128, len(specs))
+    work = ws.take("work", _WORK * n).reshape(_WORK, n)
+    for spec, row, xi_row in zip(specs, r, xi):
+        spec.radius_weight_from_raw(raw, out=(row, xi_row, work))
+    return r.T, xi.T
+
+
+def _column(x) -> list:
+    """An exponent or a q^h mantissa of _sweep as a list over its columns."""
+    return x[0].tolist() if isinstance(x, np.ndarray) else [x]
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
-           m: list, e: list, t: tuple[float, int], q: float, include_w: bool,
-           corrupt: bool) -> tuple[list, list, tuple[float, int]]:
+def _sweep(specs: list, b: int, stream: TreeStream, g0: int, i0: int,
+           levels: int, m: list, e: list, t: tuple, q: list,
+           include_w: bool, corrupt: bool) -> tuple[list, list, tuple]:
     """Apply the per-node recursions `levels` times, from the b**levels
-    generation-(g0 + levels) nodes under node (g0, i0) up to that node.
+    generation-(g0 + levels) nodes under node (g0, i0) up to that node, in
+    one column per law of specs.
 
     m holds the values of (Z, Z(|xi|), Z(|xi|^2), W) over those nodes, as
-    numbers or sequences, and e their exponents; t is (mantissa, exponent)
-    of q^h for their height h, advanced only with W.  Each field lives in a
-    workspace array over the sweep's generations, generation j (0 at node
-    (g0, i0)) at [node_offset(b, j), node_offset(b, j + 1)); each level
-    forms its products in place over its generation and sums siblings into
-    the parents'.  The root values are returned as Python numbers.
-    The widest generation is drawn and transformed alone; after its level,
-    every generation above it is transformed in one call, from one counter
-    range when node (g0, i0) is the root, so a sweep makes at most two
-    transform calls.
+    numbers or (nodes, columns) nestings; e their exponents and t the
+    mantissas and exponents of q^h for their height h (advanced only with
+    W), as lists over the columns, as the root values are returned; q the
+    columns' dampings.  Each field lives in a workspace array over the
+    sweep's generations, generation j (0 at node (g0, i0)) at
+    [node_offset(b, j), node_offset(b, j + 1)); each level forms its
+    products in place over its generation and sums siblings into the
+    parents'.  The widest generation is drawn and transformed alone; after
+    its level, every generation above it in one transform call per column,
+    from one counter range when node (g0, i0) is the root.
     The largest radius goes to [2^479, 2^480), so b-fold sums of squares
     stay finite; an infinite radius's overflow stays, unwarned by numpy.
     A scale-down that squares a positive radius below the normal range
     loses terms of the r^2-weighted sums, which are then refused as nan."""
     ws = _workspace()
+    cols = len(specs)
     size, hi = node_offset(b, levels + 1), node_offset(b, levels)
-    z, za, a2, w = (ws.take("z", size, np.complex128), ws.take("za", size),
-                    ws.take("a2", size), ws.take("w", size))
-    products = ws.take("products", b**levels)        # a level's r * Z(|xi|)
-    parents = ws.take("parents", b**levels // b)     # and a parents-wide sum
+    z = ws.take("z", size, np.complex128, cols).T    # one column is 1-D
+    za, a2, w = (ws.take(role, size, rows=cols).T
+                 for role in ("za", "a2", "w"))
+    products = ws.take("products", b**levels, rows=cols).T  # r * Z(|xi|)
+    parents = ws.take("parents", b**levels // b, rows=cols).T
     fields = (z[hi:], za[hi:], a2[hi:], w[hi:])      # the widest generation
     for f, v in zip(fields, m):
-        f[:] = v
-    ez, ea, ea2, ew = e
-    tm, et = t
+        f[...] = np.reshape(v, f.shape) if isinstance(v, list) else v
+    # exponents: Python numbers for one column, (1, C) arrays for C
+    if cols == 1:
+        vmax, frexp, ldexp, anyof = max, math.frexp, math.ldexp, bool
+        (ez,), (ea,), (ea2,), (ew,), (tm,), (et,), (q,) = *e, *t, q
+    else:
+        vmax, frexp, ldexp, anyof = np.maximum, np.frexp, np.ldexp, np.any
+        ez, ea, ea2, ew, tm, et, q = (np.array(x).reshape(1, cols)
+                                      for x in (*e, *t, q))
     for j in range(levels, 0, -1):
         width = b**j
         if j == levels:
-            r, xi = _draw(ws, spec,
-                          stream.node_block(b, g0 + j, i0 * width, width))
+            r, xi = _draw_rows(ws, specs, stream.node_block(
+                b, g0 + j, i0 * width, width))
         else:
             if j == levels - 1:
                 count = node_offset(b, levels) - 1
@@ -247,7 +297,7 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
                         lo = node_offset(b, g) - 1
                         raw[lo:lo + b**g] = stream.node_block(
                             b, g0 + g, i0 * b**g, b**g)
-                r_up, xi_up = _draw(ws, spec, raw)
+                r_up, xi_up = _draw_rows(ws, specs, raw)
             lo = node_offset(b, j) - 1   # generation g0 + j's first draw
             r, xi = r_up[lo:lo + width], xi_up[lo:lo + width]
         z1, za1, a21, w1 = fields
@@ -255,8 +305,11 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
         fields = z0, za0, a20, w0 = z[lo:hi], za[lo:hi], a2[lo:hi], w[lo:hi]
         hi = lo
         k = _renorm(r, 0, r, _R_TOP)
-        if k > 0 and np.min(r, where=r > 0, initial=1.0) < 2.0**-511:
-            a21[:] = w1[:] = np.nan
+        if anyof(k > 0):
+            lost = (k > 0) & (np.min(r, axis=0, where=r > 0, initial=1.0,
+                                     keepdims=True) < 2.0**-511)
+            np.copyto(a21, np.nan, where=lost)
+            np.copyto(w1, np.nan, where=lost)
         ea, ea2, ew = ea + k, ea2 + 2 * k, ew + 2 * k
         rza = np.multiply(r, za1, out=products[:width])
         np.multiply(r, r, out=r)     # r^2 from here on
@@ -267,8 +320,8 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
                             parents[:width // b])
         _group_sum(np.multiply(r, a21, out=a21), b, a20)
         if include_w:
-            tm, dt = math.frexp(q * tm)
-            et += dt
+            tm, dt = frexp(q * tm)
+            et = et + dt
             _group_sum(np.multiply(r, w1, out=w1), b, w0)   # the diagonal
             pair = np.multiply(za0, za0, out=rza[:width // b])
             pair -= s2
@@ -277,16 +330,19 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int, levels: int,
             if corrupt:
                 pair *= 1.001
             ep = 2 * (ea + et)
-            e_new = max(ew, ep)
-            w0 *= math.ldexp(1.0, ew - e_new)
-            pair *= math.ldexp(1.0, ep - e_new)
+            e_new = vmax(ew, ep)
+            w0 *= ldexp(1.0, ew - e_new)
+            pair *= ldexp(1.0, ep - e_new)
             w0 += pair
             ew = _renorm(w0, e_new, w0)
         ez = _renorm(z0, ez, np.abs(z0, out=parents[:width // b]))
         ea = _renorm(za0, ea, za0)
         ea2 = _renorm(a20, ea2, a20)
-    return ([complex(z[0]), float(za[0]), float(a2[0]),
-             float(w[0]) if include_w else 1.0], [ez, ea, ea2, ew], (tm, et))
+    m = [[f[0].item()] if cols == 1 else f[0].tolist() for f in (z, za, a2, w)]
+    if not include_w:
+        m[3] = [1.0] * cols
+    return m, [_column(x) for x in (ez, ea, ea2, ew)], (_column(tm),
+                                                        _column(et))
 
 
 def _scaled(x, k: int):
@@ -302,25 +358,44 @@ def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
                  _corrupt_w_pair: bool = False) -> FunctionalSet:
     """All root functionals of the depth-n tree: level sweeps over the
     bottom blocks, then one over the block roots."""
+    return _evaluate_cells([spec], b, n, stream, node_budget, include_w,
+                           _corrupt_w_pair)[0]
+
+
+def _evaluate_cells(specs: list, b: int, n: int, stream: TreeStream,
+                    node_budget: int = DEFAULT_NODE_BUDGET,
+                    include_w: bool = True,
+                    corrupt: bool = False) -> list[FunctionalSet]:
+    """dfs_evaluate of one tree for each law of specs, with the bits each
+    gets alone, in sweeps of max(1, _BLOCK_LEAVES // b**n) columns."""
     _check_budget(b, n, node_budget)
-    if include_w and not spec.independent:
+    if include_w and not all(spec.independent for spec in specs):
         raise CoupledLaw("W requires independent radius/phase")
-    q = spec.phase_damping() if include_w else 0.0
     d = _block_depth(b, n)
     k = n - d
-    roots = [_sweep(spec, b, stream, k, i, d, [1.0] * 4, [0] * 4, (1.0, 0), q,
-                    include_w, _corrupt_w_pair)
-             for i in range(b**k)]
-    m, e, t = roots[0]
-    if k:
-        e = [max(root_e[f] for _, root_e, _ in roots) for f in range(4)]
-        m = [[_scaled(root_m[f], root_e[f] - e[f])
-              for root_m, root_e, _ in roots] for f in range(4)]
-        m, e, t = _sweep(spec, b, stream, 0, 0, k, m, e, t, q, include_w,
-                         _corrupt_w_pair)
-    z, za, a2, w = m
-    return _finish([z, za, a2, t[0] * za, w], e[:3] + [t[1] + e[1], e[3]],
-                   n, b, include_w)
+    per = max(1, _BLOCK_LEAVES // b**n)
+    out = []
+    for c0 in range(0, len(specs), per):
+        laws = specs[c0:c0 + per]
+        cols, zeros = range(len(laws)), [0] * len(laws)
+        q = [spec.phase_damping() if include_w else 0.0 for spec in laws]
+        roots = [_sweep(laws, b, stream, k, i, d, [1.0] * 4, [zeros] * 4,
+                        ([1.0] * len(laws), zeros), q, include_w, corrupt)
+                 for i in range(b**k)]
+        m, e, t = roots[0]
+        if k:
+            e = [[max(root_e[f][c] for _, root_e, _ in roots) for c in cols]
+                 for f in range(4)]
+            m = [[[_scaled(root_m[f][c], root_e[f][c] - e[f][c])
+                   for c in cols] for root_m, root_e, _ in roots]
+                 for f in range(4)]
+            m, e, t = _sweep(laws, b, stream, 0, 0, k, m, e, t, q,
+                             include_w, corrupt)
+        (z, za, a2, w), (ez, ea, ea2, ew), (tm, et) = m, e, t
+        out += [_finish([z[c], za[c], a2[c], tm[c] * za[c], w[c]],
+                        [ez[c], ea[c], ea2[c], et[c] + ea[c], ew[c]],
+                        n, b, include_w) for c in cols]
+    return out
 
 
 def _finish(m: list, e: list, n: int, b: int,

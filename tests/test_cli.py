@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from treepolymer import cli, phase, spec_from_config
+from treepolymer import GaussianIndep, cli, mc, phase, spec_from_config
 from treepolymer.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -202,6 +202,33 @@ def test_diagram_with_cell_estimates_extends_the_header(tmp_path, capsys):
     cells = lines[2].split(",")
     assert len(cells) == 7
     assert math.isfinite(float(cells[4]))
+
+
+def test_diagram_estimates_are_the_per_cell_estimates(tmp_path, capsys):
+    # 144 cells at n = 8 fill more than one sweep of 2^14 / 2^8 = 64 cells
+    stem = tmp_path / "est"
+    code, _, _ = run(["diagram", "--grid", "0.1:1.9:12", "--n", "8",
+                      "--replicas", "3", "--seed", "5", "--out", str(stem)],
+                     capsys)
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in
+            stem.with_suffix(".csv").read_text().splitlines()[2:]]
+    assert len(rows) == 144
+    for row in rows:
+        est = mc.estimate_free_energy(mc.ExperimentPlan(
+            spec=GaussianIndep(float(row[0]), float(row[1])), b=2, n=8,
+            replicas=3, seed=5))
+        assert row[4:] == [_fmt(x) for x in (est.mean, *est.ci95)]
+
+
+def test_diagram_refuses_an_overflowing_cell_estimate(tmp_path, capsys):
+    code, out, err = run(["diagram", "--grid", "1000:1000:2,0.5:0.5:1",
+                          "--replicas", "2", "--n", "3",
+                          "--out", str(tmp_path / "x")], capsys)
+    assert code == EXIT_CONFIG and out == ""
+    assert err.splitlines() == ["error: free_energy is nan in replica 0: "
+                                "float64 overflow or underflow"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_diagram_refuses_zero_replicas_from_flag_and_config(tmp_path,
