@@ -348,9 +348,8 @@ def cmd_diagram(cfg: dict) -> int:
                          + (texts.get(region) or region + "," + repr(f)))
     if replicas:
         specs = [law(beta, gamma) for gamma in gammas for beta in betas]
-        ests = mc.estimate_free_energy_cells(mc.ExperimentPlan(
-            spec=specs[0], b=b, n=cfg["n"], replicas=replicas,
-            seed=cfg["seed"], node_budget=budget), specs)
+        ests = mc.estimate_free_energy_cells(specs, b, cfg["n"], replicas,
+                                             cfg["seed"], budget)
         for i, est in enumerate(ests, start=2):
             lines[i] += "," + ",".join(map(_fmt, (est.mean, *est.ci95)))
     out = cfg["out"]

@@ -51,12 +51,15 @@ class ExperimentPlan:
     keep_values: bool = True
 
     def check(self) -> None:
-        if self.replicas < 1:
-            raise DomainError("need at least one replica")
-        if self.b ** (self.n + 1) > self.node_budget:
-            raise BudgetExceeded(
-                f"b^(n+1) = {self.b}^{self.n + 1} exceeds per-tree budget "
-                f"{self.node_budget}")
+        _check_run(self.b, self.n, self.replicas, self.node_budget)
+
+
+def _check_run(b: int, n: int, replicas: int, node_budget: int) -> None:
+    if replicas < 1:
+        raise DomainError("need at least one replica")
+    if b ** (n + 1) > node_budget:
+        raise BudgetExceeded(f"b^(n+1) = {b}^{n + 1} exceeds per-tree budget "
+                             f"{node_budget}")
 
 
 def _estimate(values: list[float], excluded: int) -> McEstimate:
@@ -125,20 +128,19 @@ def estimate_w_free_energy(plan: ExperimentPlan) -> McEstimate:
     return _free_energy(plan, True)
 
 
-def estimate_free_energy_cells(plan: ExperimentPlan,
-                               specs: list) -> list[McEstimate]:
-    """estimate_free_energy(plan) with each law of specs in place of
-    plan.spec, serially and without values, bit for bit: each replica's tree
-    is walked once for a block of laws (sim._evaluate_cells)."""
-    plan.check()
-    if plan.n < 1:
+def estimate_free_energy_cells(specs: list, b: int, n: int, replicas: int,
+                               seed: int, node_budget: int
+                               = DEFAULT_NODE_BUDGET) -> list[McEstimate]:
+    """estimate_free_energy of each law of specs on the same replica trees,
+    serially and without values, bit for bit: each replica's tree is walked
+    once for a block of laws (sim._evaluate_cells)."""
+    _check_run(b, n, replicas, node_budget)
+    if n < 1:
         raise DomainError("free energy needs n >= 1")
-    raw = [[fs.ln_abs_z / plan.n for fs in _evaluate_cells(
-                specs, plan.b, plan.n, TreeStream(plan.seed, r),
-                node_budget=plan.node_budget, include_w=False)]
-           for r in range(plan.replicas)]
-    return [_replica_estimate([row[c] for row in raw], "free_energy")
-            for c in range(len(specs))]
+    raw = [[fs.ln_abs_z / n for fs in _evaluate_cells(
+        specs, b, n, TreeStream(seed, r), node_budget, include_w=False)]
+        for r in range(replicas)]
+    return [_replica_estimate(col, "free_energy") for col in zip(*raw)]
 
 
 def batch_z_values(spec: EnvironmentSpec, b: int, n: int, seed: int,

@@ -12,12 +12,11 @@
                q = |E e^{i theta}| and leaf base W = 1,
 * T_n        = q^n Z_n(|xi|).
 
-A node of height h has damped sum T = q^h Z(|xi|), so the pair term
-q^2 [(sum_x |xi_x| T_x)^2 - sum_x (|xi_x| T_x)^2] is the one above, built
-from the products |xi_x| A_x of Z(|xi|)'s update: no T is carried, only
-the scalar q^h.  The squared-sum identity keeps the pair term O(b) per
-node; the dropped cross terms are exactly the x = x' diagonal, and W
-dominates that diagonal, so the subtraction loses no relative accuracy.
+The pair term is built from the products |xi_x| A_x of Z(|xi|)'s update,
+so only the scalar q^h is carried, not T = q^h Z(|xi|).  The squared-sum
+identity keeps it O(b) per node; the dropped cross terms are exactly the
+x = x' diagonal, which W dominates, so the subtraction loses no relative
+accuracy.
 
 Every quantity, and each generation's radii, is carried as (mantissa,
 base-2 exponent) with exact power-of-two rescaling, one exponent per field
@@ -28,36 +27,29 @@ many-tree ``_column_z``; at b <= 3 its bits are numpy's row sum's, except
 that negative zeros sum to -0.0, not +0.0): first over each of the b^k
 bottom subtrees of at most ``_BLOCK_LEAVES`` leaves, in index order, then
 once over the top k generations, from the block roots aligned on each
-field's largest exponent.  Each sweep transforms its widest generation's
-draws in one call per law and all the generations above it in a second, so
-a tree within one block makes at most two Philox and two transform calls
-per law.
+field's largest exponent.  A sweep draws its widest generation in one
+Philox call and all the generations above it in a second, each transformed
+in one call per law.
 
-The sweep has a cell axis: ``_evaluate_cells`` walks one tree for a list
-of laws, such as a diagram's cells, which all read the same Philox words:
-one column per law, max(1, _BLOCK_LEAVES // b^n) per sweep, each node
-range drawn once and transformed by each law into its own contiguous row
-of cell-major fields, so exp, cos and sin run numpy's contiguous loops.
-The recursions read the fields through (nodes, columns) transposes, whose
-element-wise loops still run along the rows.  Exponents are per field,
-generation and column: Python ints for one column (``dfs_evaluate``), so a
-small tree's bookkeeping stays scalar-cheap, and (1, C) int arrays for C.
-A column runs its law's float operations in the same order as alone, so
-every cell keeps its bits and depends on no other column.
+A sweep has a cell axis: ``_evaluate_cells`` walks a tree of at most
+_BLOCK_LEAVES / 2 leaves once for a block of up to _BLOCK_LEAVES // b^n
+laws, such as a diagram's cells, one column per law; a larger tree is
+walked law by law.  Each law transforms the words into its own contiguous
+row of cell-major fields, so exp, cos and sin run numpy's contiguous
+loops, and the recursions read the rows as (nodes, laws) columns.
+Exponents are per field, generation and column: Python ints for one law,
+so a lone tree's bookkeeping stays scalar-cheap, and (1, C) arrays for C
+laws.  A column runs its law's float operations in their order alone, so
+it keeps its bits and depends on no other column.
 
-Memory is O(C (b^d + b^k)) for C columns and blocks of depth d and
-k = n - d, in one workspace per thread (``_Workspace``, held in a
-``threading.local`` as ``rng`` holds its Philox generator) that lives as
-long as its thread.  It has one array per role (draw words, radii and
-weights, the transforms' work rows, each field over a sweep's generations,
-a level's products and parent-wide sums, ``_column_z``'s columns and one
-array per nesting depth), grown to the largest size the role has needed
-and used through slices: 2.9 MiB for the level sweep of a depth-20 tree
-with W at b = 2, 10.5 MiB for 10^4 batch replicas at n = 9.  Every level
-forms its products, sibling sums and rescalings in place, and the
-transforms write into the workspace, so a warm evaluation allocates only
-Philox output and the root values, which it copies out as Python numbers;
-``_column_z`` returns its columns' Z_n in a new array.
+Memory is O(C (b^d + b^k)) for C laws and blocks of depth d, k = n - d, in
+one workspace per thread (``_Workspace``, in a ``threading.local`` as
+``rng`` holds its Philox generator): one array per role, grown to the
+largest size the role has needed and used through slices, 2.9 MiB for a
+depth-20 tree with W at b = 2 and 10.5 MiB for 10^4 batch replicas at
+n = 9.  Levels work in place and the transforms write into the workspace,
+so a warm evaluation allocates only Philox output and its root values;
+``_column_z`` returns its Z_n in a new array.
 
 Every sweep forms xi * Z with numpy's complex array product and scales Z by
 its modulus, so the block size moves no bit of Z while no value turns
@@ -127,14 +119,14 @@ class FunctionalSet:
 class _Workspace(dict):
     """One thread's work arrays by role, each grown to the largest size its
     role has needed and handed out as a leading slice, shaped (rows, size)
-    for more than one row.  A role has one use live at a time."""
+    if rows are given.  A role has one use live at a time."""
 
     def take(self, role: str, size: int, dtype=np.float64,
-             rows: int = 1) -> np.ndarray:
+             rows: int | None = None) -> np.ndarray:
         a = self.get(role)
-        if a is None or len(a) < rows * size:
-            a = self[role] = np.empty(rows * size, dtype=dtype)
-        return a[:size] if rows == 1 else a[:rows * size].reshape(rows, size)
+        if a is None or len(a) < (rows or 1) * size:
+            a = self[role] = np.empty((rows or 1) * size, dtype=dtype)
+        return a[:size] if rows is None else a[:rows * size].reshape(rows, size)
 
 
 _local = threading.local()
@@ -151,20 +143,26 @@ def _workspace() -> _Workspace:
 def _draw(ws: _Workspace, spec, raw: np.ndarray,
           xi: np.ndarray | None = None):
     """(|xi|, xi) of the words raw, transformed in the workspace ws; xi goes
-    into the given array, if any."""
+    into the given array, if any.  For a list of laws, each law transforms
+    the words into its own contiguous row, read through (words, laws)
+    views."""
     n = len(raw)
+    work = ws.take("work", _WORK * n).reshape(_WORK, n)
+    if isinstance(spec, list):
+        r, xi = ws.take("r", n, rows=len(spec)), ws.take(
+            "xi", n, np.complex128, len(spec))
+        for law, r_row, xi_row in zip(spec, r, xi):
+            law.radius_weight_from_raw(raw, out=(r_row, xi_row, work))
+        return r.T, xi.T
     if xi is None:
         xi = ws.take("xi", n, np.complex128)
-    return spec.radius_weight_from_raw(
-        raw, out=(ws.take("r", n), xi,
-                  ws.take("work", _WORK * n).reshape(_WORK, n)))
+    return spec.radius_weight_from_raw(raw, out=(ws.take("r", n), xi, work))
 
 
 def _renorm(x: np.ndarray, e, size: np.ndarray, top: int = 0):
     """Rescale each column of x in place by the power of two that brings the
-    max of size's column into [2^(top-1), 2^top); return the columns' new
-    exponents e.  One column is a 1-D x and a Python int e; C columns are a
-    (nodes, C) x and a (1, C) int array e."""
+    max of size's column into [2^(top-1), 2^top); return the new exponents
+    e: an int for a 1-D x, a (1, C) array for a (nodes, C) x."""
     if x.ndim == 1:
         mx = float(np.maximum.reduce(size))
         if mx <= 0.0 or not math.isfinite(mx):
@@ -212,78 +210,44 @@ def _check_budget(b: int, n: int, node_budget: int) -> None:
             f"b^(n+1) = {b}^{n + 1} exceeds node budget {node_budget}")
 
 
-def _block_depth(b: int, n: int) -> int:
-    d = 0
-    while d < n and b ** (d + 1) <= _BLOCK_LEAVES:
-        d += 1
-    return d
-
-
-def _draw_rows(ws: _Workspace, specs: list, raw: np.ndarray):
-    """_draw for each law of specs, into one contiguous row per law, as
-    (words, laws) views; 1-D for one law."""
-    if len(specs) == 1:
-        return _draw(ws, specs[0], raw)
-    n = len(raw)
-    r, xi = ws.take("r", n, rows=len(specs)), ws.take(
-        "xi", n, np.complex128, len(specs))
-    work = ws.take("work", _WORK * n).reshape(_WORK, n)
-    for spec, row, xi_row in zip(specs, r, xi):
-        spec.radius_weight_from_raw(raw, out=(row, xi_row, work))
-    return r.T, xi.T
-
-
-def _column(x) -> list:
-    """An exponent or a q^h mantissa of _sweep as a list over its columns."""
-    return x[0].tolist() if isinstance(x, np.ndarray) else [x]
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep(specs: list, b: int, stream: TreeStream, g0: int, i0: int,
-           levels: int, m: list, e: list, t: tuple, q: list,
-           include_w: bool, corrupt: bool) -> tuple[list, list, tuple]:
+def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int,
+           levels: int, m: list, e: list, t: tuple, q, include_w: bool,
+           corrupt: bool) -> tuple[list, list, tuple]:
     """Apply the per-node recursions `levels` times, from the b**levels
-    generation-(g0 + levels) nodes under node (g0, i0) up to that node, in
-    one column per law of specs.
+    generation-(g0 + levels) nodes under node (g0, i0) up to that node.
 
     m holds the values of (Z, Z(|xi|), Z(|xi|^2), W) over those nodes, as
-    numbers or (nodes, columns) nestings; e their exponents and t the
-    mantissas and exponents of q^h for their height h (advanced only with
-    W), as lists over the columns, as the root values are returned; q the
-    columns' dampings.  Each field lives in a workspace array over the
-    sweep's generations, generation j (0 at node (g0, i0)) at
-    [node_offset(b, j), node_offset(b, j + 1)); each level forms its
-    products in place over its generation and sums siblings into the
-    parents'.  The widest generation is drawn and transformed alone; after
-    its level, every generation above it in one transform call per column,
-    from one counter range when node (g0, i0) is the root.
+    numbers or sequences, and e their exponents; t is (mantissa, exponent)
+    of q^h for their height h, advanced only with W.  For one law spec
+    they are Python numbers, as are the root values returned; for a list of
+    C laws, e, t and the dampings q are (1, C) arrays and each root value a
+    list over the laws.  Generation j (0 at node (g0, i0)) of a field lies
+    at [node_offset(b, j), node_offset(b, j + 1)) of its workspace array.
     The largest radius goes to [2^479, 2^480), so b-fold sums of squares
     stay finite; an infinite radius's overflow stays, unwarned by numpy.
     A scale-down that squares a positive radius below the normal range
     loses terms of the r^2-weighted sums, which are then refused as nan."""
     ws = _workspace()
-    cols = len(specs)
+    rows = len(spec) if isinstance(spec, list) else None
     size, hi = node_offset(b, levels + 1), node_offset(b, levels)
-    z = ws.take("z", size, np.complex128, cols).T    # one column is 1-D
-    za, a2, w = (ws.take(role, size, rows=cols).T
+    z = ws.take("z", size, np.complex128, rows).T
+    za, a2, w = (ws.take(role, size, rows=rows).T
                  for role in ("za", "a2", "w"))
-    products = ws.take("products", b**levels, rows=cols).T  # r * Z(|xi|)
-    parents = ws.take("parents", b**levels // b, rows=cols).T
+    products = ws.take("products", b**levels, rows=rows).T  # r * Z(|xi|)
+    parents = ws.take("parents", b**levels // b, rows=rows).T
     fields = (z[hi:], za[hi:], a2[hi:], w[hi:])      # the widest generation
     for f, v in zip(fields, m):
-        f[...] = np.reshape(v, f.shape) if isinstance(v, list) else v
-    # exponents: Python numbers for one column, (1, C) arrays for C
-    if cols == 1:
-        vmax, frexp, ldexp, anyof = max, math.frexp, math.ldexp, bool
-        (ez,), (ea,), (ea2,), (ew,), (tm,), (et,), (q,) = *e, *t, q
-    else:
-        vmax, frexp, ldexp, anyof = np.maximum, np.frexp, np.ldexp, np.any
-        ez, ea, ea2, ew, tm, et, q = (np.array(x).reshape(1, cols)
-                                      for x in (*e, *t, q))
+        f[:] = v
+    ez, ea, ea2, ew = e
+    tm, et = t
+    vmax, frexp, ldexp, anyof = ((max, math.frexp, math.ldexp, bool)
+                                 if rows is None else
+                                 (np.maximum, np.frexp, np.ldexp, np.any))
     for j in range(levels, 0, -1):
         width = b**j
         if j == levels:
-            r, xi = _draw_rows(ws, specs, stream.node_block(
+            r, xi = _draw(ws, spec, stream.node_block(
                 b, g0 + j, i0 * width, width))
         else:
             if j == levels - 1:
@@ -297,7 +261,7 @@ def _sweep(specs: list, b: int, stream: TreeStream, g0: int, i0: int,
                         lo = node_offset(b, g) - 1
                         raw[lo:lo + b**g] = stream.node_block(
                             b, g0 + g, i0 * b**g, b**g)
-                r_up, xi_up = _draw_rows(ws, specs, raw)
+                r_up, xi_up = _draw(ws, spec, raw)
             lo = node_offset(b, j) - 1   # generation g0 + j's first draw
             r, xi = r_up[lo:lo + width], xi_up[lo:lo + width]
         z1, za1, a21, w1 = fields
@@ -315,11 +279,10 @@ def _sweep(specs: list, b: int, stream: TreeStream, g0: int, i0: int,
         np.multiply(r, r, out=r)     # r^2 from here on
         _group_sum(np.multiply(xi, z1, out=xi), b, z0)
         _group_sum(rza, b, za0)
+        _group_sum(np.multiply(r, a21, out=a21), b, a20)
         if include_w:
             s2 = _group_sum(np.multiply(rza, rza, out=rza), b,
                             parents[:width // b])
-        _group_sum(np.multiply(r, a21, out=a21), b, a20)
-        if include_w:
             tm, dt = frexp(q * tm)
             et = et + dt
             _group_sum(np.multiply(r, w1, out=w1), b, w0)   # the diagonal
@@ -338,11 +301,9 @@ def _sweep(specs: list, b: int, stream: TreeStream, g0: int, i0: int,
         ez = _renorm(z0, ez, np.abs(z0, out=parents[:width // b]))
         ea = _renorm(za0, ea, za0)
         ea2 = _renorm(a20, ea2, a20)
-    m = [[f[0].item()] if cols == 1 else f[0].tolist() for f in (z, za, a2, w)]
     if not include_w:
-        m[3] = [1.0] * cols
-    return m, [_column(x) for x in (ez, ea, ea2, ew)], (_column(tm),
-                                                        _column(et))
+        w[0] = 1.0       # as at a leaf
+    return [f[0].tolist() for f in (z, za, a2, w)], [ez, ea, ea2, ew], (tm, et)
 
 
 def _scaled(x, k: int):
@@ -358,43 +319,52 @@ def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
                  _corrupt_w_pair: bool = False) -> FunctionalSet:
     """All root functionals of the depth-n tree: level sweeps over the
     bottom blocks, then one over the block roots."""
-    return _evaluate_cells([spec], b, n, stream, node_budget, include_w,
-                           _corrupt_w_pair)[0]
+    _check_budget(b, n, node_budget)
+    if include_w and not spec.independent:
+        raise CoupledLaw("W requires independent radius/phase")
+    q = spec.phase_damping() if include_w else 0.0
+    d = next(j for j in range(n, -1, -1) if b**j <= _BLOCK_LEAVES)
+    k = n - d
+    roots = [_sweep(spec, b, stream, k, i, d, [1.0] * 4, [0] * 4, (1.0, 0),
+                    q, include_w, _corrupt_w_pair) for i in range(b**k)]
+    m, e, t = roots[0]
+    if k:
+        e = [max(root_e[f] for _, root_e, _ in roots) for f in range(4)]
+        m = [[_scaled(root_m[f], root_e[f] - e[f])
+              for root_m, root_e, _ in roots] for f in range(4)]
+        m, e, t = _sweep(spec, b, stream, 0, 0, k, m, e, t, q, include_w,
+                         _corrupt_w_pair)
+    z, za, a2, w = m
+    return _finish([z, za, a2, t[0] * za, w], e[:3] + [t[1] + e[1], e[3]],
+                   n, b, include_w)
 
 
 def _evaluate_cells(specs: list, b: int, n: int, stream: TreeStream,
                     node_budget: int = DEFAULT_NODE_BUDGET,
-                    include_w: bool = True,
-                    corrupt: bool = False) -> list[FunctionalSet]:
+                    include_w: bool = True) -> list[FunctionalSet]:
     """dfs_evaluate of one tree for each law of specs, with the bits each
-    gets alone, in sweeps of max(1, _BLOCK_LEAVES // b**n) columns."""
+    gets alone: a tree of at most _BLOCK_LEAVES / 2 leaves is one sweep for
+    up to _BLOCK_LEAVES // b**n laws, a column each."""
     _check_budget(b, n, node_budget)
+    per = _BLOCK_LEAVES // b**n
+    if per < 2:
+        return [dfs_evaluate(spec, b, n, stream, node_budget, include_w)
+                for spec in specs]
     if include_w and not all(spec.independent for spec in specs):
         raise CoupledLaw("W requires independent radius/phase")
-    d = _block_depth(b, n)
-    k = n - d
-    per = max(1, _BLOCK_LEAVES // b**n)
     out = []
     for c0 in range(0, len(specs), per):
         laws = specs[c0:c0 + per]
-        cols, zeros = range(len(laws)), [0] * len(laws)
-        q = [spec.phase_damping() if include_w else 0.0 for spec in laws]
-        roots = [_sweep(laws, b, stream, k, i, d, [1.0] * 4, [zeros] * 4,
-                        ([1.0] * len(laws), zeros), q, include_w, corrupt)
-                 for i in range(b**k)]
-        m, e, t = roots[0]
-        if k:
-            e = [[max(root_e[f][c] for _, root_e, _ in roots) for c in cols]
-                 for f in range(4)]
-            m = [[[_scaled(root_m[f][c], root_e[f][c] - e[f][c])
-                   for c in cols] for root_m, root_e, _ in roots]
-                 for f in range(4)]
-            m, e, t = _sweep(laws, b, stream, 0, 0, k, m, e, t, q,
-                             include_w, corrupt)
-        (z, za, a2, w), (ez, ea, ea2, ew), (tm, et) = m, e, t
+        q = np.array([[spec.phase_damping() if include_w else 0.0
+                       for spec in laws]])
+        zero = np.zeros(q.shape, dtype=np.int64)
+        (z, za, a2, w), e, (tm, et) = _sweep(
+            laws, b, stream, 0, 0, n, [1.0] * 4, [zero] * 4,
+            (np.ones(q.shape), zero), q, include_w, False)
+        ez, ea, ea2, ew, tm, et = (x[0].tolist() for x in (*e, tm, et))
         out += [_finish([z[c], za[c], a2[c], tm[c] * za[c], w[c]],
                         [ez[c], ea[c], ea2[c], et[c] + ea[c], ew[c]],
-                        n, b, include_w) for c in cols]
+                        n, b, include_w) for c in range(len(laws))]
     return out
 
 
@@ -526,10 +496,8 @@ def _ln_geom_sum(ln_x: float, n: int) -> float:
 
 
 def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
+    if a == -math.inf or b == -math.inf:
+        return b if a == -math.inf else a
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
 
@@ -670,14 +638,11 @@ def trace_depths(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
     for depth in range(1, n + 1):
         fs = dfs_evaluate(spec, b, depth, stream, node_budget=node_budget,
                           include_w=include_w)
-        row = {
-            "n": depth,
-            "ln_abs_z_over_n": fs.ln_abs_z / depth,
-            "ln_z_abs_over_n": fs.ln_z_abs / depth,
-            "ln_z_abs2_over_n": fs.ln_z_abs2 / depth,
-            "ln_w_cond_over_2n": (fs.ln_w_cond / (2.0 * depth))
-                                 if fs.ln_w_cond is not None else None,
-        }
+        row = {"n": depth, "ln_abs_z_over_n": fs.ln_abs_z / depth,
+               "ln_z_abs_over_n": fs.ln_z_abs / depth,
+               "ln_z_abs2_over_n": fs.ln_z_abs2 / depth,
+               "ln_w_cond_over_2n": None if fs.ln_w_cond is None
+               else fs.ln_w_cond / (2.0 * depth)}
         for col, v in row.items():
             if v is not None and not v < math.inf:
                 raise DomainError(f"trace {col} is {v} at depth {depth}: "
