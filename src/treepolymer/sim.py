@@ -12,11 +12,12 @@
                q = |E e^{i theta}| and leaf base W = 1,
 * T_n        = q^n Z_n(|xi|).
 
-The pair term is built from the products |xi_x| A_x of Z(|xi|)'s update,
-so only the scalar q^h is carried, not T = q^h Z(|xi|).  The squared-sum
-identity keeps it O(b) per node; the dropped cross terms are exactly the
-x = x' diagonal, which W dominates, so the subtraction loses no relative
-accuracy.
+A node of height h has damped sum T = q^h Z(|xi|), so the pair term
+q^2 [(sum_x |xi_x| T_x)^2 - sum_x (|xi_x| T_x)^2] is the one above, built
+from the products |xi_x| A_x of Z(|xi|)'s update: no T is carried, only
+the scalar q^h.  The squared-sum identity keeps the pair term O(b) per
+node; the dropped cross terms are exactly the x = x' diagonal, and W
+dominates that diagonal, so the subtraction loses no relative accuracy.
 
 Every quantity, and each generation's radii, is carried as (mantissa,
 base-2 exponent) with exact power-of-two rescaling, one exponent per field
@@ -42,14 +43,19 @@ so a lone tree's bookkeeping stays scalar-cheap, and (1, C) arrays for C
 laws.  A column runs its law's float operations in their order alone, so
 it keeps its bits and depends on no other column.
 
-Memory is O(C (b^d + b^k)) for C laws and blocks of depth d, k = n - d, in
-one workspace per thread (``_Workspace``, in a ``threading.local`` as
-``rng`` holds its Philox generator): one array per role, grown to the
-largest size the role has needed and used through slices, 2.9 MiB for a
-depth-20 tree with W at b = 2 and 10.5 MiB for 10^4 batch replicas at
-n = 9.  Levels work in place and the transforms write into the workspace,
-so a warm evaluation allocates only Philox output and its root values;
-``_column_z`` returns its Z_n in a new array.
+Memory is O(C (b^d + b^k)) for C laws and blocks of depth d and
+k = n - d, in one workspace per thread (``_Workspace``, held in a
+``threading.local`` as ``rng`` holds its Philox generator) that lives as
+long as its thread.  It has one array per role (draw words, radii and
+weights, the transforms' work rows, each field over a sweep's generations,
+a level's products and parent-wide sums, ``_column_z``'s columns and one
+array per nesting depth), grown to the largest size the role has needed
+and used through slices: 2.9 MiB for the level sweep of a depth-20 tree
+with W at b = 2, 10.5 MiB for 10^4 batch replicas at n = 9.  Every level
+forms its products, sibling sums and rescalings in place, and the
+transforms write into the workspace, so a warm evaluation allocates only
+Philox output and the root values, which it copies out as Python numbers;
+``_column_z`` returns its columns' Z_n in a new array.
 
 Every sweep forms xi * Z with numpy's complex array product and scales Z by
 its modulus, so the block size moves no bit of Z while no value turns
@@ -210,6 +216,13 @@ def _check_budget(b: int, n: int, node_budget: int) -> None:
             f"b^(n+1) = {b}^{n + 1} exceeds node budget {node_budget}")
 
 
+def _block_depth(b: int, n: int) -> int:
+    d = 0
+    while d < n and b ** (d + 1) <= _BLOCK_LEAVES:
+        d += 1
+    return d
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int,
            levels: int, m: list, e: list, t: tuple, q, include_w: bool,
@@ -220,8 +233,9 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int,
     m holds the values of (Z, Z(|xi|), Z(|xi|^2), W) over those nodes, as
     numbers or sequences, and e their exponents; t is (mantissa, exponent)
     of q^h for their height h, advanced only with W.  For one law spec
-    they are Python numbers, as are the root values returned; for a list of
-    C laws, e, t and the dampings q are (1, C) arrays and each root value a
+    they are Python numbers, as are the root values returned.  For a list
+    of C laws, q is a (1, C) array of their dampings, e and t turn into
+    (1, C) arrays as the levels rescale them, and each root value is a
     list over the laws.  Generation j (0 at node (g0, i0)) of a field lies
     at [node_offset(b, j), node_offset(b, j + 1)) of its workspace array.
     The largest radius goes to [2^479, 2^480), so b-fold sums of squares
@@ -279,10 +293,11 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int,
         np.multiply(r, r, out=r)     # r^2 from here on
         _group_sum(np.multiply(xi, z1, out=xi), b, z0)
         _group_sum(rza, b, za0)
-        _group_sum(np.multiply(r, a21, out=a21), b, a20)
         if include_w:
             s2 = _group_sum(np.multiply(rza, rza, out=rza), b,
                             parents[:width // b])
+        _group_sum(np.multiply(r, a21, out=a21), b, a20)
+        if include_w:
             tm, dt = frexp(q * tm)
             et = et + dt
             _group_sum(np.multiply(r, w1, out=w1), b, w0)   # the diagonal
@@ -323,7 +338,7 @@ def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
     if include_w and not spec.independent:
         raise CoupledLaw("W requires independent radius/phase")
     q = spec.phase_damping() if include_w else 0.0
-    d = next(j for j in range(n, -1, -1) if b**j <= _BLOCK_LEAVES)
+    d = _block_depth(b, n)
     k = n - d
     roots = [_sweep(spec, b, stream, k, i, d, [1.0] * 4, [0] * 4, (1.0, 0),
                     q, include_w, _corrupt_w_pair) for i in range(b**k)]
@@ -357,11 +372,11 @@ def _evaluate_cells(specs: list, b: int, n: int, stream: TreeStream,
         laws = specs[c0:c0 + per]
         q = np.array([[spec.phase_damping() if include_w else 0.0
                        for spec in laws]])
-        zero = np.zeros(q.shape, dtype=np.int64)
-        (z, za, a2, w), e, (tm, et) = _sweep(
-            laws, b, stream, 0, 0, n, [1.0] * 4, [zero] * 4,
-            (np.ones(q.shape), zero), q, include_w, False)
-        ez, ea, ea2, ew, tm, et = (x[0].tolist() for x in (*e, tm, et))
+        (z, za, a2, w), e, (tm, et) = _sweep(laws, b, stream, 0, 0, n,
+                                             [1.0] * 4, [0] * 4, (1.0, 0),
+                                             q, include_w, False)
+        ez, ea, ea2, ew, tm, et = (np.broadcast_to(x, q.shape)[0].tolist()
+                                   for x in (*e, tm, et))
         out += [_finish([z[c], za[c], a2[c], tm[c] * za[c], w[c]],
                         [ez[c], ea[c], ea2[c], et[c] + ea[c], ew[c]],
                         n, b, include_w) for c in range(len(laws))]
@@ -496,8 +511,10 @@ def _ln_geom_sum(ln_x: float, n: int) -> float:
 
 
 def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf or b == -math.inf:
-        return b if a == -math.inf else a
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
 
@@ -638,11 +655,14 @@ def trace_depths(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
     for depth in range(1, n + 1):
         fs = dfs_evaluate(spec, b, depth, stream, node_budget=node_budget,
                           include_w=include_w)
-        row = {"n": depth, "ln_abs_z_over_n": fs.ln_abs_z / depth,
-               "ln_z_abs_over_n": fs.ln_z_abs / depth,
-               "ln_z_abs2_over_n": fs.ln_z_abs2 / depth,
-               "ln_w_cond_over_2n": None if fs.ln_w_cond is None
-               else fs.ln_w_cond / (2.0 * depth)}
+        row = {
+            "n": depth,
+            "ln_abs_z_over_n": fs.ln_abs_z / depth,
+            "ln_z_abs_over_n": fs.ln_z_abs / depth,
+            "ln_z_abs2_over_n": fs.ln_z_abs2 / depth,
+            "ln_w_cond_over_2n": (fs.ln_w_cond / (2.0 * depth))
+                                 if fs.ln_w_cond is not None else None,
+        }
         for col, v in row.items():
             if v is not None and not v < math.inf:
                 raise DomainError(f"trace {col} is {v} at depth {depth}: "

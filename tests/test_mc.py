@@ -122,6 +122,39 @@ def test_thread_count_does_not_change_any_statistic():
     assert serial == threaded
 
 
+def test_cell_estimates_are_each_laws_estimate_alone():
+    # one walk of each replica's tree for a list of laws; a quarter of the
+    # sampler law's depth-1 trees sum to exactly 0 and are excluded
+    def polar(raw):
+        u = to_uniform(raw[:, 2])
+        return np.where(u < 0.5, 0.0, 2.0), np.zeros(raw.shape[0])
+
+    for n, laws in [(1, [GaussianIndep(0.5, 0.5), SamplerLaw(polar),
+                         DeterministicConstant(2j)]),
+                    (6, [GaussianIndep(0.3, 1.2),
+                         LogNormalUniformPhase(0.8, 0.5)])]:
+        cells = mc.estimate_free_energy_cells(laws, 2, n, 16, 3)
+        assert cells == [estimate_free_energy(_plan(
+            law, n=n, replicas=16, seed=3, keep_values=False))
+            for law in laws]
+    assert cells[0].excluded_count == 0
+    assert mc.estimate_free_energy_cells(
+        [SamplerLaw(polar)], 2, 1, 16, 3)[0].excluded_count > 0
+
+
+def test_cell_estimates_refuse_what_a_plan_refuses():
+    laws = [GaussianIndep(0.5, 0.5)]
+    with pytest.raises(DomainError, match="at least one replica"):
+        mc.estimate_free_energy_cells(laws, 2, 4, 0, 1)
+    with pytest.raises(DomainError, match="n >= 1"):
+        mc.estimate_free_energy_cells(laws, 2, 0, 2, 1)
+    with pytest.raises(BudgetExceeded, match="per-tree budget 100$"):
+        mc.estimate_free_energy_cells(laws, 2, 10, 2, 1, node_budget=100)
+    with pytest.raises(DomainError, match="^free_energy is nan in replica"):
+        mc.estimate_free_energy_cells(
+            laws + [GaussianIndep(250.0, 0.5)], 2, 8, 4, 1)
+
+
 # ------------------------------------------------------------ batch moments
 
 
