@@ -28,9 +28,10 @@ many-tree ``_column_z``; at b <= 3 its bits are numpy's row sum's, except
 that negative zeros sum to -0.0, not +0.0): first over each of the b^k
 bottom subtrees of at most ``_BLOCK_LEAVES`` leaves, in index order, then
 once over the top k generations, from the block roots aligned on each
-field's largest exponent.  A sweep draws its widest generation in one
-Philox call and all the generations above it in a second, each transformed
-in one call per law.
+field's largest exponent.  Each sweep transforms its widest generation's
+draws in one call per law and all the generations above it in a second, so
+a tree within one block makes at most two Philox and two transform calls
+per law.
 
 A sweep has a cell axis: ``_evaluate_cells`` walks a tree of at most
 _BLOCK_LEAVES / 2 leaves once for a block of up to _BLOCK_LEAVES // b^n
@@ -238,6 +239,9 @@ def _sweep(spec, b: int, stream: TreeStream, g0: int, i0: int,
     (1, C) arrays as the levels rescale them, and each root value is a
     list over the laws.  Generation j (0 at node (g0, i0)) of a field lies
     at [node_offset(b, j), node_offset(b, j + 1)) of its workspace array.
+    The widest generation is drawn and transformed alone; after its level,
+    every generation above it in one transform call per law, from one
+    counter range when node (g0, i0) is the root.
     The largest radius goes to [2^479, 2^480), so b-fold sums of squares
     stay finite; an infinite radius's overflow stays, unwarned by numpy.
     A scale-down that squares a positive radius below the normal range
