@@ -395,8 +395,8 @@ TRACE_HEADER = ["n", "ln_abs_z_over_n", "ln_z_abs_over_n",
 
 
 def cmd_simulate(cfg: dict) -> int:
-    _require(cfg, "n", "replicas")
-    b, n, replicas, seed, budget = (cfg[key] for key in (
+    _require(cfg, "n")
+    b, n, replicas, seed, budget = (cfg.get(key) for key in (
         "b", "n", "replicas", "seed", "budget_nodes"))
     spec = _law(cfg)
     what = cfg.get("only") or "free_energy"
@@ -416,19 +416,18 @@ def cmd_simulate(cfg: dict) -> int:
         _say(f"trace to depth {n}: {len(rows)} rows")
         return EXIT_OK
 
+    _require(cfg, "replicas")
     rep = phase.classify(spec, b)
     rows = []
     results = {}
     wanted = ["free_energy", "w_free_energy"] if what == "both" else [what]
+    # one walk of each replica's tree serves both rates
+    trees = [fs for fs, in mc._replica_map(
+        [spec], b, n, replicas, seed, budget, what != "free_energy")]
     for functional in wanted:
-        plan = mc.ExperimentPlan(spec=spec, b=b, n=n, replicas=replicas,
-                                 seed=seed, node_budget=budget)
-        if functional == "free_energy":
-            est = mc.estimate_free_energy(plan)
-            predicted = rep.predicted_f
-        else:
-            est = mc.estimate_w_free_energy(plan)
-            predicted = phase.predicted_w_rate(spec, b)
+        est = mc._replica_estimate(trees, functional)
+        predicted = rep.predicted_f if functional == "free_energy" \
+            else phase.predicted_w_rate(spec, b)
         rows.append(experiment_row(cfg["model"], b, spec, n, replicas, seed,
                                    functional, est, predicted, rep.region))
         summary = {k: v for k, v in vars(est).items()

@@ -2,6 +2,9 @@
 
 Replicas are independent tasks keyed by the counter-based stream, so the
 estimators return identical values for any scheduling or thread count.
+Every free-energy estimator reads one replica map, ``_replica_map``, which
+walks each replica's tree once for a list of laws; ``simulate --only
+both`` reads Z's and W's rates from one walk with W.
 ``batch_z_values`` and ``ratio4`` evaluate many small trees at once in
 ``sim._column_z``; ``batch_z_values`` draws from the transposed stream
 family (replicas contiguous per node), whose law is the per-replica one's.
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sim
 from .env import _WORK, EnvironmentSpec, _weight
 from .errors import BudgetExceeded, CoupledLaw, DomainError
 from .rng import TreeStream, node_offset
@@ -50,9 +54,6 @@ class ExperimentPlan:
     threads: int = 1
     keep_values: bool = True
 
-    def check(self) -> None:
-        _check_run(self.b, self.n, self.replicas, self.node_budget)
-
 
 def _check_run(b: int, n: int, replicas: int, node_budget: int) -> None:
     if replicas < 1:
@@ -75,72 +76,78 @@ def _estimate(values: list[float], excluded: int) -> McEstimate:
         excluded_count=excluded)
 
 
-def _replica_estimate(raw: list[float], functional: str) -> McEstimate:
-    """The estimate from one value per replica, in replica order.  A value
-    of -inf (a sum that is exactly 0) is excluded and counted; nan or +inf,
-    from float64 overflow or a refused underflow loss (see
-    sim.FunctionalSet), is refused."""
+def _replica_map(laws: list, b: int, n: int, replicas: int, seed: int,
+                 node_budget: int, include_w: bool, threads: int = 1) -> list:
+    """Per replica in order, one FunctionalSet per law from one walk of its
+    tree, after the run's refusals: sim._evaluate_cells for several laws on
+    at most _BLOCK_LEAVES / 2 leaves, else dfs_evaluate law by law."""
+    _check_run(b, n, replicas, node_budget)
+    if n < 1:
+        raise DomainError("free energy needs n >= 1")
+    if include_w and not all(spec.independent for spec in laws):
+        raise CoupledLaw("W requires independent radius/phase")
+
+    def one(r: int) -> list:
+        stream = TreeStream(seed, r)
+        # b < 2 goes law by law, for dfs_evaluate to refuse
+        if len(laws) > 1 and b > 1 and 2 * b**n <= sim._BLOCK_LEAVES:
+            return _evaluate_cells(laws, b, n, stream, include_w)
+        return [dfs_evaluate(spec, b, n, stream, node_budget=node_budget,
+                             include_w=include_w) for spec in laws]
+
+    if threads <= 1:
+        return [one(r) for r in range(replicas)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one, range(replicas)))
+
+
+def _replica_estimate(trees: list, functional: str,
+                      keep_values: bool = False) -> McEstimate:
+    """The estimate from one tree per replica, in replica order, of
+    (1/2n) ln W_n for w_free_energy, else (1/n) ln|Z_n|.  A value of -inf
+    (a sum that is exactly 0) is excluded and counted; nan or +inf, from
+    float64 overflow or a refused underflow loss (see sim.FunctionalSet),
+    is refused."""
+    raw = [fs.ln_w_cond / (2.0 * fs.n) if functional == "w_free_energy"
+           else fs.ln_abs_z / fs.n for fs in trees]
     for r, v in enumerate(raw):
         if math.isnan(v) or v == math.inf:
             raise DomainError(f"{functional} is {v} in replica {r}: "
                               "float64 overflow or underflow")
     kept = [v for v in raw if v != -math.inf]
-    return _estimate(kept, len(raw) - len(kept))
-
-
-def _free_energy(plan: ExperimentPlan, include_w: bool) -> McEstimate:
-    """Estimate from one value per replica, mapped serially or on
-    ``plan.threads`` threads, under _replica_estimate's rules.  `values`,
-    if kept, holds every replica's value in order."""
-    plan.check()
-    if plan.n < 1:
-        raise DomainError("free energy needs n >= 1")
-    if include_w and not plan.spec.independent:
-        raise CoupledLaw("W requires independent radius/phase")
-
-    def one(r: int) -> float:
-        fs = dfs_evaluate(plan.spec, plan.b, plan.n, TreeStream(plan.seed, r),
-                          node_budget=plan.node_budget, include_w=include_w)
-        return fs.ln_w_cond / (2.0 * plan.n) if include_w \
-            else fs.ln_abs_z / plan.n
-
-    replicas = range(plan.replicas)
-    if plan.threads <= 1:
-        raw = [one(r) for r in replicas]
-    else:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            raw = list(pool.map(one, replicas))
-    est = _replica_estimate(
-        raw, "w_free_energy" if include_w else "free_energy")
-    if plan.keep_values:
+    est = _estimate(kept, len(raw) - len(kept))
+    if keep_values:
         est.values = raw
     return est
+
+
+def _plan_estimate(plan: ExperimentPlan, functional: str) -> McEstimate:
+    trees = _replica_map([plan.spec], plan.b, plan.n, plan.replicas,
+                         plan.seed, plan.node_budget,
+                         functional == "w_free_energy", plan.threads)
+    return _replica_estimate([fs for fs, in trees], functional,
+                             plan.keep_values)
 
 
 def estimate_free_energy(plan: ExperimentPlan) -> McEstimate:
     """Mean of (1/n) ln|Z_n| over independent replicas; zero-|Z| replicas
     are excluded and counted."""
-    return _free_energy(plan, False)
+    return _plan_estimate(plan, "free_energy")
 
 
 def estimate_w_free_energy(plan: ExperimentPlan) -> McEstimate:
     """Mean of (1/2n) ln W_n over independent radius environments."""
-    return _free_energy(plan, True)
+    return _plan_estimate(plan, "w_free_energy")
 
 
 def estimate_free_energy_cells(specs: list, b: int, n: int, replicas: int,
                                seed: int, node_budget: int
                                = DEFAULT_NODE_BUDGET) -> list[McEstimate]:
     """estimate_free_energy of each law of specs on the same replica trees,
-    serially and without values, bit for bit: each replica's tree is walked
-    once for a block of laws (sim._evaluate_cells)."""
-    _check_run(b, n, replicas, node_budget)
-    if n < 1:
-        raise DomainError("free energy needs n >= 1")
-    raw = [[fs.ln_abs_z / n for fs in _evaluate_cells(
-        specs, b, n, TreeStream(seed, r), node_budget, include_w=False)]
-        for r in range(replicas)]
-    return [_replica_estimate(col, "free_energy") for col in zip(*raw)]
+    serially and without values, bit for bit, from one map of the
+    replicas."""
+    trees = _replica_map(specs, b, n, replicas, seed, node_budget, False)
+    return [_replica_estimate(col, "free_energy") for col in zip(*trees)]
 
 
 def batch_z_values(spec: EnvironmentSpec, b: int, n: int, seed: int,
@@ -172,7 +179,7 @@ def verify_moments(plan: ExperimentPlan) -> tuple[VerifyReport, VerifyReport]:
     """One batch of Z_n, checked twice: the complex mean against
     b^n m1^n (componentwise z-scores) and the mean of |Z_n|^2 against the
     closed form; each gate is a z-score of at most 5."""
-    plan.check()
+    _check_run(plan.b, plan.n, plan.replicas, plan.node_budget)
     if plan.replicas < 2:
         raise DomainError("the moment gates need at least 2 replicas")
     zs = batch_z_values(plan.spec, plan.b, plan.n, plan.seed, plan.replicas)

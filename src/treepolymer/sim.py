@@ -35,10 +35,11 @@ per law.
 
 A sweep has a cell axis: ``_evaluate_cells`` walks a tree of at most
 _BLOCK_LEAVES / 2 leaves once for a block of up to _BLOCK_LEAVES // b^n
-laws, such as a diagram's cells, one column per law; a larger tree is
-walked law by law.  Each law transforms the words into its own contiguous
-row of cell-major fields, so exp, cos and sin run numpy's contiguous
-loops, and the recursions read the rows as (nodes, laws) columns.
+laws, such as a diagram's cells, one column per law; ``mc``'s replica map
+walks a larger tree law by law.  Each law transforms the words into its
+own contiguous row of cell-major fields, so exp, cos and sin run numpy's
+contiguous loops, and the recursions read the rows as (nodes, laws)
+columns.
 Exponents are per field, generation and column: Python ints for one law,
 so a lone tree's bookkeeping stays scalar-cheap, and (1, C) arrays for C
 laws.  A column runs its law's float operations in their order alone, so
@@ -106,7 +107,8 @@ class FunctionalSet:
     W_n, which span the most, are nan where _sweep or _finish finds such a
     loss; Z_n and Z_n(|xi|) are not checked.  arg_z is the angle of Z_n,
     well defined even when |Z_n| overflows.  t_damped = q^n Z_n(|xi|) is
-    formed at the root, so ln_t_damped stays finite where q^n underflows.
+    formed once, in _finish, so ln_t_damped stays finite where q^n
+    underflows.  Z_n's bits do not depend on whether W is computed.
     """
 
     n: int
@@ -215,13 +217,6 @@ def _check_budget(b: int, n: int, node_budget: int) -> None:
     if b ** (n + 1) > node_budget:
         raise BudgetExceeded(
             f"b^(n+1) = {b}^{n + 1} exceeds node budget {node_budget}")
-
-
-def _block_depth(b: int, n: int) -> int:
-    d = 0
-    while d < n and b ** (d + 1) <= _BLOCK_LEAVES:
-        d += 1
-    return d
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -342,7 +337,9 @@ def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
     if include_w and not spec.independent:
         raise CoupledLaw("W requires independent radius/phase")
     q = spec.phase_damping() if include_w else 0.0
-    d = _block_depth(b, n)
+    d = 0                                   # the bottom blocks' depth
+    while d < n and b ** (d + 1) <= _BLOCK_LEAVES:
+        d += 1
     k = n - d
     roots = [_sweep(spec, b, stream, k, i, d, [1.0] * 4, [0] * 4, (1.0, 0),
                     q, include_w, _corrupt_w_pair) for i in range(b**k)]
@@ -353,46 +350,37 @@ def dfs_evaluate(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
               for root_m, root_e, _ in roots] for f in range(4)]
         m, e, t = _sweep(spec, b, stream, 0, 0, k, m, e, t, q, include_w,
                          _corrupt_w_pair)
-    z, za, a2, w = m
-    return _finish([z, za, a2, t[0] * za, w], e[:3] + [t[1] + e[1], e[3]],
-                   n, b, include_w)
+    return _finish(m, e, t, n, b, include_w)
 
 
 def _evaluate_cells(specs: list, b: int, n: int, stream: TreeStream,
-                    node_budget: int = DEFAULT_NODE_BUDGET,
                     include_w: bool = True) -> list[FunctionalSet]:
-    """dfs_evaluate of one tree for each law of specs, with the bits each
-    gets alone: a tree of at most _BLOCK_LEAVES / 2 leaves is one sweep for
-    up to _BLOCK_LEAVES // b**n laws, a column each."""
-    _check_budget(b, n, node_budget)
+    """dfs_evaluate, without its refusals, of one tree of at most
+    _BLOCK_LEAVES / 2 leaves for each law of specs, with the bits each gets
+    alone: one sweep for up to _BLOCK_LEAVES // b**n laws, a column each."""
     per = _BLOCK_LEAVES // b**n
-    if per < 2:
-        return [dfs_evaluate(spec, b, n, stream, node_budget, include_w)
-                for spec in specs]
-    if include_w and not all(spec.independent for spec in specs):
-        raise CoupledLaw("W requires independent radius/phase")
     out = []
     for c0 in range(0, len(specs), per):
         laws = specs[c0:c0 + per]
         q = np.array([[spec.phase_damping() if include_w else 0.0
                        for spec in laws]])
-        (z, za, a2, w), e, (tm, et) = _sweep(laws, b, stream, 0, 0, n,
-                                             [1.0] * 4, [0] * 4, (1.0, 0),
-                                             q, include_w, False)
-        ez, ea, ea2, ew, tm, et = (np.broadcast_to(x, q.shape)[0].tolist()
-                                   for x in (*e, tm, et))
-        out += [_finish([z[c], za[c], a2[c], tm[c] * za[c], w[c]],
-                        [ez[c], ea[c], ea2[c], et[c] + ea[c], ew[c]],
-                        n, b, include_w) for c in range(len(laws))]
+        m, e, t = _sweep(laws, b, stream, 0, 0, n, [1.0] * 4, [0] * 4,
+                         (1.0, 0), q, include_w, False)
+        e, t = ([np.broadcast_to(x, q.shape)[0].tolist() for x in xs]
+                for xs in (e, t))
+        out += [_finish(*cell, n, b, include_w)
+                for cell in zip(zip(*m), zip(*e), zip(*t))]
     return out
 
 
-def _finish(m: list, e: list, n: int, b: int,
-            include_w: bool) -> FunctionalSet:
-    """The root values, with W_n and Z_n(|xi|^2) set to nan where an exact
-    root bound shows that underflow lost part of them (see FunctionalSet)."""
-    z, za, a2, t, w = m
-    ez, ea, ea2, et, ew = e
+def _finish(m, e, t, n: int, b: int, include_w: bool) -> FunctionalSet:
+    """The root values from the root's (Z, Z(|xi|), Z(|xi|^2), W) mantissas
+    m, exponents e and q^n as (mantissa, exponent) t: T_n = q^n Z_n(|xi|)
+    is formed here, and W_n and Z_n(|xi|^2) are nan where an exact root
+    bound shows that underflow lost part of them (see FunctionalSet)."""
+    z, za, a2, w = m
+    ez, ea, ea2, ew = e
+    t, et = t[0] * za, t[1] + ea
     # Underflow mostly shrinks a value: terms flushed to 0 are lost, though
     # a subnormal may round up.  A W below Z(|xi|^2) or T^2 lost terms that
     # its diagonal shares with Z(|xi|^2), so both go; b^n Z(|xi|^2) >=

@@ -19,7 +19,9 @@ from treepolymer import (
     TreeStream,
     dfs_evaluate,
 )
+from treepolymer import mc
 from treepolymer import sim as sim_module
+from treepolymer.sim import DEFAULT_NODE_BUDGET
 
 FIELDS = ("z", "z_abs", "z_abs2", "t_damped", "w_cond", "ln_abs_z",
           "ln_z_abs", "ln_z_abs2", "ln_t_damped", "ln_w_cond", "arg_z")
@@ -116,12 +118,14 @@ def test_refused_and_overflowing_columns_leave_their_neighbours_alone():
 
 
 def test_trees_wider_than_a_block_take_one_column_per_sweep(monkeypatch):
-    # the bottom blocks and the top sweep over their roots, law by law
+    # the bottom blocks and the top sweep over their roots, law by law:
+    # mc's replica map takes no cell sweep here; its replica 2 at seed 7
+    # is TreeStream(7, 2)
     monkeypatch.setattr(sim_module, "_BLOCK_LEAVES", 4)
     for b, n in [(2, 6), (3, 4)]:
         for w in (True, False):
-            cells = sim_module._evaluate_cells(MIXED, b, n, TreeStream(7, 2),
-                                               include_w=w)
+            cells = mc._replica_map(MIXED, b, n, 3, 7, DEFAULT_NODE_BUDGET,
+                                    w)[2]
             alone = [dfs_evaluate(law, b, n, TreeStream(7, 2), include_w=w)
                      for law in MIXED]
             assert [_hex(fs) for fs in cells] == [_hex(fs) for fs in alone]

@@ -412,6 +412,60 @@ def test_simulate_trace_mode(tmp_path, capsys):
     assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3", "4", "5"]
 
 
+def test_simulate_trace_runs_without_replicas(tmp_path, capsys):
+    # the trace reads replica 0 only, so it needs no --replicas
+    out_file = tmp_path / "trace.csv"
+    code, out, _ = run(["simulate", "--beta", "0.5", "--gamma", "0.5",
+                        "--n", "3", "--only", "trace", "--out",
+                        str(out_file)], capsys)
+    assert code == EXIT_OK
+    assert strict_loads(out)["trace_rows"] == 3
+    assert len(out_file.read_text().splitlines()) == 4
+    code, _, err = run(["simulate", "--beta", "0.5", "--gamma", "0.5",
+                        "--n", "3", "--only", "both"], capsys)
+    assert code == EXIT_CONFIG
+    assert "missing required parameter: --replicas" in err
+
+
+def test_simulate_both_walks_each_tree_once(tmp_path, capsys, monkeypatch):
+    # one dfs_evaluate per replica serves both rows, and they are the rows
+    # of the two functionals run apart
+    calls = []
+    inner = mc.dfs_evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("include_w"))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "dfs_evaluate", counted)
+    flags = ["simulate", "--beta", "0.8", "--gamma", "0.8", "--n", "6",
+             "--replicas", "5", "--seed", "3"]
+    rows = {}
+    for only in ("both", "free_energy", "w_free_energy"):
+        out_file = tmp_path / f"{only}.csv"
+        calls.clear()
+        code, _, _ = run([*flags, "--only", only, "--out", str(out_file)],
+                         capsys)
+        assert code == EXIT_OK
+        assert calls == [only != "free_energy"] * 5   # include_w per call
+        rows[only] = out_file.read_text().splitlines()
+    assert rows["both"][1:] == rows["free_energy"][1:] \
+        + rows["w_free_energy"][1:]
+
+
+def test_simulate_both_reports_z_before_refusing_w(tmp_path, capsys):
+    out_file = tmp_path / "both.csv"
+    code, out, err = run(["simulate", "--beta", "120", "--gamma", "0.5",
+                          "--n", "8", "--replicas", "4", "--only", "both",
+                          "--out", str(out_file)], capsys)
+    assert code == EXIT_CONFIG and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("free_energy: mean ")
+    assert lines[1].startswith("error: w_free_energy is nan")
+    assert not out_file.exists()
+
+
 def test_simulate_reruns_are_byte_identical(tmp_path, capsys):
     files = []
     for name in ("one.csv", "two.csv"):

@@ -320,6 +320,36 @@ def test_output_bits_match_the_recorded_digest(name):
     assert CASES[name]() == DIGESTS[name]
 
 
+def _trees(case):
+    """(law, b, n, stream, bottom-block leaves or None) of every tree that
+    the dfs digests hash: all of ``_dfs``'s, or one dfs-blocks or dfs-top
+    case's."""
+    if case == "dfs":
+        return [(LAWS[law], b, n, TreeStream(11, r), None)
+                for b, depths in DFS_DEPTHS.items() for law in LAWS
+                for n in depths for r in range(3)]
+    if case == "dfs-blocks-b2-n20":
+        return [(LAWS[law], 2, 20, TreeStream(37, r), None)
+                for r, law in enumerate(TOP_LAWS)]
+    b, n, leaves = DFS_TOP[case.removeprefix("dfs-top-")]
+    return [(LAWS[TOP_LAWS[r % len(TOP_LAWS)]], b, n, TreeStream(31, r),
+             leaves) for r in range(TOP_TREES)]
+
+
+@pytest.mark.parametrize("case", ["dfs", "dfs-blocks-b2-n20",
+                                  *(f"dfs-top-{key}" for key in DFS_TOP)])
+def test_z_keeps_its_bits_with_and_without_w(case):
+    # one walk with W serves both rates, so Z's fields must not read W;
+    # z_abs2 is left out, since W's root bound may refuse it
+    for law, b, n, stream, leaves in _trees(case):
+        with mock.patch.object(sim, "_BLOCK_LEAVES",
+                               leaves or sim._BLOCK_LEAVES):
+            with_w, alone = [dfs_evaluate(law, b, n, stream, include_w=w)
+                             for w in (True, False)]
+        assert _hash(with_w.z, with_w.ln_abs_z, with_w.arg_z) \
+            == _hash(alone.z, alone.ln_abs_z, alone.arg_z)
+
+
 if __name__ == "__main__":
     differ = 0
     for name in sorted(CASES):

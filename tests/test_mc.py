@@ -122,6 +122,30 @@ def test_thread_count_does_not_change_any_statistic():
     assert serial == threaded
 
 
+def test_estimators_read_one_tree_per_replica(monkeypatch):
+    # the benchmark's deep_trees contract: each estimator makes exactly one
+    # mc.dfs_evaluate call per replica, looked up at call time, and its
+    # values are those trees' rates in replica order
+    trees = []
+    inner = mc.dfs_evaluate
+
+    def recording(*args, **kwargs):
+        trees.append(inner(*args, **kwargs))
+        return trees[-1]
+
+    monkeypatch.setattr(mc, "dfs_evaluate", recording)
+    law = GaussianIndep(0.8, 0.8)
+    for estimator, rate in [
+            (estimate_free_energy, lambda fs: fs.ln_abs_z / 6),
+            (estimate_w_free_energy, lambda fs: fs.ln_w_cond / (2 * 6))]:
+        for replicas in (1, 3):
+            trees.clear()
+            est = estimator(_plan(law, n=6, replicas=replicas, seed=9))
+            assert len(trees) == replicas
+            assert est.values == [rate(fs) for fs in trees]
+            assert est.excluded_count == 0
+
+
 def test_cell_estimates_are_each_laws_estimate_alone():
     # one walk of each replica's tree for a list of laws; a quarter of the
     # sampler law's depth-1 trees sum to exactly 0 and are excluded

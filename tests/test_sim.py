@@ -230,7 +230,9 @@ def test_w_and_squared_sum_that_lost_terms_to_underflow_are_refused():
 def test_root_bounds_refuse_what_underflow_shrank():
     # W >= max(Z(|xi|^2), T^2) and b^n Z(|xi|^2) >= Z(|xi|)^2 at the root
     def finish(za, a2, t, w, include_w=True):
-        return sim_module._finish([1 + 0j, za, a2, t, w], [0] * 5, 1, 2,
+        # T = q^n Z(|xi|) is formed in _finish: q^n = t / za is exact here
+        return sim_module._finish([1 + 0j, za, a2, w], [0] * 4,
+                                  (1.0 if t is None else t / za, 0), 1, 2,
                                   include_w)
 
     fs = finish(2.0, 2.0, 1.0, 2.0)     # both bounds met with equality
