@@ -24,8 +24,8 @@ from .env import _WORK, EnvironmentSpec, _weight
 from .errors import BudgetExceeded, CoupledLaw, DomainError
 from .rng import TreeStream, node_offset
 from .sim import (_SLAB_DRAWS, DEFAULT_NODE_BUDGET, _batch_weights,
-                  _column_z, _evaluate_cells, _workspace, _zscore,
-                  closed_form_second_moment, dfs_evaluate)
+                  _check_budget, _column_z, _evaluate_cells, _workspace,
+                  _zscore, closed_form_second_moment, dfs_evaluate)
 
 # Phase-resample streams live in a replica range far above any omega index.
 _PHASE_REPLICA_BASE = 1 << 32
@@ -55,14 +55,6 @@ class ExperimentPlan:
     keep_values: bool = True
 
 
-def _check_run(b: int, n: int, replicas: int, node_budget: int) -> None:
-    if replicas < 1:
-        raise DomainError("need at least one replica")
-    if b ** (n + 1) > node_budget:
-        raise BudgetExceeded(f"b^(n+1) = {b}^{n + 1} exceeds per-tree budget "
-                             f"{node_budget}")
-
-
 def _estimate(values: list[float], excluded: int) -> McEstimate:
     r = len(values)
     if r == 0:
@@ -79,9 +71,12 @@ def _estimate(values: list[float], excluded: int) -> McEstimate:
 def _replica_map(laws: list, b: int, n: int, replicas: int, seed: int,
                  node_budget: int, include_w: bool, threads: int = 1) -> list:
     """Per replica in order, one FunctionalSet per law from one walk of its
-    tree, after the run's refusals: sim._evaluate_cells for several laws on
-    at most _BLOCK_LEAVES / 2 leaves, else dfs_evaluate law by law."""
-    _check_run(b, n, replicas, node_budget)
+    tree (sim._evaluate_cells for several laws on at most _BLOCK_LEAVES / 2
+    leaves, else dfs_evaluate law by law), after refusing, in order, fewer
+    than one replica, sim._check_budget's trees, n < 1 and coupled W."""
+    if replicas < 1:
+        raise DomainError("need at least one replica")
+    _check_budget(b, n, node_budget)
     if n < 1:
         raise DomainError("free energy needs n >= 1")
     if include_w and not all(spec.independent for spec in laws):
@@ -89,8 +84,7 @@ def _replica_map(laws: list, b: int, n: int, replicas: int, seed: int,
 
     def one(r: int) -> list:
         stream = TreeStream(seed, r)
-        # b < 2 goes law by law, for dfs_evaluate to refuse
-        if len(laws) > 1 and b > 1 and 2 * b**n <= sim._BLOCK_LEAVES:
+        if len(laws) > 1 and 2 * b**n <= sim._BLOCK_LEAVES:
             return _evaluate_cells(laws, b, n, stream, include_w)
         return [dfs_evaluate(spec, b, n, stream, node_budget=node_budget,
                              include_w=include_w) for spec in laws]
@@ -179,9 +173,9 @@ def verify_moments(plan: ExperimentPlan) -> tuple[VerifyReport, VerifyReport]:
     """One batch of Z_n, checked twice: the complex mean against
     b^n m1^n (componentwise z-scores) and the mean of |Z_n|^2 against the
     closed form; each gate is a z-score of at most 5."""
-    _check_run(plan.b, plan.n, plan.replicas, plan.node_budget)
     if plan.replicas < 2:
         raise DomainError("the moment gates need at least 2 replicas")
+    _check_budget(plan.b, plan.n, plan.node_budget)
     zs = batch_z_values(plan.spec, plan.b, plan.n, plan.seed, plan.replicas)
     theo = (plan.b * plan.spec.mean_xi()) ** plan.n
     emp = complex(zs.mean())
@@ -210,26 +204,26 @@ def ratio4(spec: EnvironmentSpec, b: int, n: int, omega_replicas: int,
            phase_resamples: int, seed: int,
            node_budget: int = DEFAULT_NODE_BUDGET) -> McEstimate:
     """Conditional fourth-moment ratio E[|Z|^4|radii] / E[|Z|^2|radii]^2 per
-    frozen radius tree, estimated from phase resamples, with jackknife SEs.
+    frozen radius tree, estimated from phase resamples: per-omega ratios in
+    `values`, their jackknife standard errors in `value_ses`.  A tree must
+    pass sim._check_budget and have at most 2^16 leaves.
 
     Resample j of radius tree o takes its phases from the whole tree
     TreeStream(seed, 2^32 + o * phase_resamples + j).  A slab of
     _SLAB_DRAWS // nodes resamples (at least one) is transformed in one
     polar_from_raw call, weighted by env._weight with the frozen radii
     broadcast, and walked by one sim._column_z call.
-
-    The returned estimate carries per-omega ratios in `values` and their
-    jackknife standard errors in `value_ses`.
     """
     if not spec.independent:
         raise CoupledLaw("phase resampling needs independent radius/phase")
-    if b < 2 or n < 1:
-        raise DomainError("need b >= 2 and n >= 1")
+    if n < 1:
+        raise DomainError("need n >= 1")
     if omega_replicas < 1:
         raise DomainError("need omega_replicas >= 1")
     if phase_resamples < 1000:
         raise DomainError("need at least 1000 phase resamples")
-    if b ** (n + 1) > node_budget or b**n > (1 << 16):
+    _check_budget(b, n, node_budget)
+    if b**n > (1 << 16):
         raise BudgetExceeded("tree too large for phase resampling")
 
     nodes = node_offset(b, n + 1) - 1       # generations 1..n, one range

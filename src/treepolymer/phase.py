@@ -249,7 +249,8 @@ def classify_indep_closed_form(spec: EnvironmentSpec, b: int,
 
     Independent of `classify`: uses only the law's lambda_r, its derivative
     lambda_r_prime, lambda_c, their critical parameters `crit`, and the
-    law's (beta_scale, gamma_scale) coordinates.
+    law's (beta_scale, gamma_scale) coordinates.  Below beta_c, versus_ln_b
+    puts R1 below ln b, R2b or R3 above it and a Boundary in the band.
     """
     beta = spec.beta_scale
     lnb = math.log(b)
@@ -271,6 +272,16 @@ def classify_indep_closed_form(spec: EnvironmentSpec, b: int,
             boundary_values=boundary_values,
             boundary_width=eps_boundary if boundary_values else None)
 
+    def versus_ln_b(name, lhs, region, f_region):
+        fired = lhs < lnb - eps_boundary
+        trace = [{"name": name, "lhs": lhs, "rhs": lnb, "fired": fired}]
+        if fired:
+            return report("R1", f_weak(), trace)
+        if lhs > lnb + eps_boundary:
+            return report(region, f_region(), trace)
+        return report("Boundary", 0.5 * (f_weak() + f_region()),
+                      trace, (f_weak(), f_region()))
+
     if math.isfinite(crit.beta_c) and beta > crit.beta_c + eps_boundary:
         # beta above beta_c puts the G minimizer below 1 (a_min = beta_c/beta)
         trace = [{"name": "beta_vs_beta_c", "lhs": beta, "rhs": crit.beta_c,
@@ -283,27 +294,12 @@ def classify_indep_closed_form(spec: EnvironmentSpec, b: int,
                       trace, (f_weak(), f_strong()))
 
     if math.isfinite(crit.beta_0) and beta >= crit.beta_0:
-        # beta in [beta_0, beta_c): R1 vs R2 decided by the tilted inequality
+        # beta in [beta_0, beta_c): R1 vs R2b by the tilted inequality
         lhs = f_strong() - spec.lambda_r(beta) + lc
-        trace = [{"name": "tilted_mean_vs_ln_b", "lhs": lhs, "rhs": lnb,
-                  "fired": lhs < lnb - eps_boundary}]
-        if lhs < lnb - eps_boundary:
-            return report("R1", f_weak(), trace)
-        if lhs > lnb + eps_boundary:
-            return report("R2b", f_strong(), trace)
-        return report("Boundary", 0.5 * (f_weak() + f_strong()),
-                      trace, (f_weak(), f_strong()))
-
+        return versus_ln_b("tilted_mean_vs_ln_b", lhs, "R2b", f_strong)
     # beta below beta_0 (or beta_0 infinite): R1 vs R3 by the L2-type inequality
     lhs = spec.lambda_r(2.0 * beta) - 2.0 * spec.lambda_r(beta) + 2.0 * lc
-    trace = [{"name": "second_moment_gap_vs_ln_b", "lhs": lhs, "rhs": lnb,
-              "fired": lhs < lnb - eps_boundary}]
-    if lhs < lnb - eps_boundary:
-        return report("R1", f_weak(), trace)
-    if lhs > lnb + eps_boundary:
-        return report("R3", f_second(), trace)
-    return report("Boundary", 0.5 * (f_weak() + f_second()),
-                  trace, (f_weak(), f_second()))
+    return versus_ln_b("second_moment_gap_vs_ln_b", lhs, "R3", f_second)
 
 
 def positive_weight_free_energy(spec: EnvironmentSpec, exponent: int, b: int) -> float:

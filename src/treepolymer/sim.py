@@ -210,13 +210,14 @@ def _group_sum(x: np.ndarray, b: int,
 
 
 def _check_budget(b: int, n: int, node_budget: int) -> None:
+    """The per-tree refusal of every walker: b >= 2, n >= 0, then budget."""
     if b < 2:
         raise DomainError("branching factor must be >= 2")
     if n < 0:
         raise DomainError("depth must be >= 0")
     if b ** (n + 1) > node_budget:
         raise BudgetExceeded(
-            f"b^(n+1) = {b}^{n + 1} exceeds node budget {node_budget}")
+            f"b^(n+1) = {b}^{n + 1} exceeds per-tree budget {node_budget}")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -469,8 +470,8 @@ class SecondMomentReport:
 
 def closed_form_second_moment(spec: EnvironmentSpec, b: int, n: int) -> SecondMomentReport:
     """Exact E|Z_n|^2 = b^n (b|m1|^2)^n + sigma^2 b^n m2^(n-1) sum_j x^j,
-    with x = b|m1|^2 / m2.  sigma^2 = m2 (1 - |m1|^2 / m2) is taken in log
-    space, so ln_value stays finite where m2 overflows."""
+    x = b|m1|^2 / m2, from np.logaddexp of the terms' logs, sigma^2 = m2 (1 -
+    |m1|^2 / m2) taken in log space: ln_value is finite where m2 overflows."""
     if n < 1:
         raise DomainError("closed form needs n >= 1")
     lnb = math.log(b)
@@ -485,30 +486,19 @@ def closed_form_second_moment(spec: EnvironmentSpec, b: int, n: int) -> SecondMo
         ln_x = ln_a - ln_m2
         term2 = (math.log(spread) + n * lnb + n * ln_m2
                  + _ln_geom_sum(ln_x, n))
-    ln_value = _logaddexp(term1, term2)
+    ln_value = float(np.logaddexp(term1, term2))
     value = math.exp(ln_value) if ln_value < 709.0 else math.inf
     return SecondMomentReport(value, ln_value)
 
 
 def _ln_geom_sum(ln_x: float, n: int) -> float:
     """ln sum_{j=0}^{n-1} x^j for x = e^ln_x >= 0."""
-    if ln_x == -math.inf:
-        return 0.0                      # only the j = 0 term
     if abs(ln_x) < 1e-14:
         return math.log(n)
     x = math.exp(ln_x)
     if ln_x < 0:
         return math.log1p(-x**n) - math.log1p(-x)
     return (n - 1) * ln_x + math.log1p(-x**-n) - math.log1p(-1.0 / x)
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
 
 
 def _column_z(b: int, n: int, count: int, weights) -> np.ndarray:

@@ -27,7 +27,6 @@ from treepolymer import (
     critical_set,
     dfs_evaluate,
     estimate_free_energy,
-    estimate_w_free_energy,
     ratio4,
     verify_moments,
 )
@@ -38,8 +37,9 @@ from treepolymer.cli import (
     pz_property_trials,
     rows_to_csv,
 )
-from treepolymer.mc import _estimate
+from treepolymer.mc import _estimate, _replica_estimate, _replica_map
 from treepolymer.phase import predicted_w_rate
+from treepolymer.sim import DEFAULT_NODE_BUDGET
 
 LN2 = math.log(2.0)
 BETA_C = math.sqrt(2.0 * LN2)
@@ -224,6 +224,19 @@ def test_criterion_04_dual_classifier_agreement(tmp_path):
 # --------------------------------------------------------------- criterion 5
 
 _PROBES = [(0.3, 0.3), (0.3, 1.2), (1.5, 0.1), (0.8, 0.8), (0.0, 0.0)]
+_SHARED_PROBE = (0.8, 0.8)       # criterion 06's law
+_SHARED_TREES: dict[int, list] = {}
+
+
+def _shared_trees(threads: int) -> list:
+    """The _SHARED_PROBE law's 32 depth-20 trees of seed 1, with W, that
+    criteria 05 and 06 both read: one walk per thread count, as
+    `simulate --only both` makes.  Z's bits do not depend on W."""
+    if threads not in _SHARED_TREES:
+        _SHARED_TREES[threads] = [fs for fs, in _replica_map(
+            [GaussianIndep(*_SHARED_PROBE)], 2, 20, 32, 1,
+            DEFAULT_NODE_BUDGET, True, threads)]
+    return _SHARED_TREES[threads]
 
 
 def _criterion5_rows(threads: int = 1):
@@ -232,9 +245,12 @@ def _criterion5_rows(threads: int = 1):
     for beta, gamma in _PROBES:
         law = GaussianIndep(beta, gamma)
         rep = classify(law, 2)
-        plan = ExperimentPlan(spec=law, b=2, n=20, replicas=32, seed=1,
-                              threads=threads)
-        est = estimate_free_energy(plan)
+        if (beta, gamma) == _SHARED_PROBE:
+            est = _replica_estimate(_shared_trees(threads), "free_energy",
+                                    keep_values=True)
+        else:
+            est = estimate_free_energy(ExperimentPlan(
+                spec=law, b=2, n=20, replicas=32, seed=1, threads=threads))
         rows.append(experiment_row("gaussian", 2, law, 20, 32, 1,
                                    "free_energy", est, rep.predicted_f,
                                    rep.region))
@@ -343,10 +359,9 @@ def test_criterion_05_free_energy_probes():
 
 
 def _criterion6_rows(threads: int = 1):
-    law = GaussianIndep(0.8, 0.8)
-    plan = ExperimentPlan(spec=law, b=2, n=20, replicas=32, seed=1,
-                          threads=threads)
-    est = estimate_w_free_energy(plan)
+    law = GaussianIndep(*_SHARED_PROBE)
+    est = _replica_estimate(_shared_trees(threads), "w_free_energy",
+                            keep_values=True)
     predicted = predicted_w_rate(law, 2)
     rows = [experiment_row("gaussian", 2, law, 20, 32, 1, "w_free_energy",
                            est, predicted, classify(law, 2).region)]

@@ -632,6 +632,20 @@ def test_budget_environment_variable_sets_the_default(monkeypatch, capsys):
     assert code == EXIT_OK  # explicit flag overrides the environment
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--beta", "0.5", "--gamma", "0.5", "--n", "30",
+     "--only", "trace", "--budget-nodes", "64"],
+    ["verify", "--only", "oracle", "--budget-nodes", "16"],
+    ["verify", "--only", "onestep", "--budget-nodes", "16"],
+    ["verify", "--only", "ratio4", "--budget-nodes", "16"],
+])
+def test_every_budget_refusal_has_one_wording(argv, capsys):
+    code, _, err = run(argv, capsys)
+    budget = argv[-1]
+    assert code == EXIT_CONFIG
+    assert err.rstrip().endswith(f"exceeds per-tree budget {budget}"), err
+
+
 def test_missing_law_parameters_exit_as_config_errors(capsys):
     code, _, err = run(["phase-point", "--model", "rademacher"], capsys)
     assert code == EXIT_CONFIG and "missing field" in err

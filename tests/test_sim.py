@@ -18,6 +18,7 @@ from treepolymer import (
     CoupledLaw,
     DeterministicConstant,
     DomainError,
+    ExperimentPlan,
     GaussianIndep,
     LogNormalUniformPhase,
     RademacherPhase,
@@ -26,9 +27,12 @@ from treepolymer import (
     brute_force_evaluate,
     closed_form_second_moment,
     dfs_evaluate,
+    estimate_free_energy,
+    estimate_w_free_energy,
     one_step_identity_check,
     ratio4,
     trace_depths,
+    verify_moments,
 )
 from treepolymer import rng
 from treepolymer import sim as sim_module
@@ -636,6 +640,35 @@ def test_tree_budget_is_enforced():
                      node_budget=100)
     with pytest.raises(BudgetExceeded):
         brute_force_evaluate(GaussianIndep(0.5, 0.5), 2, 9, TreeStream(0, 0))
+
+
+def _plan(budget):
+    return ExperimentPlan(spec=GaussianIndep(0.5, 0.5), b=2, n=10,
+                          replicas=2, seed=0, node_budget=budget)
+
+
+_OVER_BUDGET = {   # each walks a depth-10 binary tree (or its depths)
+    "dfs_evaluate": lambda budget: dfs_evaluate(
+        GaussianIndep(0.5, 0.5), 2, 10, TreeStream(0, 0), node_budget=budget),
+    "trace_depths": lambda budget: trace_depths(
+        GaussianIndep(0.5, 0.5), 2, 10, TreeStream(0, 0), node_budget=budget),
+    "one_step_identity_check": lambda budget: one_step_identity_check(
+        GaussianIndep(0.5, 0.5), 2, 10, TreeStream(0, 0), resamples=100,
+        node_budget=budget),
+    "estimate_free_energy": lambda budget: estimate_free_energy(_plan(budget)),
+    "estimate_w_free_energy":
+        lambda budget: estimate_w_free_energy(_plan(budget)),
+    "verify_moments": lambda budget: verify_moments(_plan(budget)),
+    "ratio4": lambda budget: ratio4(
+        GaussianIndep(0.5, 0.5), 2, 10, omega_replicas=1,
+        phase_resamples=1000, seed=0, node_budget=budget),
+}
+
+
+@pytest.mark.parametrize("walker", list(_OVER_BUDGET))
+def test_every_walker_refuses_a_tree_over_budget_in_one_wording(walker):
+    with pytest.raises(BudgetExceeded, match=r"exceeds per-tree budget 100$"):
+        _OVER_BUDGET[walker](100)
 
 
 def test_pair_functionals_require_independent_phases():
