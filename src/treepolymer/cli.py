@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
-from collections import Counter
 
 import numpy as np
 
@@ -49,6 +49,8 @@ _REGION_COLORS = {
     "Boundary": (24, 24, 24),
     "Undetermined": (190, 190, 190),
 }
+_PALETTE = np.array([_REGION_COLORS[name] for name in phase._REGIONS],
+                    dtype=np.uint8)
 
 
 def _fmt(x) -> str:
@@ -319,49 +321,44 @@ def cmd_diagram(cfg: dict) -> int:
     if replicas and cfg.get("n") is None:
         raise ConfigError("per-cell estimates need --n")
 
-    # Per beta: its CSV text, ln|E xi| at gamma = 0, the radius part of
-    # classify and the region,f text of the regions whose f is that part's
-    # G(a_min) or G(2); per gamma: its CSV text and ln|E xi| at beta = 0.
-    columns = []
-    for beta in betas:
-        spec = law(beta, 0.0)
-        rad = phase._radius_part(spec, b)
-        g_amin, g2 = repr(rad[1]), repr(rad[3])
-        columns.append((beta, repr(beta) + ",", spec.log_mean_abs(), rad,
-                        {"R2a": "R2a," + g_amin, "R2b": "R2b," + g_amin,
-                         "R3": "R3," + g2}))
-    rows = [(gamma, repr(gamma) + ",", law(0.0, gamma).log_mean_abs())
-            for gamma in gammas]
-    lnb = math.log(b)
+    # Per beta: ln|E xi| at gamma = 0 and the radius part of classify; per
+    # gamma: ln|E xi| at beta = 0.  One rule call decides the whole grid.
+    specs = [law(beta, 0.0) for beta in betas]
+    radius = [phase._radius_part(spec, b) for spec in specs]
+    lb = np.array([spec.log_mean_abs() for spec in specs])
+    lg = np.array([law(0.0, gamma).log_mean_abs() for gamma in gammas])
+    code, f, _ = phase._decide(math.log(b) + (lb[None, :] + lg[:, None]),
+                               unit.independent, eps, np.array(radius).T)
     crit_comment = ("critical beta_0=%s beta_c=%s gamma_0=%s gamma_c=%s"
                     % (_fmt(crit.beta_0), _fmt(crit.beta_c),
                        _fmt(crit.gamma_0), _fmt(crit.gamma_c)))
     lines = ["# " + crit_comment, "beta,gamma,region,f"
              + (",mc_mean,mc_ci_lo,mc_ci_hi" if replicas else "")]
-    labels = []
-    for gamma, gamma_text, lg in rows:
-        for beta, beta_text, lb, rad, texts in columns:
-            region, f, _ = phase._decide(lnb + (lb + lg), unit.independent,
-                                         eps, rad)
-            labels.append(region)
-            lines.append(beta_text + gamma_text
-                         + (texts.get(region) or region + "," + repr(f)))
+    # Each cell's region,f text: its column's where f is G(a_min) or G(2),
+    # its own f's in R1, at a Boundary and when Undetermined.
+    tails = np.array([[None, "R2a,%r" % g_amin, "R2b,%r" % g_amin,
+                       "R3,%r" % g2, None, None]
+                      for _, g_amin, _, g2 in radius])[range(bsteps), code]
+    own = np.equal(tails, None)
+    tails[own] = [phase._REGIONS[c] + "," + repr(x)
+                  for c, x in zip(code[own].tolist(), f[own].tolist())]
+    beta_texts = [repr(beta) + "," for beta in betas]
+    cells = [beta_text + gamma_text + tail for gamma_text, row in
+             zip((repr(gamma) + "," for gamma in gammas), tails.tolist())
+             for beta_text, tail in zip(beta_texts, row)]
     if replicas:
         specs = [law(beta, gamma) for gamma in gammas for beta in betas]
         ests = mc.estimate_free_energy_cells(specs, b, cfg["n"], replicas,
                                              cfg["seed"], budget)
-        for i, est in enumerate(ests, start=2):
-            lines[i] += "," + ",".join(map(_fmt, (est.mean, *est.ci95)))
+        cells = [cell + "," + ",".join(map(_fmt, (est.mean, *est.ci95)))
+                 for cell, est in zip(cells, ests)]
     out = cfg["out"]
-    _write(out + ".csv", "\n".join(lines) + "\n")
-    color = {k: bytes(v) for k, v in _REGION_COLORS.items()}
-    pixels = b"".join(color[region]                 # top row = largest gamma
-                      for gi in range(gsteps - 1, -1, -1)
-                      for region in labels[gi * bsteps:(gi + 1) * bsteps])
+    _write(out + ".csv", "\n".join(lines + cells) + "\n")
     _write(out + ".ppm", f"P6\n# {crit_comment}\n{bsteps} {gsteps}\n255\n"
-           .encode("ascii") + pixels)
+           .encode("ascii") + _PALETTE[code[::-1]].tobytes())  # top: last gamma
 
-    counts = dict(sorted(Counter(labels).items()))
+    counts = {name: int(k) for name, k in sorted(zip(
+        phase._REGIONS, np.bincount(code.ravel(), minlength=6))) if k}
     _emit_json({
         "b": b, "model": cfg["model"],
         "grid": {"beta": [blo, bhi, bsteps], "gamma": [glo, ghi, gsteps]},
@@ -584,6 +581,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                          **_KINDS[kind][1])
 
 
+@functools.cache      # built by the first `main` call, kept for the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treepolymer",

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .env import EnvironmentSpec
 from .errors import DomainError, NoBracket
 
@@ -101,31 +103,29 @@ def _radius_part(spec: EnvironmentSpec, b: int) -> tuple[float, float, float, fl
             g_of_alpha(spec, b, 2.0))
 
 
-def _decide(target: float, independent: bool, eps: float,
-            radius: tuple) -> tuple[str, float, tuple | None]:
-    """The one region rule, called by `classify` and `cli.cmd_diagram`:
-    region, predicted f and, when Boundary, the adjacent formula values,
-    from target = ln(b |E xi|), the law's independence and `radius` =
-    `_radius_part(spec, b)`."""
+_REGIONS = ("R1", "R2a", "R2b", "R3", "Boundary", "Undetermined")
+
+
+@np.errstate(invalid="ignore")    # -inf + inf is nan, as in Python floats
+def _decide(target, independent, eps: float, radius) -> tuple:
+    """The one region rule, called by `classify` and `cli.cmd_diagram`,
+    elementwise over targets ln(b |E xi|) and `radius` =
+    `_radius_part(spec, b)`: the region code (an index into _REGIONS),
+    predicted f and the formula value beside the target at a Boundary."""
     amin, g_amin, g_clamp, g2 = radius
+    above_2 = amin > 2.0 + eps
+    # 1 <= a_min < 2 region: deciding inequality G(a_min) vs target
+    middle = (amin < 2.0 - eps) & (g_amin > target + eps)
+    # R1, R2a, R3, an R1/R3 Boundary, R2b, Undetermined; else a Boundary:
+    # G(a_min) near target, a_min near 1 or 2, or every inequality in band
+    code = np.select([g_clamp < target - eps, amin < 1.0 - eps,
+                      above_2 & (g2 > target + eps), above_2,
+                      middle & independent, middle], [0, 1, 3, 4, 2, 5], 4)
+    edge = np.where(above_2, g2, g_amin)
     # f = target in R1, G(a_min) in R2 and G(2) in R3
-    if g_clamp < target - eps:
-        return "R1", target, None
-    if amin < 1.0 - eps:
-        return "R2a", g_amin, None
-    if amin > 2.0 + eps:
-        if g2 > target + eps:
-            return "R3", g2, None
-        # g2 within the band of target: R1/R3 boundary
-        return "Boundary", 0.5 * (target + g2), (target, g2)
-    if amin < 2.0 - eps and g_amin > target + eps:
-        # 1 <= a_min < 2 region: deciding inequality G(a_min) vs target
-        if independent:
-            return "R2b", g_amin, None
-        return "Undetermined", math.nan, None
-    # G(a_min) within the band of target, a_min within the band of 1 or 2,
-    # or all inequalities inside the band
-    return "Boundary", 0.5 * (target + g_amin), (target, g_amin)
+    f = np.choose(code, [target, g_amin, g_amin, g2, 0.5 * (target + edge),
+                         math.nan])
+    return code, f, edge
 
 
 def classify(spec: EnvironmentSpec, b: int,
@@ -134,8 +134,8 @@ def classify(spec: EnvironmentSpec, b: int,
     with the trace of every condition `_decide` reads."""
     target = math.log(b) + spec.log_mean_abs()   # ln(b |E xi|)
     amin, g_amin, g_clamp, g2 = radius = _radius_part(spec, b)
-    region, f, boundary_values = _decide(target, spec.independent,
-                                         eps_boundary, radius)
+    code, f, edge = _decide(target, spec.independent, eps_boundary, radius)
+    boundary = (target, float(edge)) if _REGIONS[code] == "Boundary" else None
     trace = [
         {"name": "min_G_on_(1,2]_vs_ln_b_mean", "lhs": g_clamp, "rhs": target,
          "fired": g_clamp < target - eps_boundary},
@@ -151,10 +151,10 @@ def classify(spec: EnvironmentSpec, b: int,
          "fired": spec.independent},
     ]
     return PhaseReport(
-        region=region, alpha_min=amin, g_at_alpha_min=g_amin, predicted_f=f,
-        l2_region=l2_check(spec, b), condition_trace=trace,
-        boundary_values=boundary_values,
-        boundary_width=eps_boundary if boundary_values else None)
+        region=_REGIONS[code], alpha_min=amin, g_at_alpha_min=g_amin,
+        predicted_f=float(f), l2_region=l2_check(spec, b),
+        condition_trace=trace, boundary_values=boundary,
+        boundary_width=eps_boundary if boundary else None)
 
 
 def _bisect(f, lo: float, hi: float) -> float:

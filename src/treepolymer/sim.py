@@ -633,6 +633,7 @@ def trace_depths(spec: EnvironmentSpec, b: int, n: int, stream: TreeStream,
     (n', ln|z|/n', ln z_abs/n', ln z_abs2/n', ln w/(2n')).  A value that is
     nan or +inf, from float64 overflow or a refused underflow loss, is
     refused; -inf (a sum that is exactly 0) is kept."""
+    _check_budget(b, n, node_budget)     # before any depth is walked
     rows = []
     for depth in range(1, n + 1):
         fs = dfs_evaluate(spec, b, depth, stream, node_budget=node_budget,

@@ -170,12 +170,18 @@ def test_diagram_writes_grid_cells_and_pixmap(tmp_path, capsys):
 
 
 def test_diagram_reruns_are_byte_identical(tmp_path, capsys):
+    # the first run builds the parser that every later run in the process
+    # reuses, a run it refused with a usage error included
+    cli.build_parser.cache_clear()
     first = tmp_path / "a"
     second = tmp_path / "b"
     for stem in (first, second):
         code, _, _ = run(["diagram", "--grid", "0:2:21,0:1.5:17",
                           "--out", str(stem)], capsys)
         assert code == EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            main(["diagram", "--b", "two", "--out", str(stem)])
+        assert exc.value.code == 2
     assert first.with_suffix(".csv").read_bytes() == second.with_suffix(".csv").read_bytes()
     assert first.with_suffix(".ppm").read_bytes() == second.with_suffix(".ppm").read_bytes()
 
@@ -257,6 +263,12 @@ DIAGRAM_GRIDS = [
     ("gaussian", 3, "0.7:0.7:1,0:2:9"),
     ("uniform", 2, "0:2:9,0.4:0.4:1"),
 ]
+# beta axes that finely bracket the unit law's beta_c and beta_0 at b = 2
+BOUNDARY_GRIDS = [
+    ("gaussian", 2, "1.17:1.185:7,0:2:5"),
+    ("gaussian", 2, "0.581:0.596:7,0:2:5"),
+]
+DIAGRAM_GRIDS += BOUNDARY_GRIDS
 
 
 @pytest.mark.parametrize("model, b, grid", DIAGRAM_GRIDS)
@@ -269,6 +281,7 @@ def test_diagram_rows_match_per_cell_classify(model, b, grid, tmp_path,
     lines = stem.with_suffix(".csv").read_text().splitlines()[2:]
     (blo, bhi, bn), (glo, ghi, gn) = _parse_grid(grid)
     assert len(lines) == bn * gn
+    regions = set()
     for line in lines:
         beta, gamma, region, f = line.split(",")
         rep = phase.classify(
@@ -278,6 +291,8 @@ def test_diagram_rows_match_per_cell_classify(model, b, grid, tmp_path,
         assert region == rep.region
         assert struct.pack("<d", float(f)) == \
             struct.pack("<d", rep.predicted_f)
+        regions.add(region)
+    assert "Boundary" in regions or (model, b, grid) not in BOUNDARY_GRIDS
 
 
 @pytest.mark.parametrize("model, b, grid", DIAGRAM_GRIDS)

@@ -22,7 +22,14 @@ from treepolymer import (
     l2_check,
     positive_weight_free_energy,
 )
-from treepolymer.phase import _CAP, _SCAN_STEPS, _first_bracket, predicted_w_rate
+from treepolymer.phase import (
+    _CAP,
+    _SCAN_STEPS,
+    _decide,
+    _first_bracket,
+    _radius_part,
+    predicted_w_rate,
+)
 
 from laws import CoupledGaussian
 
@@ -164,6 +171,40 @@ def test_classify_undetermined_without_independence():
     report = classify(CoupledGaussian(0.8, 0.5), 2)
     assert report.region == "Undetermined"
     assert math.isnan(report.predicted_f)
+
+
+@pytest.mark.parametrize("independent", [True, False])
+def test_region_rule_over_arrays_matches_it_cell_by_cell(independent):
+    # columns: laws on both sides of beta_0 and beta_c, and a_min inside the
+    # band of 1 and on both sides of 2 inside its band; rows: targets inside
+    # and outside the band of each G value a condition reads, and E xi = 0
+    eps = 1e-3
+    radius = [_radius_part(GaussianIndep(beta, 0.0), 2)
+              for beta in (0.0, 0.3, BETA_0, 0.8, BETA_C, 1.5)]
+    radius += [(amin, 0.7, 0.72, 0.75) for amin in (1.0004, 1.9996, 2.0005)]
+    parts = np.array(radius).T
+    rows = [part + off for part in parts[1:]
+            for off in (-2e-3, -5e-4, 0.0, 5e-4, 2e-3)]
+    targets = np.array(rows + [np.full(len(radius), -math.inf)])
+    code, f, edge = _decide(targets, independent, eps, tuple(parts))
+    edge = np.broadcast_to(edge, code.shape)
+    assert set(code.ravel().tolist()) == (
+        {0, 1, 2, 3, 4} if independent else {0, 1, 3, 4, 5})
+    for (i, j), target in np.ndenumerate(targets):
+        one = _decide(float(target), independent, eps, radius[j])
+        assert (code[i, j], f[i, j].tobytes(), edge[i, j].tobytes()) == \
+            (one[0], np.float64(one[1]).tobytes(), np.float64(one[2]).tobytes())
+
+
+def test_classify_reports_python_floats():
+    # phase-point's JSON bytes are those of Python floats
+    reports = [classify(law, 2) for law in (
+        GaussianIndep(0.3, math.sqrt(LN2 - 0.3**2)), GaussianIndep(0.8, 0.5),
+        CoupledGaussian(0.8, 0.5))]
+    assert [rep.region for rep in reports] == ["Boundary", "R2b",
+                                               "Undetermined"]
+    assert all(type(rep.predicted_f) is float for rep in reports)
+    assert [type(v) for v in reports[0].boundary_values] == [float, float]
 
 
 def test_classify_free_energy_is_continuous_across_region_boundaries():

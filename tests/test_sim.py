@@ -671,6 +671,15 @@ def test_every_walker_refuses_a_tree_over_budget_in_one_wording(walker):
         _OVER_BUDGET[walker](100)
 
 
+def test_trace_refuses_an_over_budget_depth_before_walking_any(monkeypatch):
+    walked = []
+    monkeypatch.setattr(sim_module, "dfs_evaluate",
+                        lambda *args, **kwargs: walked.append(args))
+    with pytest.raises(BudgetExceeded, match=r"2\^31 exceeds per-tree budget"):
+        trace_depths(GaussianIndep(0.5, 0.5), 2, 30, TreeStream(0, 0))
+    assert walked == []
+
+
 def test_pair_functionals_require_independent_phases():
     law = _alternating_phase_law()  # declared coupled
     with pytest.raises(CoupledLaw):
